@@ -79,12 +79,6 @@ class ScaTrace:
     reason: str = ""
     notes: list[str] = field(default_factory=list)
 
-    def export_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("iter,objective,crb,max_violation\n")
-            for i, (obj, crb, viol) in enumerate(self.iterations):
-                fh.write(f"{i},{obj:.17g},{crb:.17g},{viol:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # Hermitian real parametrisation
@@ -454,12 +448,9 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
         Q = GramSet(Q=np.zeros((n_blocks, n, n), dtype=complex))
         return Q, {"objective": 0.0, "power_slack": 0.0, "kkt_residual": 0.0}
     if not constraints:
-        w, V = np.linalg.eigh(weight)
-        v = V[:, -1]
-        Q = np.zeros((n_blocks, n, n), dtype=complex)
-        Q[0] = P_T * np.outer(v, v.conj())
-        obj = float(np.trace(weight @ Q[0]).real)
-        return GramSet(Q=Q), {"objective": obj, "power_slack": 0.0, "kkt_residual": 0.0}
+        _, grams = _closed_form(weight, P_T, n_blocks)
+        obj = float(np.trace(weight @ grams.Q[0]).real)
+        return grams, {"objective": obj, "power_slack": 0.0, "kkt_residual": 0.0}
 
     scale = float(np.linalg.norm(weight, 2))
     if scale == 0.0:
@@ -564,14 +555,15 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
         f"rate threshold {cfg.R_th} bit/s/Hz unreachable within the power budget")
 
 
-def _closed_form_solution(weight: np.ndarray, cfg: ScenarioConfig) -> tuple[BeamformerSet, GramSet]:
-    w, V = np.linalg.eigh(weight)
-    v = V[:, -1]
-    Q = np.zeros((cfg.K + 1, cfg.N_t, cfg.N_t), dtype=complex)
-    Q[0] = cfg.P_T * np.outer(v, v.conj())
-    W = np.zeros((cfg.K + 1, cfg.N_t, cfg.L), dtype=complex)
-    W[0][:, 0] = math.sqrt(cfg.P_T) * v
-    return BeamformerSet(W=W), GramSet(Q=Q)
+def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndarray, GramSet]:
+    """Optimum without rate constraints: all power on the weight's top eigenvector v.
+
+    Returns v and the Gram set whose probe block is P_T v v^H.
+    """
+    v = np.linalg.eigh(weight)[1][:, -1]
+    Q = np.zeros((n_blocks, v.size, v.size), dtype=complex)
+    Q[0] = P_T * np.outer(v, v.conj())
+    return v, GramSet(Q=Q)
 
 
 def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConfig,
@@ -628,12 +620,14 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
               else build_objective_weight(b, consts, channels, cfg))
 
     if cfg.R_th <= 0:
-        W, grams = _closed_form_solution(weight, cfg)
+        v, grams = _closed_form(weight, cfg.P_T, cfg.K + 1)
+        W = np.zeros((cfg.K + 1, cfg.N_t, cfg.L), dtype=complex)
+        W[0][:, 0] = math.sqrt(cfg.P_T) * v
         obj = float(np.trace(weight @ grams.total()).real)
         trace.iterations.append((obj, 1.0 / obj, 0.0))
         trace.converged = True
         trace.reason = "tolerance"
-        return W, trace
+        return BeamformerSet(W=W), trace
 
     try:
         grams = init if init is not None else feasibility_init(b, cfg, channels)

@@ -98,22 +98,3 @@ def build_channels(cfg: ScenarioConfig, layout: Layout, seed: int,
             gen_c = rngmod.substream(seed, rngmod.DOMAIN_CHANNEL_COMM, trial, k)
             H_comm[k] = sample_rician(eta_c, cfg.rician_alpha[k], los_c, gen_c)
     return ChannelSet(H_sens=H_sens, H_comm=H_comm, los_sens=los_sens, geom=geom)
-
-
-def dump_channels(chset: ChannelSet, path) -> None:
-    """Write a ChannelSet as row-major text matrices, entries ``re+imj``.
-
-    Meant for cross-implementation comparison; one header line per matrix,
-    one text row per matrix row.
-    """
-    def fmt(z: complex) -> str:
-        return f"{z.real:+.17g}{z.imag:+.17g}j"
-
-    with open(path, "w", encoding="ascii") as fh:
-        for name, block in (("H_sens", chset.H_sens), ("H_comm", chset.H_comm),
-                            ("los_sens", chset.los_sens)):
-            for k in range(block.shape[0]):
-                rows, cols = block[k].shape
-                fh.write(f"# {name}[{k}] {rows}x{cols}\n")
-                for r in range(rows):
-                    fh.write(" ".join(fmt(z) for z in block[k][r]) + "\n")

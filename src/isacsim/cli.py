@@ -69,12 +69,7 @@ def _cmd_run(args) -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code
         print(f"experiment failure: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
-    if args.out:
-        harness.rows_to_csv(rows, args.out)
-    else:
-        sys.stdout.write(",".join(harness.COLUMNS) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(harness._fmt(row.get(c, "")) for c in harness.COLUMNS) + "\n")
+    harness.rows_to_csv(rows, args.out or sys.stdout)
     if any(row.get("error") for row in rows):
         print("experiment finished with per-row failures (see the error column)",
               file=sys.stderr)

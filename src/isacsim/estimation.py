@@ -259,6 +259,14 @@ def invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> float
     with vartheta_k the TR->RE bearing.  A receiver co-located with the TR
     reduces to the mono-static d = c tau / 2.
     """
+    return _invert_distance(theta, tau_k, layout, k)[0]
+
+
+def _invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> tuple[float, float]:
+    """invert_distance plus its conditioning |denominator| / (c tau).
+
+    Rounding in the numerator reaches d amplified by about c tau / |denominator|.
+    """
     if tau_k <= 0:
         raise ValueError("delay must be > 0")
     ct = SPEED_OF_LIGHT * tau_k
@@ -272,7 +280,7 @@ def invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> float
     d = (ct * ct + d_bk * d_bk - 2.0 * ct * d_bk * cos_term) / denom
     if d <= 0:
         raise DegenerateTriangleError(f"non-positive reconstructed distance {d}")
-    return d
+    return d, abs(denom) / ct
 
 
 def estimate_position(k: int, d_hat: float, phi_k: float, layout: Layout) -> tuple[float, float]:
@@ -302,6 +310,10 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     receiver's distance and position fix, and keeps the candidate whose two
     fixes agree best.  Uses only quantities the receivers possess: their own
     bearings, the exchanged delays/Dopplers, and the known node positions.
+    The estimate is the midpoint of the two fixes, unless one receiver sits
+    nearly on the line through the TR and the target: its distance inversion
+    then amplifies rounding error (|denominator| / (c tau) < 1e-6), and the
+    other receiver's fix is used alone.
     """
     if method == "closed_form":
         candidates = (invert_doa(f_k, f_kp, phi_k, phi_kp, method="closed_form"),)
@@ -311,16 +323,19 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     last_err: Exception | None = None
     for theta in candidates:
         try:
-            d_k = invert_distance(theta, tau_k, layout, k)
-            d_kp = invert_distance(theta, tau_kp, layout, kp)
+            d_k, cond_k = _invert_distance(theta, tau_k, layout, k)
+            d_kp, cond_kp = _invert_distance(theta, tau_kp, layout, kp)
             pos_k = estimate_position(k, d_k, phi_k, layout)
             pos_kp = estimate_position(kp, d_kp, phi_kp, layout)
         except (DegenerateTriangleError, ValueError) as exc:
             last_err = exc
             continue
         gap = math.hypot(pos_k[0] - pos_kp[0], pos_k[1] - pos_kp[1])
-        mid = (0.5 * (pos_k[0] + pos_kp[0]), 0.5 * (pos_k[1] + pos_kp[1]))
-        cand = PositionEstimate(theta_hat=theta, d_hat=d_k, xy_hat=mid,
+        if min(cond_k, cond_kp) < 1e-6:
+            xy = pos_k if cond_k >= cond_kp else pos_kp
+        else:
+            xy = (0.5 * (pos_k[0] + pos_kp[0]), 0.5 * (pos_k[1] + pos_kp[1]))
+        cand = PositionEstimate(theta_hat=theta, d_hat=d_k, xy_hat=xy,
                                   consistency=gap, method=method)
         if best is None or cand.consistency < best.consistency:
             best = cand

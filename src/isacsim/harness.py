@@ -27,6 +27,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,6 @@ from .scenario import (ConfigError, Layout, ScenarioConfig, annulus_layout,
 
 COLUMNS = ("sweep_value", "trial", "crb", "rate_min", "rate_mean", "cost",
            "group_size", "objective", "mse", "wall_time_ms", "error")
-
-EXPERIMENTS = ("tradeoff", "antennas_tx", "antennas_rx", "selection_compare",
-               "pulses", "mf_vs_crb", "roundtrip")
 
 _DEFAULTS = {
     "K": 10, "N_t": 2, "N_r": 2, "L": 2,
@@ -84,26 +82,11 @@ class ExperimentSpec:
 
 
 def default_sweep(name: str, cfg: ScenarioConfig) -> tuple:
-    if name == "tradeoff":
-        return (0, 1, 2, 5)
-    if name in ("antennas_tx", "antennas_rx"):
-        return tuple(range(2, 11))
-    if name == "selection_compare":
-        return ("minimax:100", "minimax:200", "kmeans:100", "kmeans:200")
-    if name == "pulses":
-        sizes = sorted({1, 2, 3, 5, cfg.K})
-        return tuple(f"{p}:{g}" for p in ("cosine", "sinc") for g in sizes)
-    if name == "mf_vs_crb":
-        return (10.0, 20.0, 30.0)
-    if name == "roundtrip":
-        return ("noiseless",)
-    raise ValueError(name)
+    return _TABLE[name].sweep(cfg)
 
 
 def default_trials(name: str) -> int:
-    return {"tradeoff": 50, "antennas_tx": 20, "antennas_rx": 20,
-            "selection_compare": 20, "pulses": 20, "mf_vs_crb": 100,
-            "roundtrip": 200}[name]
+    return _TABLE[name].trials
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +230,15 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: list[dict], path) -> None:
+    """Write the rows as CSV to ``path``: a file path or an open text stream."""
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(_fmt(row.get(col, "")) for col in COLUMNS) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+        return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(col, "")) for col in COLUMNS) + "\n")
+        fh.write(text)
 
 
 def top_eta_group(channels: ChannelSet, size: int) -> np.ndarray:
@@ -265,22 +253,6 @@ def uniform_beamformers(cfg: ScenarioConfig) -> beamforming.BeamformerSet:
     return beamforming.recover_beamformers(beamforming.uniform_gram(cfg), cfg.L)
 
 
-def _mono_scene(cfg: ScenarioConfig, layout: Layout, seed: int, trial: int):
-    """Virtual sensing receiver on top of the TR (ideal SI cancellation)."""
-    cfg_mono = replace(cfg, K=1, rician_alpha=(cfg.rician_alpha[0],),
-                       beta=(cfg.beta[0],))
-    layout_mono = Layout(p_b=layout.p_b, p_0=layout.p_0,
-                         p=np.asarray([layout.p_b]))
-    ch = build_channels(cfg_mono, layout_mono, seed, trial, comm=False)
-    consts = metrics.fim_constants(cfg_mono, ch.geom)
-    return cfg_mono, ch, consts
-
-
-def _rates_all(b, W, channels: ChannelSet, cfg: ScenarioConfig) -> np.ndarray:
-    return np.array([metrics.rate(k, b, W, channels, cfg.sigma2)
-                     for k in range(cfg.K)])
-
-
 def _sca(b, cfg, channels, consts, **kw):
     """Experiment-throughput SCA: slightly loose tolerances, same guarantees.
 
@@ -292,183 +264,169 @@ def _sca(b, cfg, channels, consts, **kw):
                                     inner_gap=1e-4 * cfg.P_T, **kw)
 
 
-def _group_cost(layout: Layout, b, rho: float) -> float:
-    group = frozenset(np.flatnonzero(b).tolist())
-    if not group:
-        return 0.0
-    prices = cooperation_price(layout, group, rho)
-    return metrics.cooperation_cost(b, prices)
-
-
-def _scene_for_trial(cfg, layout_fixed, base, seed, trial):
-    layout = layout_fixed if layout_fixed is not None else _draw_layout(cfg, base, seed, trial)
+def _scene(cfg: ScenarioConfig, layout: Layout, seed: int, trial: int):
     channels = build_channels(cfg, layout, seed, trial)
-    consts = metrics.fim_constants(cfg, channels.geom)
-    return layout, channels, consts
+    return channels, metrics.fim_constants(cfg, channels.geom)
+
+
+def _summary(cfg, layout, channels, consts, b, W, trace, report=None) -> dict:
+    """CRB (of ``b`` unless ``report`` is given), rates, cost and objective of a row."""
+    if report is None:
+        report = metrics.crb(b, W, consts, channels, cfg)
+    rates = np.array([metrics.rate(k, b, W, channels, cfg.sigma2)
+                      for k in range(cfg.K)])
+    group = frozenset(np.flatnonzero(b).tolist())
+    cost = (metrics.cooperation_cost(b, cooperation_price(layout, group, cfg.rho))
+            if group else 0.0)
+    return {"crb": report.crb, "rate_min": rates.min(), "rate_mean": rates.mean(),
+            "cost": cost, "group_size": len(group),
+            "objective": trace.iterations[-1][0]}
 
 
 # ---------------------------------------------------------------------------
-# experiments (each yields (sweep_value, trial, thunk) triples)
+# experiments: row evaluators (cfg, layout, seed, trial, arg) -> payload,
+# and the table that pairs each with its sweep
 # ---------------------------------------------------------------------------
 
-def _group_size_summary(cfg, layout, channels, consts, size, seed, trial) -> dict:
-    """Optimize beamformers for one group-size scenario and summarize it."""
+def _group_row(cfg, layout, seed, trial, size: int) -> dict:
+    """Beamformers for the ``size`` strongest receivers (0: mono-static proxy)."""
+    channels, consts = _scene(cfg, layout, seed, trial)
     if size == 0:
-        cfg_mono, ch_mono, consts_mono = _mono_scene(cfg, layout, seed, trial)
+        # virtual sensing receiver on top of the TR (ideal SI cancellation)
+        cfg_mono = replace(cfg, K=1, rician_alpha=cfg.rician_alpha[:1], beta=cfg.beta[:1])
+        layout_mono = Layout(p_b=layout.p_b, p_0=layout.p_0, p=np.asarray([layout.p_b]))
+        ch_mono = build_channels(cfg_mono, layout_mono, seed, trial, comm=False)
+        consts_mono = metrics.fim_constants(cfg_mono, ch_mono.geom)
         weight = beamforming.build_objective_weight(np.array([1]), consts_mono,
                                                     ch_mono, cfg_mono)
         b = np.zeros(cfg.K, dtype=int)
         W, trace = _sca(b, cfg, channels, consts, objective_weight=weight)
         report = metrics.crb(np.array([1]), W, consts_mono, ch_mono, cfg_mono)
-        cost = 0.0
     else:
         b = top_eta_group(channels, size)
+        report = None
         W, trace = _sca(b, cfg, channels, consts)
-        report = metrics.crb(b, W, consts, channels, cfg)
-        cost = _group_cost(layout, b, cfg.rho)
-    rates = _rates_all(b, W, channels, cfg)
-    return {"crb": report.crb, "rate_min": rates.min(), "rate_mean": rates.mean(),
-            "cost": cost, "group_size": size,
-            "objective": trace.iterations[-1][0]}
+    return _summary(cfg, layout, channels, consts, b, W, trace, report)
 
 
-def _exp_tradeoff(spec, cfg, layout_fixed, base):
-    for size in spec.sweep:
-        for trial in range(spec.trials):
-            def thunk(size=int(size), trial=trial):
-                layout, channels, consts = _scene_for_trial(
-                    cfg, layout_fixed, base, spec.seed, trial)
-                return _group_size_summary(cfg, layout, channels, consts,
-                                           size, spec.seed, trial)
-            yield int(size), trial, thunk
+def _selection_row(cfg, layout, seed, trial, method: str) -> dict:
+    """Select receivers under uniform beamformers, then optimize for them."""
+    channels, consts = _scene(cfg, layout, seed, trial)
+    W_bar = uniform_beamformers(cfg)
+    if method == "minimax":
+        tree = selection.build_linkage_tree(layout.p, layout.p_0, cfg.rho)
+        sel = selection.select_group(tree, W_bar, cfg, layout, channels, consts)
+    elif method == "kmeans":
+        sel = selection.select_group_kmeans(layout.p, W_bar, cfg, layout,
+                                            channels, consts, seed=seed)
+    else:
+        raise ValueError(f"unknown selection method {method!r}")
+    W, trace = _sca(sel.b, cfg, channels, consts)
+    return _summary(cfg, layout, channels, consts, sel.b, W, trace)
 
 
-def _exp_antennas(spec, cfg, layout_fixed, base, axis):
-    # Sensing-limited sweep: the rate threshold is lifted so the closed-form
-    # CRB-optimal beamformer applies at every antenna count.
-    for value in spec.sweep:
-        value = int(value)
-        if axis == "tx":
-            cfg_s = replace(cfg, N_t=value, L=min(cfg.L, value, cfg.N_r), R_th=0.0)
-        else:
-            cfg_s = replace(cfg, N_r=value, L=min(cfg.L, cfg.N_t, value), R_th=0.0)
-        for trial in range(spec.trials):
-            def thunk(cfg_s=cfg_s, trial=trial):
-                layout, channels, consts = _scene_for_trial(
-                    cfg_s, layout_fixed, base, spec.seed, trial)
-                return _group_size_summary(cfg_s, layout, channels, consts,
-                                           2, spec.seed, trial)
-            yield value, trial, thunk
-
-
-def _exp_selection_compare(spec, cfg, layout_fixed, base):
-    for sval in spec.sweep:
-        method, _, omega = str(sval).partition(":")
-        cfg_s = replace(cfg, Omega_th=float(omega))
-        for trial in range(spec.trials):
-            def thunk(method=method, cfg_s=cfg_s, trial=trial):
-                layout, channels, consts = _scene_for_trial(
-                    cfg_s, layout_fixed, base, spec.seed, trial)
-                W_bar = uniform_beamformers(cfg_s)
-                if method == "minimax":
-                    tree = selection.build_linkage_tree(layout.p, layout.p_0, cfg_s.rho)
-                    sel = selection.select_group(tree, W_bar, cfg_s, layout,
-                                                 channels, consts)
-                elif method == "kmeans":
-                    sel = selection.select_group_kmeans(layout.p, W_bar, cfg_s,
-                                                        layout, channels, consts,
-                                                        seed=spec.seed)
-                else:
-                    raise ValueError(f"unknown selection method {method!r}")
-                W, trace = _sca(sel.b, cfg_s, channels, consts)
-                report = metrics.crb(sel.b, W, consts, channels, cfg_s)
-                rates = _rates_all(sel.b, W, channels, cfg_s)
-                return {"crb": report.crb, "rate_min": rates.min(),
-                        "rate_mean": rates.mean(), "cost": sel.cost,
-                        "group_size": int(sel.b.sum()),
-                        "objective": trace.iterations[-1][0]}
-            yield sval, trial, thunk
-
-
-def _exp_pulses(spec, cfg, layout_fixed, base):
-    for sval in spec.sweep:
-        pulse, _, size = str(sval).partition(":")
-        cfg_s = replace(cfg, pulse=pulse)
-        for trial in range(spec.trials):
-            def thunk(cfg_s=cfg_s, size=int(size), trial=trial):
-                layout, channels, consts = _scene_for_trial(
-                    cfg_s, layout_fixed, base, spec.seed, trial)
-                return _group_size_summary(cfg_s, layout, channels, consts,
-                                           size, spec.seed, trial)
-            yield sval, trial, thunk
-
-
-def _exp_mf_vs_crb(spec, cfg, layout_fixed, base, group_size: int = 2):
+def _mf_point(cfg, p_dbm):
     # Sensing-only operating point: the filter correlates against the probe
     # stream alone, so the probe must carry the transmit power (with rate
     # constraints binding, the optimizer parks nearly all power on the
     # communication streams and the probe becomes undetectable).  The
     # Doppler raster is sized so its quantization cell, not the noise,
     # limits the search, matching how the grid would be chosen in practice.
-    for p_dbm in spec.sweep:
-        cfg_s = replace(cfg, P_T=dbm_to_watts(float(p_dbm)), R_th=0.0)
-        grid = estimation.DelayDopplerGrid(tau_max=cfg_s.M // 8, n_f=65)
+    cfg_s = replace(cfg, P_T=dbm_to_watts(float(p_dbm)), R_th=0.0)
+    return float(p_dbm), cfg_s, estimation.DelayDopplerGrid(tau_max=cfg_s.M // 8, n_f=65)
+
+
+def _mf_row(cfg, layout, seed, trial, grid) -> dict:
+    """Matched-filter delay/Doppler MSE of the two strongest receivers."""
+    channels, consts = _scene(cfg, layout, seed, trial)
+    b = top_eta_group(channels, 2)
+    W, trace = _sca(b, cfg, channels, consts)
+    gen_t = rngmod.substream(seed, rngmod.DOMAIN_TRUTH, trial)
+    taus = gen_t.integers(grid.tau_min, grid.tau_max + 1, size=cfg.K)
+    freqs = gen_t.uniform(-grid.f_max, grid.f_max, size=cfg.K)
+    block = estimation.synthesize_block(
+        cfg, channels, W, list(zip(taus.tolist(), freqs.tolist())),
+        seed=seed, trial=trial)
+    err = 0.0
+    for k in np.flatnonzero(b):
+        est = estimation.matched_filter(block, grid, k=int(k))
+        err += float((est.tau_hat - block.tau_tilde[k]) ** 2)
+        err += float((est.f_hat - block.f_tilde[k]) ** 2)
+    return dict(_summary(cfg, layout, channels, consts, b, W, trace), mse=err)
+
+
+def _roundtrip_row(cfg, layout, seed, trial, _arg) -> dict:
+    """Noiseless localization inversion error of the first usable receiver pair."""
+    geom = geometry_summary(layout, cfg)
+    pair = next(((k, kp) for k in range(cfg.K) for kp in range(k + 1, cfg.K)
+                 if abs(np.cos(geom.phi[k]) - np.cos(geom.phi[kp])) > 1e-4), None)
+    if pair is None:
+        raise estimation.DegenerateAnglesError(
+            "no receiver pair with usable bearing separation")
+    k, kp = pair
+    f_k = true_doppler(geom.theta, geom.phi[k], cfg.v, cfg.f0, mode="approx")
+    f_kp = true_doppler(geom.theta, geom.phi[kp], cfg.v, cfg.f0, mode="approx")
+    tau_k = true_delay(geom.d_b0, geom.d_0k[k])
+    tau_kp = true_delay(geom.d_b0, geom.d_0k[kp])
+    res = estimation.localize(layout, k, kp, f_k, f_kp, tau_k, tau_kp,
+                              geom.phi[k], geom.phi[kp])
+    pos_err = float(np.hypot(res.xy_hat[0] - layout.p_0[0],
+                             res.xy_hat[1] - layout.p_0[1]))
+    ang_err = abs(wrap_angle(res.theta_hat - geom.theta))
+    return {"mse": pos_err ** 2, "objective": ang_err, "group_size": 2}
+
+
+class _Experiment(NamedTuple):
+    trials: int          # default trial count
+    sweep: Callable      # cfg -> default sweep values
+    point: Callable      # (cfg, value) -> (CSV sweep_value, row cfg, row arg)
+    evaluate: Callable   # (cfg, layout, seed, trial, arg) -> row payload
+
+
+_TABLE = {
+    "tradeoff": _Experiment(
+        50, lambda cfg: (0, 1, 2, 5),
+        lambda cfg, v: (int(v), cfg, int(v)), _group_row),
+    # Sensing-limited sweeps: the rate threshold is lifted so the closed-form
+    # CRB-optimal beamformer applies at every antenna count.
+    "antennas_tx": _Experiment(
+        20, lambda cfg: tuple(range(2, 11)),
+        lambda cfg, v: (int(v), replace(cfg, N_t=int(v), L=min(cfg.L, int(v), cfg.N_r),
+                                        R_th=0.0), 2), _group_row),
+    "antennas_rx": _Experiment(
+        20, lambda cfg: tuple(range(2, 11)),
+        lambda cfg, v: (int(v), replace(cfg, N_r=int(v), L=min(cfg.L, cfg.N_t, int(v)),
+                                        R_th=0.0), 2), _group_row),
+    "selection_compare": _Experiment(
+        20, lambda cfg: ("minimax:100", "minimax:200", "kmeans:100", "kmeans:200"),
+        lambda cfg, v: (v, replace(cfg, Omega_th=float(v.partition(":")[2])),
+                        v.partition(":")[0]),
+        _selection_row),
+    "pulses": _Experiment(
+        20, lambda cfg: tuple(f"{p}:{g}" for p in ("cosine", "sinc")
+                              for g in sorted({1, 2, 3, 5, cfg.K})),
+        lambda cfg, v: (v, replace(cfg, pulse=v.partition(":")[0]),
+                        int(v.partition(":")[2])),
+        _group_row),
+    "mf_vs_crb": _Experiment(100, lambda cfg: (10.0, 20.0, 30.0), _mf_point, _mf_row),
+    "roundtrip": _Experiment(
+        200, lambda cfg: ("noiseless",), lambda cfg, v: (v, cfg, None), _roundtrip_row),
+}
+
+EXPERIMENTS = tuple(_TABLE)
+
+
+def _items(spec: ExperimentSpec, cfg: ScenarioConfig, layout_fixed, base):
+    """Yield (sweep_value, trial, thunk) in canonical order."""
+    exp = _TABLE[spec.name]
+    for value in spec.sweep:
+        sval, cfg_s, arg = exp.point(cfg, value)
         for trial in range(spec.trials):
-            def thunk(cfg_s=cfg_s, grid=grid, trial=trial):
-                layout, channels, consts = _scene_for_trial(
-                    cfg_s, layout_fixed, base, spec.seed, trial)
-                b = top_eta_group(channels, group_size)
-                W, trace = _sca(b, cfg_s, channels, consts)
-                report = metrics.crb(b, W, consts, channels, cfg_s)
-                gen_t = rngmod.substream(spec.seed, rngmod.DOMAIN_TRUTH, trial)
-                taus = gen_t.integers(grid.tau_min, grid.tau_max + 1, size=cfg_s.K)
-                freqs = gen_t.uniform(-grid.f_max, grid.f_max, size=cfg_s.K)
-                block = estimation.synthesize_block(
-                    cfg_s, channels, W, list(zip(taus.tolist(), freqs.tolist())),
-                    seed=spec.seed, trial=trial)
-                err = 0.0
-                for k in np.flatnonzero(b):
-                    est = estimation.matched_filter(block, grid, k=int(k))
-                    err += float((est.tau_hat - block.tau_tilde[k]) ** 2)
-                    err += float((est.f_hat - block.f_tilde[k]) ** 2)
-                rates = _rates_all(b, W, channels, cfg_s)
-                return {"crb": report.crb, "rate_min": rates.min(),
-                        "rate_mean": rates.mean(),
-                        "cost": _group_cost(layout, b, cfg_s.rho),
-                        "group_size": group_size,
-                        "objective": trace.iterations[-1][0], "mse": err}
-            yield float(p_dbm), trial, thunk
-
-
-def _exp_roundtrip(spec, cfg, layout_fixed, base):
-    for trial in range(spec.trials):
-        def thunk(trial=trial):
-            layout = layout_fixed if layout_fixed is not None else _draw_layout(
-                cfg, base, spec.seed, trial)
-            geom = geometry_summary(layout, cfg)
-            pair = None
-            for k in range(cfg.K):
-                for kp in range(k + 1, cfg.K):
-                    if abs(np.cos(geom.phi[k]) - np.cos(geom.phi[kp])) > 1e-4:
-                        pair = (k, kp)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                raise estimation.DegenerateAnglesError(
-                    "no receiver pair with usable bearing separation")
-            k, kp = pair
-            f_k = true_doppler(geom.theta, geom.phi[k], cfg.v, cfg.f0, mode="approx")
-            f_kp = true_doppler(geom.theta, geom.phi[kp], cfg.v, cfg.f0, mode="approx")
-            tau_k = true_delay(geom.d_b0, geom.d_0k[k])
-            tau_kp = true_delay(geom.d_b0, geom.d_0k[kp])
-            res = estimation.localize(layout, k, kp, f_k, f_kp, tau_k, tau_kp,
-                                      geom.phi[k], geom.phi[kp])
-            pos_err = float(np.hypot(res.xy_hat[0] - layout.p_0[0],
-                                     res.xy_hat[1] - layout.p_0[1]))
-            ang_err = abs(wrap_angle(res.theta_hat - geom.theta))
-            return {"mse": pos_err ** 2, "objective": ang_err, "group_size": 2}
-        yield "noiseless", trial, thunk
+            def thunk(cfg_s=cfg_s, arg=arg, trial=trial):
+                layout = (layout_fixed if layout_fixed is not None
+                          else _draw_layout(cfg_s, base, spec.seed, trial))
+                return exp.evaluate(cfg_s, layout, spec.seed, trial, arg)
+            yield sval, trial, thunk
 
 
 def _execute_item(item, timing: bool) -> dict:
@@ -496,62 +454,46 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     the sweep.  ``jobs > 1`` forks workers over rows; substream-keyed
     randomness makes the result identical to the sequential run.
     """
-    if base is None:
-        if layout is not None:
-            base = (layout.p_b, layout.p_0)
-        else:
-            base = (np.asarray(_DEFAULTS["p_b"], float),
-                    np.asarray(_DEFAULTS["p_0"], float))
-    gens = {
-        "tradeoff": lambda: _exp_tradeoff(spec, cfg, layout, base),
-        "antennas_tx": lambda: _exp_antennas(spec, cfg, layout, base, "tx"),
-        "antennas_rx": lambda: _exp_antennas(spec, cfg, layout, base, "rx"),
-        "selection_compare": lambda: _exp_selection_compare(spec, cfg, layout, base),
-        "pulses": lambda: _exp_pulses(spec, cfg, layout, base),
-        "mf_vs_crb": lambda: _exp_mf_vs_crb(spec, cfg, layout, base),
-        "roundtrip": lambda: _exp_roundtrip(spec, cfg, layout, base),
-    }
-    items = list(gens[spec.name]())
+    if base is None:  # read only when placements are drawn per trial
+        base = (np.asarray(_DEFAULTS["p_b"], float),
+                np.asarray(_DEFAULTS["p_0"], float))
+    items = list(_items(spec, cfg, layout, base))
     if jobs <= 1 or len(items) < 2:
         return [_execute_item(item, timing) for item in items]
     return _run_parallel(items, timing, jobs)
 
 
+_forked_items: list = []
+
+
+def _adopt_items(items) -> None:
+    # runs in each forked worker: the row thunks are closures, so workers
+    # reach them through the fork instead of through pickling
+    global _forked_items
+    _forked_items = items
+
+
+def _run_forked(idx: int, timing: bool) -> dict:
+    return _execute_item(_forked_items[idx], timing)
+
+
 def _run_parallel(items, timing: bool, jobs: int) -> list[dict]:
-    """Fork workers over row indices; rows reassembled in canonical order."""
+    """Fork workers over rows; rows come back in canonical order.
+
+    A worker that dies hard (a signal, the OOM killer) breaks the pool: every
+    row not finished by then becomes an error row instead of a hang.
+    """
     import multiprocessing as mp
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    ctx = mp.get_context("fork")
-    queue = ctx.SimpleQueue()
-
-    def worker(indices):
-        try:
-            for idx in indices:
-                queue.put((idx, _execute_item(items[idx], timing)))
-        finally:
-            queue.put(("done", None))
-
-    procs = []
-    for w in range(jobs):
-        proc = ctx.Process(target=worker, args=(range(w, len(items), jobs),))
-        proc.start()
-        procs.append(proc)
-    rows: dict[int, dict] = {}
-    done = 0
-    while done < jobs:
-        idx, row = queue.get()
-        if idx == "done":
-            done += 1
-        else:
-            rows[idx] = row
-    for proc in procs:
-        proc.join()
     out = []
-    for idx, item in enumerate(items):
-        if idx in rows:
-            out.append(rows[idx])
-        else:
-            sval, trial, _ = item
-            out.append({"sweep_value": sval, "trial": trial, "wall_time_ms": 0.0,
-                        "error": "worker died before finishing this row"})
+    with ProcessPoolExecutor(jobs, mp_context=mp.get_context("fork"),
+                             initializer=_adopt_items, initargs=(items,)) as pool:
+        futures = [pool.submit(_run_forked, idx, timing) for idx in range(len(items))]
+        for (sval, trial, _), future in zip(items, futures):
+            try:
+                out.append(future.result())
+            except BrokenExecutor:
+                out.append({"sweep_value": sval, "trial": trial, "wall_time_ms": 0.0,
+                            "error": "worker died before finishing this row"})
     return out

@@ -222,13 +222,3 @@ def select_group_kmeans(points: np.ndarray, W_bar, cfg: ScenarioConfig,
     """Lloyd's-clustering counterpart of select_group (comparison baseline)."""
     return _screen_candidates(kmeans_candidates(points, seed), W_bar, cfg,
                               layout, channels, consts)
-
-
-def export_tree(tree: LinkageTree, path) -> None:
-    """Write the tree as a text edge list: child-ids, parent-id, linkage."""
-    ids = {g: i for i, g in enumerate(tree.groups)}
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# child_a child_b parent linkage\n")
-        for ga, gb, value in tree.merge_records:
-            parent = ids[ga | gb]
-            fh.write(f"{ids[ga]} {ids[gb]} {parent} {value:.17g}\n")

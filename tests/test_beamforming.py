@@ -196,13 +196,6 @@ class TestScaOptimize:
         with pytest.raises(ValueError):
             sca_optimize(np.zeros(2, dtype=int), cfg, channels, consts)
 
-    def test_trace_export(self, tmp_path):
-        cfg, layout, channels, consts = make_scene(K=2, seed=31, R_th=0.0)
-        W, trace = sca_optimize(np.array([1, 1]), cfg, channels, consts)
-        path = tmp_path / "trace.csv"
-        trace.export_csv(path)
-        assert path.read_text().startswith("iter,objective,crb,max_violation")
-
 
 def scalar_crb_of_split(q, b, cfg, channels, consts):
     Q = np.array([[[q_i]] for q_i in q], dtype=complex)

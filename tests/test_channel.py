@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from isacsim.channel import (build_channels, dump_channels, los_component,
-                             sample_rician)
+from isacsim.channel import build_channels, los_component, sample_rician
 from isacsim.scenario import Layout
 
 from conftest import make_cfg, make_layout
@@ -133,15 +132,3 @@ class TestBuildChannels:
         ch = build_channels(cfg, lay, seed=0, comm=False)
         assert np.all(ch.H_comm == 0)
         assert np.any(ch.H_sens != 0)
-
-    def test_dump_format(self, tmp_path):
-        cfg = make_cfg(K=2)
-        lay = make_layout(2, seed=1)
-        ch = build_channels(cfg, lay, seed=1)
-        path = tmp_path / "channels.txt"
-        dump_channels(ch, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# H_sens[0] 2x2"
-        entry = lines[1].split()[0]
-        assert entry.endswith("j")
-        assert complex(entry) == pytest.approx(ch.H_sens[0][0, 0])

@@ -156,6 +156,61 @@ class TestRunExperiment:
         assert "InfeasibleStartError" in rows[0]["error"]
 
 
+# one cheap sweep per experiment; a new table entry needs one here
+LIGHT_SWEEPS = {"tradeoff": (1,), "antennas_tx": (2,), "antennas_rx": (2,),
+                "selection_compare": ("minimax:200",), "pulses": ("cosine:1",),
+                "mf_vs_crb": (10.0,), "roundtrip": ("noiseless", "again")}
+
+
+@pytest.mark.parametrize("name", harness.EXPERIMENTS)
+def test_every_table_entry_runs(name, sec6a):
+    cfg, _, base = sec6a
+    sweep = LIGHT_SWEEPS[name]
+    trials = 2 if name == "roundtrip" else 1
+    spec = ExperimentSpec(name=name, sweep=sweep, trials=trials, seed=3)
+    rows = run_experiment(spec, cfg, None, base=base)
+    assert len(rows) == len(sweep) * trials
+    assert [(r["sweep_value"], r["trial"]) for r in rows] == [
+        (v, t) for v in sweep for t in range(trials)]
+    assert not any("error" in r for r in rows)
+
+
+def test_roundtrip_near_collinear_receiver(sec6a):
+    # trial 3 of this seed pairs a receiver whose distance inversion has
+    # |denominator| / (c tau) ~ 5e-9; averaging its fix in cost 3.5e-6 m
+    cfg, _, base = sec6a
+    spec = ExperimentSpec(name="roundtrip", sweep=("noiseless",), trials=4,
+                          seed=107000163)
+    row = run_experiment(spec, cfg, None, base=base)[3]
+    assert not row.get("error")
+    assert row["mse"] ** 0.5 <= 1e-6
+
+
+_KILLED_WORKER = """
+import json, os, signal, time
+from isacsim import harness
+
+def dies():
+    time.sleep(1.0)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+items = [(0, 0, lambda: {"objective": 0.5}), (1, 0, dies),
+         (2, 0, lambda: {"objective": 2.5})]
+print(json.dumps(harness._run_parallel(items, False, 2)))
+"""
+
+
+def test_parallel_survives_killed_worker():
+    proc = subprocess.run([sys.executable, "-c", _KILLED_WORKER],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [r["sweep_value"] for r in rows] == [0, 1, 2]
+    assert rows[0]["objective"] == 0.5 and not rows[0].get("error")
+    assert rows[2]["objective"] == 2.5 and not rows[2].get("error")
+    assert "worker died" in rows[1]["error"]
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "isacsim.cli", *args],
@@ -194,3 +249,12 @@ class TestCli:
                             "tradeoff", "--trials", "1", "--sweep", "1",
                             "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
+
+    def test_stdout_matches_out_file(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        args = [sys.executable, "-m", "isacsim.cli", "run", "--config", "sec6a",
+                "--experiment", "roundtrip", "--trials", "3"]
+        to_stdout = subprocess.run(args, capture_output=True)
+        to_file = subprocess.run(args + ["--out", str(out)], capture_output=True)
+        assert to_stdout.returncode == 0 and to_file.returncode == 0
+        assert to_stdout.stdout == out.read_bytes()

@@ -3,8 +3,8 @@ import pytest
 
 from isacsim import selection
 from isacsim.selection import (NoFeasibleGroupError, build_linkage_tree,
-                               exhaustive_select, export_tree,
-                               kmeans_candidates, minimax_radius, select_group)
+                               exhaustive_select, kmeans_candidates,
+                               minimax_radius, select_group)
 from isacsim.beamforming import recover_beamformers, uniform_gram
 from conftest import make_cfg, make_scene
 
@@ -84,16 +84,6 @@ class TestLinkageTree:
             rng = np.random.default_rng(K)
             tree = build_linkage_tree(rng.uniform(-50, 50, (K, 2)), FAR, rho=0.5)
             assert tree.n_linkage_evals <= K ** 3
-
-    def test_export(self, tmp_path):
-        rng = np.random.default_rng(2)
-        tree = build_linkage_tree(rng.uniform(-50, 50, (4, 2)), FAR, rho=0.5)
-        path = tmp_path / "tree.txt"
-        export_tree(tree, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + 3
-        child_a, child_b, parent, value = lines[1].split()
-        assert int(parent) >= 4
 
 
 class TestSelectGroup:
