@@ -226,6 +226,15 @@ class _BarrierSolver:
     scalar s is appended to the variables and maximized against the
     constraint slacks (phase-1 feasibility search).  The caller normalizes
     the objective so the duality-gap target nu/t is meaningful.
+
+    ``grad_hess(z, t)`` returns ``(value, grad, hess)``: the barrier value
+    (as ``barrier``), its gradient, and its *negated* Hessian, which is
+    positive definite, so the Newton step solves ``hess @ step = grad``.
+
+    Invariant: the blocks each constraint involves form one contiguous range
+    (0..K or 1..K from ``sca_linearize``), so every involvement group adds
+    its curvature to one square sub-block of the Hessian; the constructor
+    raises ValueError otherwise.
     """
 
     def __init__(self, weight: np.ndarray, constraints, P_T: float, n: int,
@@ -263,11 +272,18 @@ class _BarrierSolver:
             for i in con.involved:
                 if i != con.own:
                     self.lin[j, i * self.bd:(i + 1) * self.bd] = t_vec
-        # group constraints by identical involvement for Hessian placement
+        # group constraints by identical involvement for Hessian placement;
+        # each group's blocks must form one contiguous range lo..hi-1
         groups: dict[tuple, list[int]] = {}
         for j in range(m):
             groups.setdefault(tuple(self.mask[j]), []).append(j)
-        self.groups = {key: np.array(idx) for key, idx in groups.items()}
+        self.groups = []
+        for key, idx in groups.items():
+            blocks = np.flatnonzero(key)
+            lo, hi = int(blocks[0]), int(blocks[-1]) + 1
+            if blocks.size != hi - lo:
+                raise ValueError(f"constraint blocks {blocks.tolist()} are not contiguous")
+            self.groups.append((np.array(idx), lo, hi))
 
         self.eye_vec = _vec(np.eye(n, dtype=complex), self.basis)
         self.nu = n_blocks * n + m + 1
@@ -315,16 +331,17 @@ class _BarrierSolver:
             h = np.zeros(0)
         return Q, s, cholQ, power_slack, h, cholS
 
-    def barrier(self, z: np.ndarray, t: float):
-        ev = self._terms(z)
-        if ev is None:
-            return None
+    def _value(self, z: np.ndarray, t: float, ev) -> float:
         Q, s, cholQ, power_slack, h, cholS = ev
         val = t * float(self.c @ z) + math.log(power_slack)
         if h.size:
             val += float(np.sum(np.log(h)))
         val += 2.0 * float(np.sum(np.log(np.diagonal(cholQ, axis1=1, axis2=2).real)))
         return val
+
+    def barrier(self, z: np.ndarray, t: float):
+        ev = self._terms(z)
+        return None if ev is None else self._value(z, t, ev)
 
     def grad_hess(self, z: np.ndarray, t: float):
         ev = self._terms(z)
@@ -370,19 +387,19 @@ class _BarrierSolver:
             grad += (1.0 / h) @ gcon
             # log-det curvature, grouped by identical involvement pattern
             cores = _psd_cores(M, self.basis) / LN2          # (m, bd, bd)
-            for key, idx in self.groups.items():
+            for idx, lo, hi in self.groups:
                 core_sum = np.tensordot(1.0 / h[idx], cores[idx], axes=(0, 0))
-                blocks = np.flatnonzero(np.array(key))
-                flat = np.concatenate([np.arange(i * bd, (i + 1) * bd) for i in blocks])
-                ones = np.ones((blocks.size, blocks.size))
-                hess[np.ix_(flat, flat)] += np.kron(ones, core_sum)
+                sl = slice(lo * bd, hi * bd)
+                # splitting the axes of a slice keeps it a view of hess
+                view = hess[sl, sl].reshape(hi - lo, bd, hi - lo, bd)
+                view += core_sum[None, :, None, :]
             hess += gcon.T @ ((1.0 / h ** 2)[:, None] * gcon)
-        return grad, hess
+        return self._value(z, t, ev), grad, hess
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9,
                max_newton: int = 200) -> np.ndarray:
         for _ in range(max_newton):
-            grad, hess = self.grad_hess(z, t)
+            base, grad, hess = self.grad_hess(z, t)
             try:
                 chol = sla.cho_factor(hess + 1e-12 * np.eye(self.dim), lower=True)
                 step = sla.cho_solve(chol, grad)
@@ -398,7 +415,6 @@ class _BarrierSolver:
             decrement = float(grad @ step)
             if decrement <= 2.0 * tol:
                 return z
-            base = self.barrier(z, t)
             size = 1.0
             accepted = False
             while size > 1e-14:
@@ -465,7 +481,7 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
     Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
     grams = GramSet(Q=Q)
     # affine-invariant stationarity certificate at the final barrier center
-    grad, hess = solver.grad_hess(z, t_used)
+    _, grad, hess = solver.grad_hess(z, t_used)
     step = np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad)
     info = {
         "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
