@@ -115,18 +115,24 @@ def _vec(Q: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _vec_many(Qs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Row m is the coordinate vector of Qs[m]."""
-    return np.einsum("aij,mji->ma", basis, Qs).real
+    """Row m is the coordinate vector of Qs[m], Re Tr(E_a Q_m) for every basis E_a.
 
-
-def _mat(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.tensordot(q, basis, axes=(0, 0))
+    E_a is Hermitian, so Tr(E_a Q) = sum_ij conj(E_a[i, j]) Q[i, j]: one matmul
+    with the flattened basis.
+    """
+    flat = basis.reshape(len(basis), -1)
+    return (Qs.reshape(len(Qs), -1) @ flat.conj().T).real
 
 
 def _psd_cores(Xs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Stack of matrices C[m,a,b] = Tr(X_m E_a X_m E_b) (each PSD for PSD X_m)."""
-    P = np.einsum("mij,ajk->maik", Xs, basis)
-    return np.einsum("maij,mbji->mab", P, P).real
+    """Stack of matrices C[m,a,b] = Tr(X_m E_a X_m E_b) (each PSD for PSD X_m).
+
+    With the flattened basis B (row a = vec E_a), C_m = Re(conj(B) (X_m kron X_m^T) B^T).
+    """
+    m, n = Xs.shape[:2]
+    flat = basis.reshape(n * n, n * n)
+    kron = (Xs[:, :, None, :, None] * np.transpose(Xs, (0, 2, 1))[:, None, :, None, :])
+    return (flat.conj() @ kron.reshape(m, n * n, n * n) @ flat.T).real
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +268,13 @@ class _BarrierSolver:
         # constraint tables: channel stack, involvement masks, linear parts
         self.H = (np.stack([con.H for con in self.constraints])
                   if m else np.zeros((0, 0, n)))
-        self.sigma2 = np.array([con.sigma2 for con in self.constraints])
+        self.noise = np.array([con.sigma2 * np.eye(con.H.shape[0])
+                               for con in self.constraints])
         self.offsets = np.array([con.offset for con in self.constraints])
-        self.mask = np.zeros((m, n_blocks), dtype=bool)
+        self.mask = np.zeros((m, n_blocks))
         self.lin = np.zeros((m, self.dim))
         for j, con in enumerate(self.constraints):
-            self.mask[j, list(con.involved)] = True
+            self.mask[j, list(con.involved)] = 1.0
             t_vec = _vec(con.T, self.basis)
             for i in con.involved:
                 if i != con.own:
@@ -276,7 +283,7 @@ class _BarrierSolver:
         # each group's blocks must form one contiguous range lo..hi-1
         groups: dict[tuple, list[int]] = {}
         for j in range(m):
-            groups.setdefault(tuple(self.mask[j]), []).append(j)
+            groups.setdefault(tuple(self.mask[j] > 0), []).append(j)
         self.groups = []
         for key, idx in groups.items():
             blocks = np.flatnonzero(key)
@@ -298,7 +305,8 @@ class _BarrierSolver:
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
         coords = z[:self.qdim].reshape(self.n_blocks, self.bd)
-        return np.einsum("kb,bij->kij", coords, self.basis)
+        return (coords @ self.basis.reshape(self.bd, self.bd)).reshape(
+            self.n_blocks, self.n, self.n)
 
     def _terms(self, z: np.ndarray):
         """Evaluate every barrier ingredient; None when z is infeasible."""
@@ -313,9 +321,8 @@ class _BarrierSolver:
             return None
         m = len(self.constraints)
         if m:
-            sums = np.stack([Q[self.mask[j]].sum(axis=0) for j in range(m)])
-            S = np.einsum("mri,mij,mcj->mrc", self.H, sums, self.H.conj())
-            S = S + self.sigma2[:, None, None] * np.eye(self.H.shape[1])[None]
+            sums = (self.mask @ Q.reshape(self.n_blocks, -1)).reshape(m, self.n, self.n)
+            S = np.einsum("mri,mij,mcj->mrc", self.H, sums, self.H.conj()) + self.noise
             S = 0.5 * (S + np.conj(np.transpose(S, (0, 2, 1))))
             try:
                 cholS = np.linalg.cholesky(S)
@@ -359,10 +366,9 @@ class _BarrierSolver:
         Qinv = np.einsum("kji,kjl->kil", inv_chol.conj(), inv_chol)
         Qinv = 0.5 * (Qinv + np.conj(np.transpose(Qinv, (0, 2, 1))))
         grad[:self.qdim] += _vec_many(Qinv, self.basis).ravel()
-        cores_q = _psd_cores(Qinv, self.basis)
-        for i in range(self.n_blocks):
-            sl = slice(i * bd, (i + 1) * bd)
-            hess[sl, sl] += cores_q[i]
+        # block-diagonal PSD cores, written through a view of the diagonal blocks
+        blocks = hess[:self.qdim, :self.qdim].reshape(self.n_blocks, bd, self.n_blocks, bd)
+        np.einsum("kakb->kab", blocks)[...] = _psd_cores(Qinv, self.basis)
 
         # power barrier (affine constraint)
         gP = np.zeros(d)
@@ -379,7 +385,7 @@ class _BarrierSolver:
             M = 0.5 * (M + np.conj(np.transpose(M, (0, 2, 1))))
             vecM = _vec_many(M, self.basis) / LN2           # (m, bd)
             # full constraint gradients: scatter vec(M) on involved blocks
-            gcon = np.einsum("mk,ma->mka", self.mask.astype(float), vecM)
+            gcon = np.einsum("mk,ma->mka", self.mask, vecM)
             gcon = gcon.reshape(m, self.qdim)
             if self.epigraph:
                 gcon = np.hstack([gcon, -np.ones((m, 1))])
