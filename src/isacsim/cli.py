@@ -66,6 +66,9 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         rows = harness.run_experiment(spec, cfg, layout, base=base, timing=args.timing)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code
         print(f"experiment failure: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT

@@ -243,6 +243,8 @@ def rows_to_csv(rows: list[dict], path) -> None:
 
 def top_eta_group(channels: ChannelSet, size: int) -> np.ndarray:
     """The ``size`` receivers with the strongest sensing paths, as a 0/1 vector."""
+    if not 0 <= size <= channels.K:
+        raise ValueError(f"group size {size} outside 0..{channels.K}")
     order = np.argsort(channels.geom.eta)[::-1]
     b = np.zeros(channels.K, dtype=int)
     b[order[:size]] = 1
@@ -309,6 +311,22 @@ def _group_row(cfg, layout, seed, trial, size: int) -> dict:
     return _summary(cfg, layout, channels, consts, b, W, trace, report)
 
 
+def _group_point(cfg, value):
+    """A tradeoff/pulses group size: 0 (mono-static proxy) up to K."""
+    size = int(value)
+    if not 0 <= size <= cfg.K:
+        raise ValueError(f"group size {size} outside 0..{cfg.K}")
+    return size
+
+
+def _selection_point(cfg, value):
+    """``method:Omega_th`` with method minimax or kmeans."""
+    method, _, cap = value.partition(":")
+    if method not in ("minimax", "kmeans") or not cap:
+        raise ValueError("expected minimax:<Omega_th> or kmeans:<Omega_th>")
+    return value, replace(cfg, Omega_th=float(cap)), method
+
+
 def _selection_row(cfg, layout, seed, trial, method: str) -> dict:
     """Select receivers under uniform beamformers, then optimize for them."""
     channels, consts = _scene(cfg, layout, seed, trial)
@@ -316,11 +334,9 @@ def _selection_row(cfg, layout, seed, trial, method: str) -> dict:
     if method == "minimax":
         tree = selection.build_linkage_tree(layout.p, layout.p_0, cfg.rho)
         sel = selection.select_group(tree, W_bar, cfg, layout, channels, consts)
-    elif method == "kmeans":
+    else:
         sel = selection.select_group_kmeans(layout.p, W_bar, cfg, layout,
                                             channels, consts, seed=seed)
-    else:
-        raise ValueError(f"unknown selection method {method!r}")
     W, trace = _sca(sel.b, cfg, channels, consts)
     return _summary(cfg, layout, channels, consts, sel.b, W, trace)
 
@@ -339,7 +355,7 @@ def _mf_point(cfg, p_dbm):
 def _mf_row(cfg, layout, seed, trial, grid) -> dict:
     """Matched-filter delay/Doppler MSE of the two strongest receivers."""
     channels, consts = _scene(cfg, layout, seed, trial)
-    b = top_eta_group(channels, 2)
+    b = top_eta_group(channels, min(2, cfg.K))
     W, trace = _sca(b, cfg, channels, consts)
     gen_t = rngmod.substream(seed, rngmod.DOMAIN_TRUTH, trial)
     taus = gen_t.integers(grid.tau_min, grid.tau_max + 1, size=cfg.K)
@@ -379,34 +395,33 @@ def _roundtrip_row(cfg, layout, seed, trial, _arg) -> dict:
 class _Experiment(NamedTuple):
     trials: int          # default trial count
     sweep: Callable      # cfg -> default sweep values
-    point: Callable      # (cfg, value) -> (CSV sweep_value, row cfg, row arg)
+    point: Callable      # (cfg, value) -> (CSV sweep_value, row cfg, row arg);
+                         # raises ValueError/TypeError on a value it cannot run
     evaluate: Callable   # (cfg, layout, seed, trial, arg) -> row payload
 
 
 _TABLE = {
     "tradeoff": _Experiment(
-        50, lambda cfg: (0, 1, 2, 5),
-        lambda cfg, v: (int(v), cfg, int(v)), _group_row),
+        50, lambda cfg: tuple(g for g in (0, 1, 2, 5) if g <= cfg.K),
+        lambda cfg, v: (int(v), cfg, _group_point(cfg, v)), _group_row),
     # Sensing-limited sweeps: the rate threshold is lifted so the closed-form
     # CRB-optimal beamformer applies at every antenna count.
     "antennas_tx": _Experiment(
         20, lambda cfg: tuple(range(2, 11)),
         lambda cfg, v: (int(v), replace(cfg, N_t=int(v), L=min(cfg.L, int(v), cfg.N_r),
-                                        R_th=0.0), 2), _group_row),
+                                        R_th=0.0), min(2, cfg.K)), _group_row),
     "antennas_rx": _Experiment(
         20, lambda cfg: tuple(range(2, 11)),
         lambda cfg, v: (int(v), replace(cfg, N_r=int(v), L=min(cfg.L, cfg.N_t, int(v)),
-                                        R_th=0.0), 2), _group_row),
+                                        R_th=0.0), min(2, cfg.K)), _group_row),
     "selection_compare": _Experiment(
         20, lambda cfg: ("minimax:100", "minimax:200", "kmeans:100", "kmeans:200"),
-        lambda cfg, v: (v, replace(cfg, Omega_th=float(v.partition(":")[2])),
-                        v.partition(":")[0]),
-        _selection_row),
+        _selection_point, _selection_row),
     "pulses": _Experiment(
         20, lambda cfg: tuple(f"{p}:{g}" for p in ("cosine", "sinc")
-                              for g in sorted({1, 2, 3, 5, cfg.K})),
+                              for g in sorted({g for g in (1, 2, 3, 5, cfg.K) if g <= cfg.K})),
         lambda cfg, v: (v, replace(cfg, pulse=v.partition(":")[0]),
-                        int(v.partition(":")[2])),
+                        _group_point(cfg, v.partition(":")[2])),
         _group_row),
     "mf_vs_crb": _Experiment(100, lambda cfg: (10.0, 20.0, 30.0), _mf_point, _mf_row),
     "roundtrip": _Experiment(
@@ -420,7 +435,11 @@ def _items(spec: ExperimentSpec, cfg: ScenarioConfig, layout_fixed, base):
     """Yield (sweep_value, trial, thunk) in canonical order."""
     exp = _TABLE[spec.name]
     for value in spec.sweep:
-        sval, cfg_s, arg = exp.point(cfg, value)
+        try:
+            sval, cfg_s, arg = exp.point(cfg, value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError("sweep", f"experiment {spec.name!r} cannot run sweep "
+                                       f"value {value!r}: {exc}") from exc
         for trial in range(spec.trials):
             def thunk(cfg_s=cfg_s, arg=arg, trial=trial):
                 layout = (layout_fixed if layout_fixed is not None
@@ -451,7 +470,8 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     ``layout=None`` redraws receiver placements per trial from the seed's
     layout substream (the reference setup); a concrete Layout pins them.
     Row-level failures land in the ``error`` column instead of aborting
-    the sweep.  ``jobs > 1`` forks workers over rows; substream-keyed
+    the sweep; a sweep value the experiment cannot run raises ConfigError
+    before any row runs.  ``jobs > 1`` forks workers over rows; substream-keyed
     randomness makes the result identical to the sequential run.
     """
     if base is None:  # read only when placements are drawn per trial

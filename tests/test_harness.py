@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from isacsim.harness import (COLUMNS, ExperimentSpec, dbm_to_watts,
                              default_sweep, load_config, parse_config,
                              preset_names, rows_to_csv, run_experiment)
 from isacsim.scenario import ConfigError
+
+from conftest import make_scene
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -145,6 +148,34 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec(name="nope", sweep=(1,), trials=1, seed=0)
 
+    def test_default_group_sweeps_stop_at_K(self, sec6a):
+        cfg, _, _ = sec6a
+        assert default_sweep("pulses", cfg) == tuple(
+            f"{p}:{g}" for p in ("cosine", "sinc") for g in (1, 2, 3, 5, 10))
+        small = replace(cfg, K=3, rician_alpha=cfg.rician_alpha[:3], beta=cfg.beta[:3])
+        assert default_sweep("tradeoff", small) == (0, 1, 2)
+        assert default_sweep("pulses", small) == tuple(
+            f"{p}:{g}" for p in ("cosine", "sinc") for g in (1, 2, 3))
+
+    @pytest.mark.parametrize("name,value", [("tradeoff", -1), ("tradeoff", "11"),
+                                            ("pulses", "cosine:11"),
+                                            ("selection_compare", "minimax"),
+                                            ("selection_compare", "lloyd:100"),
+                                            ("mf_vs_crb", "loud")])
+    def test_bad_sweep_value_is_config_error(self, sec6a, name, value):
+        cfg, _, base = sec6a
+        spec = ExperimentSpec(name=name, sweep=(value,), trials=1, seed=0)
+        with pytest.raises(ConfigError, match=f"{name}.*{value!r}"):
+            run_experiment(spec, cfg, None, base=base)
+
+    def test_top_eta_group_size_range(self):
+        _, _, channels, _ = make_scene(K=3, seed=1)
+        assert harness.top_eta_group(channels, 0).sum() == 0
+        assert harness.top_eta_group(channels, 3).sum() == 3
+        for size in (-1, 4):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                harness.top_eta_group(channels, size)
+
     def test_row_level_error_capture(self, sec6a):
         # an unreachable rate threshold turns into error rows, not a crash
         cfg, layout, base = sec6a
@@ -249,6 +280,17 @@ class TestCli:
                             "tradeoff", "--trials", "1", "--sweep", "1",
                             "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("experiment,sweep,named", [
+        ("selection_compare", "minimax", "'minimax'"),
+        ("tradeoff", "-1,12", "'-1'")])
+    def test_bad_sweep_exits_config_error(self, tmp_path, experiment, sweep, named):
+        proc = self.run_cli("run", "--config", "sec6a", "--experiment", experiment,
+                            "--trials", "1", f"--sweep={sweep}",
+                            "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 1
+        assert "sweep" in proc.stderr and experiment in proc.stderr
+        assert named in proc.stderr
 
     def test_stdout_matches_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"
