@@ -236,6 +236,8 @@ class _BarrierSolver:
     ``grad_hess(z, t)`` returns ``(value, grad, hess)``: the barrier value
     (as ``barrier``), its gradient, and its *negated* Hessian, which is
     positive definite, so the Newton step solves ``hess @ step = grad``.
+    ``center`` evaluates ``_terms`` once per point: the terms of the point
+    the line search accepts go on to ``grad_hess``.
 
     Invariant: the blocks each constraint involves form one contiguous range
     (0..K or 1..K from ``sca_linearize``), so every involvement group adds
@@ -350,8 +352,9 @@ class _BarrierSolver:
         ev = self._terms(z)
         return None if ev is None else self._value(z, t, ev)
 
-    def grad_hess(self, z: np.ndarray, t: float):
-        ev = self._terms(z)
+    def grad_hess(self, z: np.ndarray, t: float, ev=None):
+        if ev is None:
+            ev = self._terms(z)
         if ev is None:
             raise SolverError("barrier evaluated at an infeasible point")
         Q, s, cholQ, power_slack, h, cholS = ev
@@ -404,8 +407,9 @@ class _BarrierSolver:
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9,
                max_newton: int = 200) -> np.ndarray:
+        ev = None  # _terms of z, carried over from the line search that accepted z
         for _ in range(max_newton):
-            base, grad, hess = self.grad_hess(z, t)
+            base, grad, hess = self.grad_hess(z, t, ev)
             try:
                 chol = sla.cho_factor(hess + 1e-12 * np.eye(self.dim), lower=True)
                 step = sla.cho_solve(chol, grad)
@@ -425,8 +429,8 @@ class _BarrierSolver:
             accepted = False
             while size > 1e-14:
                 cand = z + size * step
-                val = self.barrier(cand, t)
-                if val is not None and val >= base + 0.25 * size * decrement:
+                ev = self._terms(cand)
+                if ev is not None and self._value(cand, t, ev) >= base + 0.25 * size * decrement:
                     z = cand
                     accepted = True
                     break
