@@ -353,6 +353,7 @@ class _BarrierSolver:
         return None if ev is None else self._value(z, t, ev)
 
     def grad_hess(self, z: np.ndarray, t: float, ev=None):
+        """(value, gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known."""
         if ev is None:
             ev = self._terms(z)
         if ev is None:

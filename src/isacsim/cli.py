@@ -5,8 +5,9 @@
     isac validate --config <path|preset>
     isac presets
 
-Exit codes: 0 success, 1 configuration error, 2 experiment failure (any row
-carrying an error, or an unrecoverable run failure).
+Exit codes: 0 success, 1 configuration error (including a ``--sweep`` value
+the experiment cannot run), 2 experiment failure (any row carrying an error,
+or an unrecoverable run failure).
 """
 
 from __future__ import annotations

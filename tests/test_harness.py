@@ -147,11 +147,9 @@ class TestRunExperiment:
         assert default_sweep("antennas_tx", cfg) == tuple(range(2, 11))
         with pytest.raises(ValueError):
             ExperimentSpec(name="nope", sweep=(1,), trials=1, seed=0)
-
-    def test_default_group_sweeps_stop_at_K(self, sec6a):
-        cfg, _, _ = sec6a
         assert default_sweep("pulses", cfg) == tuple(
             f"{p}:{g}" for p in ("cosine", "sinc") for g in (1, 2, 3, 5, 10))
+        # group sizes above K drop out of the default sweeps
         small = replace(cfg, K=3, rician_alpha=cfg.rician_alpha[:3], beta=cfg.beta[:3])
         assert default_sweep("tradeoff", small) == (0, 1, 2)
         assert default_sweep("pulses", small) == tuple(
