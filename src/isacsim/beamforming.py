@@ -294,8 +294,17 @@ class _BarrierSolver:
                 raise ValueError(f"constraint blocks {blocks.tolist()} are not contiguous")
             self.groups.append((np.array(idx), lo, hi))
 
-        self.eye_vec = _vec(np.eye(n, dtype=complex), self.basis)
         self.nu = n_blocks * n + m + 1
+        # the parts of the Newton system that do not depend on the point:
+        # identities the Cholesky factors are solved against, the power
+        # barrier's gradient direction and curvature, the epigraph column
+        n_r = self.H.shape[1]
+        self.eye_Q = np.broadcast_to(np.eye(n, dtype=complex), (n_blocks, n, n))
+        self.eye_S = np.broadcast_to(np.eye(n_r, dtype=complex), (m, n_r, n_r))
+        self.gP = np.zeros(self.dim)
+        self.gP[:self.qdim] = -np.tile(_vec(np.eye(n, dtype=complex), self.basis), n_blocks)
+        self.gP_outer = np.outer(self.gP, self.gP)
+        self.epi_col = -np.ones((m, 1))
 
     # -- state helpers ----------------------------------------------------
     def pack(self, Q: np.ndarray, s: float = 0.0) -> np.ndarray:
@@ -359,31 +368,24 @@ class _BarrierSolver:
         if ev is None:
             raise SolverError("barrier evaluated at an infeasible point")
         Q, s, cholQ, power_slack, h, cholS = ev
-        d = self.dim
         bd = self.bd
-        grad = t * self.c.copy()
-        hess = np.zeros((d, d))
+        grad = t * self.c
+        # power barrier (affine constraint): its curvature starts the Hessian
+        hess = self.gP_outer / power_slack ** 2
 
         # PSD block barriers: grad vec(Q^-1), Hessian the PSD core of Q^-1
-        eye = np.eye(self.n, dtype=complex)
-        inv_chol = np.linalg.solve(cholQ, np.broadcast_to(eye, cholQ.shape))
+        inv_chol = np.linalg.solve(cholQ, self.eye_Q)
         Qinv = np.einsum("kji,kjl->kil", inv_chol.conj(), inv_chol)
         Qinv = 0.5 * (Qinv + np.conj(np.transpose(Qinv, (0, 2, 1))))
         grad[:self.qdim] += _vec_many(Qinv, self.basis).ravel()
-        # block-diagonal PSD cores, written through a view of the diagonal blocks
+        # block-diagonal PSD cores, added through a view of the diagonal blocks
         blocks = hess[:self.qdim, :self.qdim].reshape(self.n_blocks, bd, self.n_blocks, bd)
-        np.einsum("kakb->kab", blocks)[...] = _psd_cores(Qinv, self.basis)
-
-        # power barrier (affine constraint)
-        gP = np.zeros(d)
-        gP[:self.qdim] = -np.tile(self.eye_vec, self.n_blocks)
-        grad += gP / power_slack
-        hess += np.outer(gP, gP) / power_slack ** 2
+        np.einsum("kakb->kab", blocks)[...] += _psd_cores(Qinv, self.basis)
+        grad += self.gP / power_slack
 
         m = len(self.constraints)
         if m:
-            invS_chol = np.linalg.solve(cholS, np.broadcast_to(
-                np.eye(self.H.shape[1], dtype=complex), cholS.shape))
+            invS_chol = np.linalg.solve(cholS, self.eye_S)
             Sinv = np.einsum("mji,mjl->mil", invS_chol.conj(), invS_chol)
             M = np.einsum("mri,mrc,mcj->mij", self.H.conj(), Sinv, self.H)
             M = 0.5 * (M + np.conj(np.transpose(M, (0, 2, 1))))
@@ -392,7 +394,7 @@ class _BarrierSolver:
             gcon = np.einsum("mk,ma->mka", self.mask, vecM)
             gcon = gcon.reshape(m, self.qdim)
             if self.epigraph:
-                gcon = np.hstack([gcon, -np.ones((m, 1))])
+                gcon = np.hstack([gcon, self.epi_col])
             gcon = gcon - self.lin
             grad += (1.0 / h) @ gcon
             # log-det curvature, grouped by identical involvement pattern
@@ -407,7 +409,13 @@ class _BarrierSolver:
         return self._value(z, t, ev), grad, hess
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9,
-               max_newton: int = 200) -> np.ndarray:
+               max_newton: int = 200) -> tuple[np.ndarray, float | None]:
+        """Damped Newton steps at weight t; returns (z, decrement).
+
+        The decrement is the one measured at the returned z when the stop test
+        ``decrement <= 2 tol`` ended the call, and None when a fallback or
+        ``max_newton`` did.
+        """
         ev = None  # _terms of z, carried over from the line search that accepted z
         for _ in range(max_newton):
             base, grad, hess = self.grad_hess(z, t, ev)
@@ -420,12 +428,12 @@ class _BarrierSolver:
                     step = np.linalg.solve(hess + reg * np.eye(self.dim), grad)
                 except np.linalg.LinAlgError:
                     # hopeless conditioning: keep the last strictly feasible point
-                    return z
+                    return z, None
             if not np.all(np.isfinite(step)):
-                return z
+                return z, None
             decrement = float(grad @ step)
             if decrement <= 2.0 * tol:
-                return z
+                return z, decrement
             size = 1.0
             accepted = False
             while size > 1e-14:
@@ -437,20 +445,24 @@ class _BarrierSolver:
                     break
                 size *= 0.5
             if not accepted:
-                return z
-        return z
+                return z, None
+        return z, None
 
     def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0,
-              mu: float = 30.0, max_stages: int = 80) -> tuple[np.ndarray, float]:
+              mu: float = 30.0, max_stages: int = 80) -> tuple[np.ndarray, float, float | None]:
+        """Path following from t0 up by mu to the first weight with nu/t <= gap_tol.
+
+        Returns (z, t, decrement) of the final centering call (see ``center``).
+        """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
         t = t0
         z = z0
         for _ in range(max_stages):
             final = self.nu / t <= gap_tol
-            z = self.center(z, t, tol=1e-9 if final else 1e-6)
+            z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
             if final:
-                return z, t
+                return z, t, decrement
             t *= mu
         raise SolverError("barrier path following exhausted its stage budget")
 
@@ -486,18 +498,20 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
     if gap_tol is None:
         gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q0)
-    z, t_used = solver.solve(z0, gap_tol=gap_tol,
-                             t0=t0 if t0 is not None else max(1.0, 1.0 / P_T))
+    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol,
+                                        t0=t0 if t0 is not None else max(1.0, 1.0 / P_T))
+    if decrement is None:
+        # centering stopped short of its test: certify the point it returned
+        _, grad, hess = solver.grad_hess(z, t_used)
+        decrement = float(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
     Q = solver.unpack(z)
     Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
     grams = GramSet(Q=Q)
-    # affine-invariant stationarity certificate at the final barrier center
-    _, grad, hess = solver.grad_hess(z, t_used)
-    step = np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad)
     info = {
         "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
         "power_slack": P_T - grams.power(),
-        "kkt_residual": float(abs(grad @ step)),
+        # affine-invariant stationarity certificate: the Newton decrement at z
+        "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * scale,
     }
     return grams, info
@@ -569,7 +583,7 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
                                 cfg.K + 1, epigraph=True)
         s0 = float(min(c.value(grams.Q) for c in constraints)) - 1.0
         z0 = solver.pack(grams.Q, s=s0)
-        z, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
+        z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
         Q = solver.unpack(z)
         grams = GramSet(Q=0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
         new_slack = float((exact_rates(b, grams, channels, cfg) - cfg.R_th).min())

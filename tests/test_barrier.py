@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from isacsim import beamforming as bf, harness
-from isacsim.beamforming import _BarrierSolver, sca_linearize, uniform_gram
+from isacsim.beamforming import (_BarrierSolver, feasibility_init, inner_convex_solve,
+                                 sca_linearize, uniform_gram)
 
 from conftest import make_scene
 
@@ -96,6 +97,38 @@ def test_kernels_match_einsum_definitions(n):
     np.testing.assert_allclose(solver.unpack(z),
                                unpack_ref(z.reshape(5, n * n), basis),
                                rtol=1e-12, atol=1e-12)
+
+
+def certificate_scene():
+    """The scene of test_beamforming's KKT certificate test: K = 3, all selected."""
+    cfg, _, channels, consts = make_scene(K=3, seed=7)
+    b = np.array([1, 1, 1])
+    weight = bf.build_objective_weight(b, consts, channels, cfg)
+    anchor = feasibility_init(b, cfg, channels)
+    cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
+            for k in range(3)]
+    return weight, cons, cfg.P_T, anchor
+
+
+@pytest.mark.parametrize("max_newton", [200, 1])
+def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_newton):
+    weight, cons, P_T, anchor = certificate_scene()
+    calls = []
+    center = _BarrierSolver.center
+
+    def recording(self, z, t, tol=1e-9, **_):
+        out = center(self, z, t, tol, max_newton=max_newton)
+        calls.append((self, t, out))
+        return out
+
+    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    _, info = inner_convex_solve(weight, cons, P_T, anchor)
+    solver, t, (z, decrement) = calls[-1]
+    # a full solve stops on the decrement test; one Newton step leaves it unmet
+    assert (decrement is None) == (max_newton == 1)
+    _, grad, hess = solver.grad_hess(z, t)
+    fresh = abs(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
+    assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
 
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before
