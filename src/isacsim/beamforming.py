@@ -224,6 +224,15 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
 # log-barrier interior point
 # ---------------------------------------------------------------------------
 
+# A warm barrier solve (see _BarrierSolver.solve) keeps its skipped first rung
+# only when the centering call there starts from a Newton decrement of at
+# most WARM_DECREMENT and certifies within WARM_NEWTON steps.  Past these, on
+# small scenes with tight rates, Newton's damped phase can crawl along a
+# nearly active rate constraint for hundreds of steps.
+WARM_DECREMENT = 1e4
+WARM_NEWTON = 40
+
+
 class _BarrierSolver:
     """Damped-Newton path following for the lifted subproblem.
 
@@ -408,16 +417,16 @@ class _BarrierSolver:
             hess += gcon.T @ ((1.0 / h ** 2)[:, None] * gcon)
         return self._value(z, t, ev), grad, hess
 
-    def center(self, z: np.ndarray, t: float, tol: float = 1e-9,
-               max_newton: int = 200) -> tuple[np.ndarray, float | None]:
+    def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
+               max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
         """Damped Newton steps at weight t; returns (z, decrement).
 
         The decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
-        ``max_newton`` did.
+        ``max_newton`` did, or when the first decrement exceeded ``max_first``.
         """
         ev = None  # _terms of z, carried over from the line search that accepted z
-        for _ in range(max_newton):
+        for i in range(max_newton):
             base, grad, hess = self.grad_hess(z, t, ev)
             try:
                 chol = sla.cho_factor(hess + 1e-12 * np.eye(self.dim), lower=True)
@@ -434,6 +443,8 @@ class _BarrierSolver:
             decrement = float(grad @ step)
             if decrement <= 2.0 * tol:
                 return z, decrement
+            if i == 0 and decrement > max_first:
+                return z, None
             size = 1.0
             accepted = False
             while size > 1e-14:
@@ -448,16 +459,26 @@ class _BarrierSolver:
                 return z, None
         return z, None
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0,
-              mu: float = 30.0, max_stages: int = 80) -> tuple[np.ndarray, float, float | None]:
-        """Path following from t0 up by mu to the first weight with nu/t <= gap_tol.
+    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, mu: float = 30.0,
+              max_stages: int = 80, warm: bool = False) -> tuple[np.ndarray, float, float | None]:
+        """Path following along t0 mu^k up to the first weight with nu/t <= gap_tol.
 
         Returns (z, t, decrement) of the final centering call (see ``center``).
+        ``warm`` says z0 is the center of a nearby problem at the final weight:
+        the path then starts at the second weight t0 mu, unless that is the
+        final one.  That start is kept only if its centering call certifies
+        within WARM_NEWTON steps from a first decrement of at most
+        WARM_DECREMENT; otherwise the path starts over from z0 at t0.
         """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
         t = t0
         z = z0
+        if warm and self.nu / (t0 * mu) > gap_tol:
+            z_up, decrement = self.center(z0, t0 * mu, tol=1e-6, max_newton=WARM_NEWTON,
+                                          max_first=WARM_DECREMENT)
+            if decrement is not None:
+                t, z = t0 * mu * mu, z_up
         for _ in range(max_stages):
             final = self.nu / t <= gap_tol
             z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
@@ -469,10 +490,11 @@ class _BarrierSolver:
 
 def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
                        Q_start, gap_tol: float | None = None,
-                       t0: float | None = None) -> tuple[GramSet, dict]:
+                       t0: float | None = None, warm: bool = False) -> tuple[GramSet, dict]:
     """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
 
-    ``Q_start`` must be strictly feasible (Slater point).  With no rate
+    ``Q_start`` must be strictly feasible (Slater point); ``t0`` and ``warm``
+    go to ``_BarrierSolver.solve``.  With no rate
     constraints the optimum is closed-form: all power on the top eigvector
     of the weight.  Returns the Gram set and a diagnostics dict with the
     objective, the power slack, and a stationarity residual of the final
@@ -499,7 +521,8 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
         gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q0)
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol,
-                                        t0=t0 if t0 is not None else max(1.0, 1.0 / P_T))
+                                        t0=t0 if t0 is not None else max(1.0, 1.0 / P_T),
+                                        warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
         _, grad, hess = solver.grad_hess(z, t_used)
@@ -686,17 +709,20 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     obj_prev = float(np.trace(weight @ grams.total()).real)
     reason = "max-iters"
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
-    # after the first solve the anchor is nearly central: restart the barrier
-    # path a couple of stages below its end instead of from scratch
+    # after the first solve the anchor is the previous surrogate's center at
+    # the final barrier weight, often nearly central for the next surrogate:
+    # the barrier path climbs t0 mu^k from t0 = nu/gap/mu^2, and a warm solve
+    # skips its first rung when Newton centers quickly there (Boyd &
+    # Vandenberghe, Convex Optimization, sec. 11.3).  Either way the final
+    # weight, the first rung with nu/t <= gap, is the same to the bit.
     nu = (cfg.K + 1) * cfg.N_t + cfg.K + 1
-    warm_t0 = None
-    next_t0 = max(1.0, nu / gap / 30.0 ** 2)
+    t0, warm = None, False
     for _ in range(max_iters):
         constraints = [sca_linearize(k, int(b[k]), grams, channels.H_comm[k],
                                      cfg.sigma2, cfg.R_th) for k in range(cfg.K)]
         new_grams, info = inner_convex_solve(weight, constraints, cfg.P_T, grams,
-                                             gap_tol=gap, t0=warm_t0)
-        warm_t0 = next_t0
+                                             gap_tol=gap, t0=t0, warm=warm)
+        t0, warm = max(1.0, nu / gap / 30.0 ** 2), True
         obj_new = float(np.trace(weight @ new_grams.total()).real)
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor

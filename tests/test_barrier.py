@@ -131,6 +131,55 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
 
+def surrogate_pair(iterations):
+    """The certificate scene's SCA surrogate after ``iterations`` solves, and its anchor."""
+    weight, cons, P_T, anchor = certificate_scene()
+    cfg, _, channels, _ = make_scene(K=3, seed=7)
+    for _ in range(iterations):
+        anchor, _ = inner_convex_solve(weight, cons, P_T, anchor)
+        cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
+                for k in range(3)]
+    gap = 1e-6 * P_T
+    nu = (cfg.K + 1) * cfg.N_t + cfg.K + 1
+    return weight, cons, P_T, anchor, gap, nu / gap / 30.0 ** 2
+
+
+def warm_and_cold(monkeypatch, iterations):
+    weight, cons, P_T, anchor, gap, t0 = surrogate_pair(iterations)
+    cold = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, t0=t0)
+    calls = []
+    center = _BarrierSolver.center
+
+    def recording(self, z, t, *args, **kwargs):
+        out = center(self, z, t, *args, **kwargs)
+        calls.append((t, out[1]))
+        return out
+
+    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    warm = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, t0=t0, warm=True)
+    return cold, warm, calls, t0
+
+
+def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one(monkeypatch):
+    # after four SCA steps the anchor is close to the next surrogate's path
+    (_, cold), (_, warm), calls, t0 = warm_and_cold(monkeypatch, 4)
+    assert calls[0][0] == t0 * 30.0 and calls[0][1] is not None
+    assert all(t > t0 for t, _ in calls)
+    assert warm["gap_bound"] == cold["gap_bound"]
+    assert 1.0 / warm["objective"] == pytest.approx(1.0 / cold["objective"], rel=1e-8, abs=0)
+    assert warm["kkt_residual"] <= 2e-9
+
+
+def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
+    # one SCA step in, the anchor is far from the next surrogate's path: the
+    # skipped weight is abandoned at its first Newton decrement
+    (cold_grams, cold), (warm_grams, warm), calls, t0 = warm_and_cold(monkeypatch, 1)
+    assert calls[0][0] == t0 * 30.0 and calls[0][1] is None
+    assert calls[1][0] == t0
+    np.testing.assert_array_equal(warm_grams.Q, cold_grams.Q)
+    assert warm == cold
+
+
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before
 # the barrier kernels were vectorised: (crb, rate_min, rate_mean, objective)
 PINNED_TRADEOFF = {
