@@ -246,7 +246,14 @@ class _BarrierSolver:
     (as ``barrier``), its gradient, and its *negated* Hessian, which is
     positive definite, so the Newton step solves ``hess @ step = grad``.
     ``center`` evaluates ``_terms`` once per point: the terms of the point
-    the line search accepts go on to ``grad_hess``.
+    the line search accepts go on to ``grad_hess``.  Its Armijo test compares
+    the gain 0.25 * size * decrement with the change of the barrier value,
+    summed from the ratios of the two points' terms (``_value`` with
+    ``ref``): the values themselves are of order t, and at the final weight
+    their rounding can exceed the gain, which once stalled a centering call
+    on null steps until ``max_newton``.  ``center`` also returns the Newton
+    decrement it stopped on; ``inner_convex_solve`` reports it as the KKT
+    certificate.
 
     Invariant: the blocks each constraint involves form one contiguous range
     (0..K or 1..K from ``sca_linearize``), so every involvement group adds
@@ -358,12 +365,25 @@ class _BarrierSolver:
             h = np.zeros(0)
         return Q, s, cholQ, power_slack, h, cholS
 
-    def _value(self, z: np.ndarray, t: float, ev) -> float:
+    def _value(self, z: np.ndarray, t: float, ev, ref=None) -> float:
+        """Barrier value at z from its ``_terms`` ev.
+
+        With ``ref = (z0, ev0)`` it is the change from z0 to z, summed from the
+        ratios of the two points' terms; it keeps its precision when it lies
+        far below the rounding of the values themselves (of order t).
+        """
         Q, s, cholQ, power_slack, h, cholS = ev
-        val = t * float(self.c @ z) + math.log(power_slack)
+        diag = np.diagonal(cholQ, axis1=1, axis2=2).real
+        if ref is None:
+            dz, power0, h0, diag0 = z, 1.0, 1.0, 1.0
+        else:
+            z0, ev0 = ref
+            dz, power0, h0 = z - z0, ev0[3], ev0[4]
+            diag0 = np.diagonal(ev0[2], axis1=1, axis2=2).real
+        val = t * float(self.c @ dz) + math.log(power_slack / power0)
         if h.size:
-            val += float(np.sum(np.log(h)))
-        val += 2.0 * float(np.sum(np.log(np.diagonal(cholQ, axis1=1, axis2=2).real)))
+            val += float(np.sum(np.log(h / h0)))
+        val += 2.0 * float(np.sum(np.log(diag / diag0)))
         return val
 
     def barrier(self, z: np.ndarray, t: float):
@@ -425,9 +445,9 @@ class _BarrierSolver:
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
         ``max_newton`` did, or when the first decrement exceeded ``max_first``.
         """
-        ev = None  # _terms of z, carried over from the line search that accepted z
+        ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
-            base, grad, hess = self.grad_hess(z, t, ev)
+            _, grad, hess = self.grad_hess(z, t, ev)
             try:
                 chol = sla.cho_factor(hess + 1e-12 * np.eye(self.dim), lower=True)
                 step = sla.cho_solve(chol, grad)
@@ -449,9 +469,10 @@ class _BarrierSolver:
             accepted = False
             while size > 1e-14:
                 cand = z + size * step
-                ev = self._terms(cand)
-                if ev is not None and self._value(cand, t, ev) >= base + 0.25 * size * decrement:
-                    z = cand
+                cand_ev = self._terms(cand)
+                if (cand_ev is not None and self._value(cand, t, cand_ev, (z, ev))
+                        >= 0.25 * size * decrement):
+                    z, ev = cand, cand_ev
                     accepted = True
                     break
                 size *= 0.5

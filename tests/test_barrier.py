@@ -206,3 +206,32 @@ def test_tradeoff_rows_within_pinned_bound():
         assert row["objective"] == pytest.approx(objective, rel=1e-8, abs=0)
         assert row["rate_min"] == pytest.approx(rate_min, rel=0, abs=1e-7)
         assert row["rate_mean"] == pytest.approx(rate_mean, rel=0, abs=1e-7)
+
+
+def test_tradeoff_rows_newton_work(monkeypatch):
+    """The pinned rows center every barrier stage within its Newton budget, at
+    most 450 Newton steps (grad_hess calls) per row; a null-step stall spent
+    200 steps in one centering call."""
+    steps = [0]
+    calls = []
+    grad_hess, center = _BarrierSolver.grad_hess, _BarrierSolver.center
+
+    def counting(self, *args, **kwargs):
+        steps[0] += 1
+        return grad_hess(self, *args, **kwargs)
+
+    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
+        before = steps[0]
+        out = center(self, z, t, tol, max_newton, **kwargs)
+        calls.append((steps[0] - before, max_newton))
+        return out
+
+    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
+    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    cfg, layout, base = harness.load_config("sec6a")
+    spec = harness.ExperimentSpec(name="tradeoff", sweep=harness.default_sweep("tradeoff", cfg),
+                                  trials=2, seed=7)
+    rows = harness.run_experiment(spec, cfg, layout, base=base)
+    assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
+    assert all(used < budget for used, budget in calls)
+    assert steps[0] <= 450 * len(rows)
