@@ -133,12 +133,14 @@ def _quad(fn, a: float, b: float, epsrel: float = 1e-10) -> float:
     return val
 
 
+@lru_cache(maxsize=64, typed=True)
 def pulse_integrals(pulse: str, delta_t: float, B: float) -> PulseIntegrals:
     """Pulse integrals by adaptive quadrature (relative error <= 1e-8).
 
     Also verifies the pulse normalisation (1/dt) int |g|^2 = 1 and the
     Cauchy-Schwarz consequence kappa1 - kappa2^2 > 0 that the beamforming
-    objective relies on.
+    objective relies on.  Cached per (pulse, delta_t, B): every scene of a
+    config asks for the same frozen result.  A call that raises is not cached.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")

@@ -57,6 +57,18 @@ class TestPulseIntegrals:
         with pytest.raises(ValueError):
             pulse_integrals("square", DT, BW)
 
+    def test_cached_per_arguments(self):
+        p = pulse_integrals("cosine", DT, BW)
+        assert pulse_integrals("cosine", DT, BW) is p
+        assert pulse_integrals("cosine", DT, 2 * BW) is not p
+
+    def test_failure_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pulse_integrals("square", DT, BW)
+            with pytest.raises(ValueError):
+                pulse_integrals("cosine", -DT, BW)
+
 
 class TestFimConstants:
     def test_kappa_ratios_hold_per_receiver(self):
