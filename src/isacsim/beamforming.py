@@ -224,13 +224,14 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
 # log-barrier interior point
 # ---------------------------------------------------------------------------
 
+# ratio of consecutive barrier weights on the path
+BARRIER_MU = 30.0
 # A warm barrier solve (see _BarrierSolver.solve) keeps its skipped first rung
 # only when the centering call there starts from a Newton decrement of at
-# most WARM_DECREMENT and certifies within WARM_NEWTON steps.  Past these, on
-# small scenes with tight rates, Newton's damped phase can crawl along a
-# nearly active rate constraint for hundreds of steps.
+# most WARM_DECREMENT.  Past it, on small scenes with tight rates, Newton's
+# damped phase can crawl along a nearly active rate constraint for hundreds
+# of steps.
 WARM_DECREMENT = 1e4
-WARM_NEWTON = 40
 
 
 class _BarrierSolver:
@@ -253,7 +254,9 @@ class _BarrierSolver:
     their rounding can exceed the gain, which once stalled a centering call
     on null steps until ``max_newton``.  ``center`` also returns the Newton
     decrement it stopped on; ``inner_convex_solve`` reports it as the KKT
-    certificate.
+    certificate, computing the decrement at the returned point itself where
+    the final stage stopped short of its test (inf if that Newton system is
+    singular).
 
     Invariant: the blocks each constraint involves form one contiguous range
     (0..K or 1..K from ``sca_linearize``), so every involvement group adds
@@ -480,7 +483,7 @@ class _BarrierSolver:
                 return z, None
         return z, None
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, mu: float = 30.0,
+    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, mu: float = BARRIER_MU,
               max_stages: int = 80, warm: bool = False) -> tuple[np.ndarray, float, float | None]:
         """Path following along t0 mu^k up to the first weight with nu/t <= gap_tol.
 
@@ -488,16 +491,15 @@ class _BarrierSolver:
         ``warm`` says z0 is the center of a nearby problem at the final weight:
         the path then starts at the second weight t0 mu, unless that is the
         final one.  That start is kept only if its centering call certifies
-        within WARM_NEWTON steps from a first decrement of at most
-        WARM_DECREMENT; otherwise the path starts over from z0 at t0.
+        from a first decrement of at most WARM_DECREMENT; otherwise the path
+        starts over from z0 at t0.
         """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
         t = t0
         z = z0
         if warm and self.nu / (t0 * mu) > gap_tol:
-            z_up, decrement = self.center(z0, t0 * mu, tol=1e-6, max_newton=WARM_NEWTON,
-                                          max_first=WARM_DECREMENT)
+            z_up, decrement = self.center(z0, t0 * mu, tol=1e-6, max_first=WARM_DECREMENT)
             if decrement is not None:
                 t, z = t0 * mu * mu, z_up
         for _ in range(max_stages):
@@ -511,15 +513,18 @@ class _BarrierSolver:
 
 def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
                        Q_start, gap_tol: float | None = None,
-                       t0: float | None = None, warm: bool = False) -> tuple[GramSet, dict]:
+                       warm: bool = False) -> tuple[GramSet, dict]:
     """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
 
-    ``Q_start`` must be strictly feasible (Slater point); ``t0`` and ``warm``
-    go to ``_BarrierSolver.solve``.  With no rate
-    constraints the optimum is closed-form: all power on the top eigvector
-    of the weight.  Returns the Gram set and a diagnostics dict with the
-    objective, the power slack, and a stationarity residual of the final
-    barrier center (KKT certificate).
+    ``Q_start`` must be strictly feasible (Slater point).  The barrier path
+    starts at weight max(1, 1/P_T); with ``warm``, Q_start is the center of
+    the previous surrogate at the final weight and the path is the last
+    rungs below nu/gap_tol, from t0 = nu/gap_tol/mu^2 (a warm
+    ``_BarrierSolver.solve``).  With no rate constraints the optimum is
+    closed-form: all power on the top eigvector of the weight.  Returns the
+    Gram set and a diagnostics dict with the objective, the power slack, and
+    a stationarity residual of the final barrier center (KKT certificate;
+    inf when its Newton system is singular).
     """
     if P_T < 0:
         raise ValueError("power budget must be >= 0")
@@ -541,13 +546,16 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
     if gap_tol is None:
         gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q0)
-    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol,
-                                        t0=t0 if t0 is not None else max(1.0, 1.0 / P_T),
-                                        warm=warm)
+    t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2) if warm else max(1.0, 1.0 / P_T)
+    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
         _, grad, hess = solver.grad_hess(z, t_used)
-        decrement = float(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
+        try:
+            decrement = float(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
+        except np.linalg.LinAlgError:
+            # a singular Newton system at a stalled point: no certificate
+            decrement = math.inf
     Q = solver.unpack(z)
     Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
     grams = GramSet(Q=Q)
@@ -732,18 +740,17 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight, often nearly central for the next surrogate:
-    # the barrier path climbs t0 mu^k from t0 = nu/gap/mu^2, and a warm solve
-    # skips its first rung when Newton centers quickly there (Boyd &
-    # Vandenberghe, Convex Optimization, sec. 11.3).  Either way the final
-    # weight, the first rung with nu/t <= gap, is the same to the bit.
-    nu = (cfg.K + 1) * cfg.N_t + cfg.K + 1
-    t0, warm = None, False
+    # a warm solve climbs t0 mu^k from t0 = nu/gap/mu^2 and skips its first
+    # rung when Newton's first decrement there is small (Boyd & Vandenberghe,
+    # Convex Optimization, sec. 11.3).  Either way the final weight, the
+    # first rung with nu/t <= gap, is the same to the bit.
+    warm = False
     for _ in range(max_iters):
         constraints = [sca_linearize(k, int(b[k]), grams, channels.H_comm[k],
                                      cfg.sigma2, cfg.R_th) for k in range(cfg.K)]
         new_grams, info = inner_convex_solve(weight, constraints, cfg.P_T, grams,
-                                             gap_tol=gap, t0=t0, warm=warm)
-        t0, warm = max(1.0, nu / gap / 30.0 ** 2), True
+                                             gap_tol=gap, warm=warm)
+        warm = True
         obj_new = float(np.trace(weight @ new_grams.total()).real)
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor

@@ -131,6 +131,23 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
 
+def test_certificate_of_a_singular_newton_system(monkeypatch):
+    """A final stage that stops short at a point whose Newton system is
+    singular reports an infinite residual instead of raising."""
+    weight, cons, P_T, anchor = certificate_scene()
+    grad_hess = _BarrierSolver.grad_hess
+
+    def singular(self, z, t, ev=None):
+        value, grad, _ = grad_hess(self, z, t, ev)
+        return value, grad, -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
+
+    monkeypatch.setattr(_BarrierSolver, "grad_hess", singular)
+    monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
+    grams, info = inner_convex_solve(weight, cons, P_T, anchor)
+    assert info["kkt_residual"] == np.inf
+    np.testing.assert_allclose(grams.Q, anchor.Q, rtol=0, atol=1e-15 * P_T)
+
+
 def surrogate_pair(iterations):
     """The certificate scene's SCA surrogate after ``iterations`` solves, and its anchor."""
     weight, cons, P_T, anchor = certificate_scene()
@@ -139,14 +156,23 @@ def surrogate_pair(iterations):
         anchor, _ = inner_convex_solve(weight, cons, P_T, anchor)
         cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
                 for k in range(3)]
-    gap = 1e-6 * P_T
-    nu = (cfg.K + 1) * cfg.N_t + cfg.K + 1
-    return weight, cons, P_T, anchor, gap, nu / gap / 30.0 ** 2
+    return weight, cons, P_T, anchor, 1e-6 * P_T
+
+
+def cold_solve(weight, cons, P_T, anchor, gap):
+    """The full ladder from the anchor at a warm solve's t0 = nu/gap/30^2:
+    (Hermitian Grams, gap bound, t0)."""
+    scale = np.linalg.norm(weight, 2)
+    solver = _BarrierSolver(weight / scale, cons, P_T, weight.shape[0], anchor.Q.shape[0])
+    t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
+    z, t, _ = solver.solve(solver.pack(anchor.Q), gap_tol=gap, t0=t0)
+    Q = solver.unpack(z)
+    return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * scale, t0
 
 
 def warm_and_cold(monkeypatch, iterations):
-    weight, cons, P_T, anchor, gap, t0 = surrogate_pair(iterations)
-    cold = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, t0=t0)
+    weight, cons, P_T, anchor, gap = surrogate_pair(iterations)
+    cold = cold_solve(weight, cons, P_T, anchor, gap)
     calls = []
     center = _BarrierSolver.center
 
@@ -156,28 +182,29 @@ def warm_and_cold(monkeypatch, iterations):
         return out
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
-    warm = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, t0=t0, warm=True)
-    return cold, warm, calls, t0
+    warm = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, warm=True)
+    return weight, cold, warm, calls
 
 
 def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one(monkeypatch):
     # after four SCA steps the anchor is close to the next surrogate's path
-    (_, cold), (_, warm), calls, t0 = warm_and_cold(monkeypatch, 4)
+    weight, (cold_Q, cold_gap, t0), (_, warm), calls = warm_and_cold(monkeypatch, 4)
     assert calls[0][0] == t0 * 30.0 and calls[0][1] is not None
     assert all(t > t0 for t, _ in calls)
-    assert warm["gap_bound"] == cold["gap_bound"]
-    assert 1.0 / warm["objective"] == pytest.approx(1.0 / cold["objective"], rel=1e-8, abs=0)
+    assert warm["gap_bound"] == cold_gap
+    cold_objective = np.trace(weight @ cold_Q.sum(axis=0)).real
+    assert 1.0 / warm["objective"] == pytest.approx(1.0 / cold_objective, rel=1e-8, abs=0)
     assert warm["kkt_residual"] <= 2e-9
 
 
 def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
     # one SCA step in, the anchor is far from the next surrogate's path: the
     # skipped weight is abandoned at its first Newton decrement
-    (cold_grams, cold), (warm_grams, warm), calls, t0 = warm_and_cold(monkeypatch, 1)
+    _, (cold_Q, cold_gap, t0), (warm_grams, warm), calls = warm_and_cold(monkeypatch, 1)
     assert calls[0][0] == t0 * 30.0 and calls[0][1] is None
     assert calls[1][0] == t0
-    np.testing.assert_array_equal(warm_grams.Q, cold_grams.Q)
-    assert warm == cold
+    np.testing.assert_array_equal(warm_grams.Q, cold_Q)
+    assert warm["gap_bound"] == cold_gap
 
 
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before
