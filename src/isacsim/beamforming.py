@@ -256,7 +256,9 @@ class _BarrierSolver:
     decrement it stopped on; ``inner_convex_solve`` reports it as the KKT
     certificate, computing the decrement at the returned point itself where
     the final stage stopped short of its test (inf if that Newton system is
-    singular).
+    singular).  ``center`` assembles and regularizes the Newton system in
+    ``work``, one block the solver allocates once, so a Newton step allocates
+    no (dim, dim) array but the Cholesky factor's copy.
 
     Invariant: the blocks each constraint involves form one contiguous range
     (0..K or 1..K from ``sca_linearize``), so every involvement group adds
@@ -322,8 +324,18 @@ class _BarrierSolver:
         self.eye_S = np.broadcast_to(np.eye(n_r, dtype=complex), (m, n_r, n_r))
         self.gP = np.zeros(self.dim)
         self.gP[:self.qdim] = -np.tile(_vec(np.eye(n, dtype=complex), self.basis), n_blocks)
-        self.gP_outer = np.outer(self.gP, self.gP)
         self.epi_col = -np.ones((m, 1))
+        # the solver's (dim, dim) arrays, allocated as one block: the power
+        # barrier's curvature, the Newton ridge, and center's workspace (the
+        # Hessian, a product term, the regularized Hessian to factor).  At
+        # dim 176 per-step arrays of 248 KB each made glibc trim the heap top
+        # and fault it back in on every step; freeing a block this size
+        # raises glibc's dynamic mmap threshold, and with it the trim
+        # threshold, above them.
+        block = np.empty((5, self.dim, self.dim))
+        self.gP_outer = np.outer(self.gP, self.gP, out=block[0])
+        self.ridge = np.multiply(1e-12, np.eye(self.dim), out=block[1])
+        self.work = block[2:]
 
     # -- state helpers ----------------------------------------------------
     def pack(self, Q: np.ndarray, s: float = 0.0) -> np.ndarray:
@@ -393,17 +405,22 @@ class _BarrierSolver:
         ev = self._terms(z)
         return None if ev is None else self._value(z, t, ev)
 
-    def grad_hess(self, z: np.ndarray, t: float, ev=None):
-        """(value, gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known."""
+    def grad_hess(self, z: np.ndarray, t: float, ev=None, out=None):
+        """(value, gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known.
+
+        With ``out``, two (dim, dim) arrays, the Hessian is written into
+        out[0] with out[1] as scratch; otherwise it is a new array.
+        """
         if ev is None:
             ev = self._terms(z)
         if ev is None:
             raise SolverError("barrier evaluated at an infeasible point")
         Q, s, cholQ, power_slack, h, cholS = ev
+        hess_out, scratch = (None, None) if out is None else out
         bd = self.bd
         grad = t * self.c
         # power barrier (affine constraint): its curvature starts the Hessian
-        hess = self.gP_outer / power_slack ** 2
+        hess = np.divide(self.gP_outer, power_slack ** 2, out=hess_out)
 
         # PSD block barriers: grad vec(Q^-1), Hessian the PSD core of Q^-1
         inv_chol = np.linalg.solve(cholQ, self.eye_Q)
@@ -437,7 +454,7 @@ class _BarrierSolver:
                 # splitting the axes of a slice keeps it a view of hess
                 view = hess[sl, sl].reshape(hi - lo, bd, hi - lo, bd)
                 view += core_sum[None, :, None, :]
-            hess += gcon.T @ ((1.0 / h ** 2)[:, None] * gcon)
+            hess += np.matmul(gcon.T, (1.0 / h ** 2)[:, None] * gcon, out=scratch)
         return self._value(z, t, ev), grad, hess
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
@@ -450,9 +467,9 @@ class _BarrierSolver:
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
-            _, grad, hess = self.grad_hess(z, t, ev)
+            _, grad, hess = self.grad_hess(z, t, ev, out=self.work[:2])
             try:
-                chol = sla.cho_factor(hess + 1e-12 * np.eye(self.dim), lower=True)
+                chol = sla.cho_factor(np.add(hess, self.ridge, out=self.work[2]), lower=True)
                 step = sla.cho_solve(chol, grad)
             except np.linalg.LinAlgError:
                 try:

@@ -38,6 +38,10 @@ def test_grad_hess_matches_central_differences(n, epigraph):
     assert len(solver.groups) == 2
     val, grad, hess = solver.grad_hess(z, t)
     assert val == solver.barrier(z, t)
+    # center's path writes the same Hessian into the solver's workspace
+    in_work = solver.grad_hess(z, t, out=solver.work[:2])[2]
+    assert np.shares_memory(in_work, solver.work)
+    np.testing.assert_array_equal(in_work, hess)
     step = 1e-6 * np.max(np.abs(z))
     fd_grad = np.empty(solver.dim)
     fd_hess = np.empty((solver.dim, solver.dim))
