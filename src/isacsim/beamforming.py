@@ -185,13 +185,11 @@ def sca_linearize(k: int, b_k: int, Q_bar, H_comm_k: np.ndarray, sigma2: float,
     guarantees for any PSD anchor.
     """
     Q = np.asarray(getattr(Q_bar, "Q", Q_bar))
-    n_w = Q.shape[0]
     own = k + 1
-    if b_k:
-        involved = tuple(i for i in range(1, n_w))
-    else:
-        involved = tuple(range(n_w))
-    interf = tuple(i for i in involved if i != own)
+    b = np.zeros(Q.shape[0] - 1)
+    b[k] = b_k
+    interf = tuple(int(i) for i in np.flatnonzero(metrics.interference_mask(b)[k]))
+    involved = tuple(sorted(interf + (own,)))
     N_r = H_comm_k.shape[0]
     psi = sigma2 * np.eye(N_r, dtype=complex)
     for i in interf:
@@ -291,8 +289,7 @@ class _BarrierSolver:
         # constraint tables: channel stack, involvement masks, linear parts
         self.H = (np.stack([con.H for con in self.constraints])
                   if m else np.zeros((0, 0, n)))
-        self.noise = np.array([con.sigma2 * np.eye(con.H.shape[0])
-                               for con in self.constraints])
+        self.sigma2 = np.array([con.sigma2 for con in self.constraints])
         self.offsets = np.array([con.offset for con in self.constraints])
         self.mask = np.zeros((m, n_blocks))
         self.lin = np.zeros((m, self.dim))
@@ -363,15 +360,12 @@ class _BarrierSolver:
             return None
         m = len(self.constraints)
         if m:
-            sums = (self.mask @ Q.reshape(self.n_blocks, -1)).reshape(m, self.n, self.n)
-            S = np.einsum("mri,mij,mcj->mrc", self.H, sums, self.H.conj()) + self.noise
-            S = 0.5 * (S + np.conj(np.transpose(S, (0, 2, 1))))
+            S = metrics.receiver_covariance(self.H, self.mask, Q, self.sigma2)
             try:
-                cholS = np.linalg.cholesky(S)
+                cholS, logdets = metrics.chol_log2det(S)
             except np.linalg.LinAlgError:
                 return None
-            logdets = 2.0 * np.sum(np.log(np.diagonal(cholS, axis1=1, axis2=2).real), axis=1)
-            h = logdets / LN2 - self.lin @ z - self.offsets - s
+            h = logdets - self.lin @ z - self.offsets - s
             # relative floor keeps 1/h^2 curvature finite near active constraints
             if np.any(h <= 1e-14 * (1.0 + np.abs(self.offsets))):
                 return None
@@ -687,9 +681,7 @@ def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConf
         if bad.size == 0:
             return W
         k = int(bad[0])
-        interf = [i for i in range(1, cfg.K + 1) if i != k + 1]
-        if not np.asarray(b)[k]:
-            interf = [0] + interf
+        interf = np.flatnonzero(metrics.interference_mask(b)[k])
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)

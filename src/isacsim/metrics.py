@@ -277,6 +277,46 @@ def crb(b, W, consts: FimConstants, channels: ChannelSet,
 # communication rate and cost
 # ---------------------------------------------------------------------------
 
+def interference_mask(b) -> np.ndarray:
+    """(K, K+1) 0/1 mask of the Gram blocks in each receiver's interference.
+
+    Row k covers every other receiver's stream (blocks i+1, i != k) and the
+    probe stream (block 0) only when b_k = 0: a receiver selected for
+    localization knows the probe and cancels it.
+    """
+    b = np.asarray(b)
+    K = b.size
+    mask = np.ones((K, K + 1))
+    mask[:, 0] = b == 0
+    mask[np.arange(K), np.arange(1, K + 1)] = 0.0
+    return mask
+
+
+def receiver_covariance(H: np.ndarray, mask: np.ndarray, Q: np.ndarray,
+                        sigma2) -> np.ndarray:
+    """sigma^2 I + H_m (sum_i mask[m, i] Q_i) H_m^H for every row m, Hermitian.
+
+    H is (m, N_r, N_t), mask (m, K+1), Q the (K+1, N_t, N_t) Gram stack, and
+    sigma2 a scalar or one value per row.
+    """
+    m, n_blocks = mask.shape
+    n = Q.shape[-1]
+    sums = (mask @ Q.reshape(n_blocks, -1)).reshape(m, n, n)
+    noise = np.asarray(sigma2)[..., None, None] * np.eye(H.shape[1])
+    S = np.einsum("mri,mij,mcj->mrc", H, sums, H.conj()) + noise
+    return 0.5 * (S + np.conj(np.transpose(S, (0, 2, 1))))
+
+
+def chol_log2det(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log2 det of a stack of Hermitian matrices.
+
+    Raises np.linalg.LinAlgError when a matrix is not positive definite.
+    """
+    chol = np.linalg.cholesky(S)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    return chol, logdet / LN2
+
+
 def interference_cov(k: int, b_k: int, W, H_comm_k: np.ndarray,
                      sigma2: float) -> np.ndarray:
     """Interference-plus-noise covariance seen by receiver k.
