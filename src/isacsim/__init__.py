@@ -15,8 +15,8 @@ from .scenario import (Layout, ScenarioConfig, GeometrySummary, SPEED_OF_LIGHT,
                        cooperation_price)
 from .channel import ChannelSet, build_channels, los_component, sample_rician
 from .metrics import (CrbReport, FimConstants, PulseIntegrals, crb,
-                      cooperation_cost, fim_constants, interference_cov,
-                      numerical_fim_oracle, pulse_integrals, rate, upsilon)
+                      cooperation_cost, fim_constants, numerical_fim_oracle,
+                      pulse_integrals, rate, upsilon)
 from .selection import (LinkageTree, SelectionResult, build_linkage_tree,
                         exhaustive_select, minimax_radius, select_group)
 from .beamforming import (BeamformerSet, GramSet, ScaTrace, feasibility_init,

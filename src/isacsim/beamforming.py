@@ -10,6 +10,9 @@ The communication-rate constraints stay non-convex; each SCA iteration
 replaces log det(Psi_k) by its first-order expansion at the anchor Q_bar,
 which upper-bounds it, so every surrogate-feasible point is exactly
 feasible (inner approximation) and the surrogate is tight at the anchor.
+Exact rates, the surrogates' covariances and their log-dets come from the
+rate kernel in ``metrics`` (``interference_mask``, ``receiver_covariance``,
+``chol_log2det``, ``rate``).
 
 The resulting inner problem -- maximize a linear functional of Hermitian
 PSD matrices under concave log-det constraints and a power budget -- is
@@ -159,48 +162,39 @@ class LinearizedRateConstraint:
     sigma2: float
 
     def value(self, Q: np.ndarray) -> float:
+        """The constraint's slack at Q; raises LinAlgError if S is not positive definite."""
         Q = np.asarray(getattr(Q, "Q", Q))
-        S = self.sigma2 * np.eye(self.H.shape[0], dtype=complex)
-        total = Q[list(self.involved)].sum(axis=0)
-        S = S + self.H @ total @ self.H.conj().T
-        sign, logdet = np.linalg.slogdet(S)
+        mask = np.zeros((1, Q.shape[0]))
+        mask[0, list(self.involved)] = 1.0
+        S = metrics.receiver_covariance(self.H[None], mask, Q, self.sigma2)
         lin = sum(np.trace(self.T @ Q[i]).real for i in self.involved if i != self.own)
-        return float(logdet / LN2 - lin - self.offset)
+        return float(metrics.chol_log2det(S)[1][0] - lin - self.offset)
 
 
-def _log2det(X: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(X)
-    if sign.real <= 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    return float(logdet / LN2)
+def sca_linearize(b, Q_bar, H_comm: np.ndarray, sigma2: float,
+                  R_th: float) -> list[LinearizedRateConstraint]:
+    """Every receiver's surrogate constraint under selection b, anchored at Q_bar.
 
-
-def sca_linearize(k: int, b_k: int, Q_bar, H_comm_k: np.ndarray, sigma2: float,
-                  R_th: float) -> LinearizedRateConstraint:
-    """Build receiver k's surrogate constraint anchored at Q_bar.
-
-    The probe Gram joins the interference set only when the receiver is not
-    selected (an unselected receiver cannot cancel the probe).  The anchor
-    covariance Psi_bar must be positive definite, which the noise floor
-    guarantees for any PSD anchor.
+    Receiver k's interferers are the blocks of ``metrics.interference_mask``
+    row k.  T_k = G_k^H G_k / ln 2 = H_k^H Psi_k^{-1} H_k / ln 2 and the
+    offset come from one whitened channel G_k = L_k^{-1} H_k per receiver
+    (``metrics.whitened_channels``).  The anchor covariance Psi_k must be
+    positive definite, which the noise floor guarantees for any PSD anchor.
     """
     Q = np.asarray(getattr(Q_bar, "Q", Q_bar))
-    own = k + 1
-    b = np.zeros(Q.shape[0] - 1)
-    b[k] = b_k
-    interf = tuple(int(i) for i in np.flatnonzero(metrics.interference_mask(b)[k]))
-    involved = tuple(sorted(interf + (own,)))
-    N_r = H_comm_k.shape[0]
-    psi = sigma2 * np.eye(N_r, dtype=complex)
-    for i in interf:
-        psi = psi + H_comm_k @ Q[i] @ H_comm_k.conj().T
-    psi = 0.5 * (psi + psi.conj().T)
-    psi_inv = np.linalg.inv(psi)
-    T = H_comm_k.conj().T @ psi_inv @ H_comm_k / LN2
-    T = 0.5 * (T + T.conj().T)
-    offset = _log2det(psi) - sum(np.trace(T @ Q[i]).real for i in interf) + R_th
-    return LinearizedRateConstraint(k=k, H=np.asarray(H_comm_k), involved=involved,
-                                    own=own, T=T, offset=offset, sigma2=sigma2)
+    H = np.asarray(H_comm)
+    K, n = len(H), Q.shape[-1]
+    interf = metrics.interference_mask(b)
+    G, logdet_psi = metrics.whitened_channels(b, Q, H, sigma2)
+    # conj(G)^T G: entries (i, j) and (j, i) are exact conjugates, so T is Hermitian
+    T = np.einsum("kri,krj->kij", G.conj(), G) / LN2
+    sums = (interf @ Q.reshape(len(Q), -1)).reshape(K, n, n)
+    offset = logdet_psi - np.einsum("kij,kji->k", T, sums).real + R_th
+    involved = interf + np.eye(K, len(Q), k=1)
+    return [LinearizedRateConstraint(k=k, H=H[k], own=k + 1, T=T[k], offset=float(offset[k]),
+                                     involved=tuple(np.flatnonzero(involved[k]).tolist()),
+                                     sigma2=sigma2)
+            for k in range(K)]
 
 
 def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
@@ -604,24 +598,6 @@ def uniform_gram(cfg: ScenarioConfig) -> GramSet:
     return GramSet(Q=Q)
 
 
-def exact_rates(b, Q, channels: ChannelSet, cfg: ScenarioConfig) -> np.ndarray:
-    """Exact per-receiver rates evaluated on Gram matrices."""
-    arr = np.asarray(getattr(Q, "Q", Q))
-    b = np.asarray(b)
-    out = np.empty(cfg.K)
-    for k in range(cfg.K):
-        H = channels.H_comm[k]
-        interf = [i for i in range(1, cfg.K + 1) if i != k + 1]
-        if not b[k]:
-            interf = [0] + interf
-        psi = cfg.sigma2 * np.eye(cfg.N_r, dtype=complex)
-        for i in interf:
-            psi = psi + H @ arr[i] @ H.conj().T
-        S = psi + H @ arr[k + 1] @ H.conj().T
-        out[k] = _log2det(0.5 * (S + S.conj().T)) - _log2det(0.5 * (psi + psi.conj().T))
-    return out
-
-
 def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
                      max_rounds: int = 25) -> GramSet:
     """Strictly feasible Grams for the rate constraints, or InfeasibleStartError.
@@ -637,19 +613,18 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
     margin = 1e-9 * max(cfg.R_th, 1.0)
     best_slack = -np.inf
     for _ in range(max_rounds):
-        slacks = exact_rates(b, grams, channels, cfg) - cfg.R_th
-        if slacks.min() > margin:
+        slack = float(metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
+        if slack > margin:
             return grams
-        constraints = [sca_linearize(k, int(b[k]), grams, channels.H_comm[k],
-                                     cfg.sigma2, cfg.R_th) for k in range(cfg.K)]
+        constraints = sca_linearize(b, grams, channels.H_comm, cfg.sigma2, cfg.R_th)
         solver = _BarrierSolver(np.eye(cfg.N_t), constraints, cfg.P_T, cfg.N_t,
                                 cfg.K + 1, epigraph=True)
-        s0 = float(min(c.value(grams.Q) for c in constraints)) - 1.0
-        z0 = solver.pack(grams.Q, s=s0)
+        # the surrogates are tight at the anchor: their minimum is this slack
+        z0 = solver.pack(grams.Q, s=slack - 1.0)
         z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
         Q = solver.unpack(z)
         grams = GramSet(Q=0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
-        new_slack = float((exact_rates(b, grams, channels, cfg) - cfg.R_th).min())
+        new_slack = float(metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if new_slack > margin:
             return grams
         if new_slack <= best_slack + 1e-10:
@@ -673,10 +648,13 @@ def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndar
 def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConfig,
                        notes: list[str], tol: float = 1e-6,
                        max_passes: int = 4) -> np.ndarray:
-    """Bisect interferer power down when eigen-truncation broke a rate."""
+    """Bisect interferer power down when eigen-truncation broke a rate.
+
+    Bisects on the Grams: scaling W_i by a scales Q_i by a^2.
+    """
+    Q = metrics.grams(W)
     for _ in range(max_passes):
-        rates = np.array([metrics.rate(k, b, W, channels, cfg.sigma2)
-                          for k in range(cfg.K)])
+        rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
         bad = np.flatnonzero(rates < cfg.R_th - tol)
         if bad.size == 0:
             return W
@@ -685,15 +663,14 @@ def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConf
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            Wtry = W.copy()
-            for i in interf:
-                Wtry[i] = mid * W[i]
-            if metrics.rate(k, b, Wtry, channels, cfg.sigma2) >= cfg.R_th:
+            Qtry = Q.copy()
+            Qtry[interf] *= mid ** 2
+            if metrics.rate(b, Qtry, channels.H_comm, cfg.sigma2)[k] >= cfg.R_th:
                 lo = mid
             else:
                 hi = mid
-        for i in interf:
-            W[i] = lo * W[i]
+        W[interf] *= lo
+        Q[interf] *= lo ** 2
         notes.append(f"rescaled interferers of receiver {k} by {lo:.6f} after rank truncation")
     return W
 
@@ -740,7 +717,7 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
 
     def describe(g: GramSet) -> tuple[float, float, float]:
         obj = float(np.trace(weight @ g.total()).real)
-        rates = exact_rates(b, g, channels, cfg)
+        rates = metrics.rate(b, g.Q, channels.H_comm, cfg.sigma2)
         viol = max(0.0, float(cfg.R_th - rates.min()), g.power() - cfg.P_T)
         return obj, 1.0 / obj, viol
 
@@ -755,8 +732,7 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # first rung with nu/t <= gap, is the same to the bit.
     warm = False
     for _ in range(max_iters):
-        constraints = [sca_linearize(k, int(b[k]), grams, channels.H_comm[k],
-                                     cfg.sigma2, cfg.R_th) for k in range(cfg.K)]
+        constraints = sca_linearize(b, grams, channels.H_comm, cfg.sigma2, cfg.R_th)
         new_grams, info = inner_convex_solve(weight, constraints, cfg.P_T, grams,
                                              gap_tol=gap, warm=warm)
         warm = True

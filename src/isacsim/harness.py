@@ -273,10 +273,10 @@ def _scene(cfg: ScenarioConfig, layout: Layout, seed: int, trial: int):
 
 def _summary(cfg, layout, channels, consts, b, W, trace, report=None) -> dict:
     """CRB (of ``b`` unless ``report`` is given), rates, cost and objective of a row."""
+    Q = metrics.grams(W)
     if report is None:
-        report = metrics.crb(b, W, consts, channels, cfg)
-    rates = np.array([metrics.rate(k, b, W, channels, cfg.sigma2)
-                      for k in range(cfg.K)])
+        report = metrics.crb_from_gram(b, Q.sum(axis=0), consts, channels, cfg)
+    rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
     group = frozenset(np.flatnonzero(b).tolist())
     cost = (metrics.cooperation_cost(b, cooperation_price(layout, group, cfg.rho))
             if group else 0.0)

@@ -24,6 +24,13 @@ accumulated over one pulse period, with the cross term being the real
 envelope correlation Re int t g g'*.  The aggregate CRB is the trace of the
 inverse of the summed selected FIMs; conversion to physical units is a
 caller-side post-multiplication.
+
+Rates are evaluated on Gram stacks Q_i = W_i W_i^H (block 0 the probe, block
+k+1 receiver k) by one batched kernel that the beamformer also uses: the
+mask of the blocks in each receiver's interference (the only place that says
+a selected receiver cancels the probe), the covariance builder
+sigma^2 I + H (mask @ Q) H^H, a Cholesky log-det, and ``rate`` for all K
+receivers at once.
 """
 
 from __future__ import annotations
@@ -210,6 +217,12 @@ def total_gram(W) -> np.ndarray:
     return np.einsum("kil,kjl->ij", arr, arr.conj())
 
 
+def grams(W) -> np.ndarray:
+    """The (K+1, N_t, N_t) Gram stack Q_i = W_i W_i^H of the beamformers."""
+    arr = _as_w_stack(W)
+    return np.einsum("kil,kjl->kij", arr, arr.conj())
+
+
 def upsilon_from_gram(Q_total: np.ndarray, los_k: np.ndarray, alpha_k: float,
                       N_r: int) -> float:
     """Upsilon_k evaluated on the total transmit Gram matrix."""
@@ -317,38 +330,31 @@ def chol_log2det(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chol, logdet / LN2
 
 
-def interference_cov(k: int, b_k: int, W, H_comm_k: np.ndarray,
-                     sigma2: float) -> np.ndarray:
-    """Interference-plus-noise covariance seen by receiver k.
+def whitened_channels(b, Q: np.ndarray, H: np.ndarray,
+                      sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """L_k^{-1} H_k and log2 det Psi_k for every receiver k, Psi_k = L_k L_k^H.
 
-    A receiver selected for localization (b_k = 1) knows the probe stream and
-    cancels it, leaving only cross-user interference; an unselected receiver
-    additionally eats the probe beam H W_0 W_0^H H^H.
+    Psi_k is receiver k's interference-plus-noise covariance under the
+    selection b (see ``interference_mask``) and the Gram stack Q.
     """
-    arr = _as_w_stack(W)
-    N_r = H_comm_k.shape[0]
-    others = [i for i in range(1, arr.shape[0]) if i != k + 1]
-    acc = sigma2 * np.eye(N_r, dtype=complex)
-    for i in others:
-        HW = H_comm_k @ arr[i]
-        acc = acc + HW @ HW.conj().T
-    if not b_k:
-        HW0 = H_comm_k @ arr[0]
-        acc = acc + HW0 @ HW0.conj().T
-    return acc
+    psi = receiver_covariance(H, interference_mask(b), Q, sigma2)
+    chol, logdet = chol_log2det(psi)
+    return np.linalg.solve(chol, H), logdet
 
 
-def rate(k: int, b, W, channels: ChannelSet, sigma2: float) -> float:
-    """Achievable rate log2 det(I + W_k^H H^H Psi_k^{-1} H W_k) in bit/s/Hz."""
-    arr = _as_w_stack(W)
-    b = np.asarray(b)
-    H = channels.H_comm[k]
-    psi = interference_cov(k, int(b[k]), arr, H, sigma2)
-    HW = H @ arr[k + 1]
-    L = HW.shape[1]
-    inner = np.eye(L, dtype=complex) + HW.conj().T @ np.linalg.solve(psi, HW)
-    sign, logdet = np.linalg.slogdet(inner)
-    return float(logdet / LN2)
+def rate(b, Q: np.ndarray, H: np.ndarray, sigma2: float) -> np.ndarray:
+    """Achievable rates log2 det(I + W_k^H H_k^H Psi_k^{-1} H_k W_k) of all K receivers.
+
+    In bit/s/Hz, from the Gram stack Q_i = W_i W_i^H (``grams``) and the
+    (K, N_r, N_t) channel stack H.  By Sylvester's identity each rate is
+    log2 det(I + G_k Q_{k+1} G_k^H) with the whitened channel
+    G_k = L_k^{-1} H_k.  That form keeps the accuracy of the W form; the
+    difference log2 det(Psi_k + H_k Q_{k+1} H_k^H) - log2 det(Psi_k) loses
+    digits to cancellation when the rate is small against log2 det(Psi_k).
+    """
+    G, _ = whitened_channels(b, Q, H, sigma2)
+    own = np.eye(len(G), len(Q), k=1)
+    return chol_log2det(receiver_covariance(G, own, Q, 1.0))[1]
 
 
 def cooperation_cost(b, prices: dict[int, float]) -> float:

@@ -134,13 +134,9 @@ def _screen_candidates(candidates, W_bar, cfg: ScenarioConfig, layout: Layout,
     values are precomputed once.
     """
     K = cfg.K
-    rate_sel = np.empty(K)
-    rate_unsel = np.empty(K)
-    ones = np.ones(K, dtype=int)
-    zeros = np.zeros(K, dtype=int)
-    for k in range(K):
-        rate_sel[k] = metrics.rate(k, ones, W_bar, channels, cfg.sigma2)
-        rate_unsel[k] = metrics.rate(k, zeros, W_bar, channels, cfg.sigma2)
+    Q = metrics.grams(W_bar)
+    rate_sel = metrics.rate(np.ones(K), Q, channels.H_comm, cfg.sigma2)
+    rate_unsel = metrics.rate(np.zeros(K), Q, channels.H_comm, cfg.sigma2)
     gram = metrics.total_gram(W_bar)
     best: SelectionResult | None = None
     for group in candidates:

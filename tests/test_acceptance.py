@@ -246,7 +246,7 @@ def test_criterion_06b_sca_scalar_oracle():
             if total > cfg.P_T or total == 0:
                 continue
             Q = np.array([[[qi]] for qi in q], dtype=complex)
-            if bf.exact_rates(b, Q, channels, cfg).min() < cfg.R_th:
+            if metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min() < cfg.R_th:
                 continue
             best = min(best, metrics.crb_from_gram(b, Q.sum(axis=0), consts,
                                                    channels, cfg).crb)

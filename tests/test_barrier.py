@@ -16,8 +16,7 @@ def solver_at(n, epigraph):
     cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=n, R_th=0.0)
     b = np.array([1, 1, 0])
     anchor = uniform_gram(cfg)
-    cons = [sca_linearize(k, int(b[k]), anchor, channels.H_comm[k], cfg.sigma2,
-                          cfg.R_th) for k in range(3)]
+    cons = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     weight = bf.build_objective_weight(b, consts, channels, cfg)
     solver = _BarrierSolver(weight / np.linalg.norm(weight, 2), cons, cfg.P_T, n,
                             cfg.K + 1, epigraph=epigraph)
@@ -109,8 +108,7 @@ def certificate_scene():
     b = np.array([1, 1, 1])
     weight = bf.build_objective_weight(b, consts, channels, cfg)
     anchor = feasibility_init(b, cfg, channels)
-    cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
-            for k in range(3)]
+    cons = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     return weight, cons, cfg.P_T, anchor
 
 
@@ -158,8 +156,7 @@ def surrogate_pair(iterations):
     cfg, _, channels, _ = make_scene(K=3, seed=7)
     for _ in range(iterations):
         anchor, _ = inner_convex_solve(weight, cons, P_T, anchor)
-        cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
-                for k in range(3)]
+        cons = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     return weight, cons, P_T, anchor, 1e-6 * P_T
 
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from isacsim import beamforming as bf, metrics
-from isacsim.beamforming import (InfeasibleStartError, exact_rates,
-                                 feasibility_init, inner_convex_solve,
+from isacsim.beamforming import (InfeasibleStartError, feasibility_init, inner_convex_solve,
                                  recover_beamformers, sca_linearize,
                                  sca_optimize, uniform_gram)
 
@@ -27,31 +26,28 @@ class TestLinearize:
         rng = np.random.default_rng(0)
         Q = random_gram(rng, 4, 2, cfg.P_T)
         b = np.array([1, 0, 1])
-        rates = exact_rates(b, Q, channels, cfg)
-        for k in range(3):
-            con = sca_linearize(k, int(b[k]), Q, channels.H_comm[k], cfg.sigma2,
-                                cfg.R_th)
+        rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
+        for k, con in enumerate(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)):
             assert con.value(Q) == pytest.approx(rates[k] - cfg.R_th, abs=1e-9)
 
     def test_inner_bound(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=2)
         rng = np.random.default_rng(1)
         Q_bar = random_gram(rng, 4, 2, cfg.P_T)
+        b = np.array([1, 1, 0])
+        cons = sca_linearize(b, Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
         for trial in range(20):
             Q = random_gram(rng, 4, 2, cfg.P_T * rng.uniform(0.2, 1.0))
-            rates = exact_rates(np.array([1, 1, 0]), Q, channels, cfg)
-            for k, b_k in ((0, 1), (2, 0)):
-                con = sca_linearize(k, b_k, Q_bar, channels.H_comm[k],
-                                    cfg.sigma2, cfg.R_th)
+            rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
+            for k, con in enumerate(cons):
                 surrogate = con.value(Q) + cfg.R_th
-                exact = exact_rates(np.array([1, 1, 0]), Q, channels, cfg)[k]
-                assert surrogate <= exact + 1e-9
+                assert surrogate <= rates[k] + 1e-9
 
     def test_scalar_single_user_is_exact(self):
         cfg, layout, channels, consts = make_scene(K=1, seed=3, N_t=1, N_r=1, L=1)
         rng = np.random.default_rng(2)
         Q_bar = random_gram(rng, 2, 1, cfg.P_T)
-        con = sca_linearize(0, 1, Q_bar, channels.H_comm[0], cfg.sigma2, cfg.R_th)
+        con, = sca_linearize(np.array([1]), Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
         q = 0.37
         Q = np.zeros((2, 1, 1), dtype=complex)
         Q[1, 0, 0] = q
@@ -84,8 +80,8 @@ class TestInnerSolve:
         h2 = abs(channels.H_comm[0][0, 0]) ** 2
         weight = bf.build_objective_weight(np.array([1]), consts, channels, cfg)
         anchor = uniform_gram(cfg)
-        con = sca_linearize(0, 1, anchor, channels.H_comm[0], cfg.sigma2, cfg.R_th)
-        grams, info = inner_convex_solve(weight, [con], cfg.P_T, anchor)
+        cons = sca_linearize(np.array([1]), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        grams, info = inner_convex_solve(weight, cons, cfg.P_T, anchor)
         # brute force: rate needs q_user >= q_min; objective is total power
         q_min = (2.0 ** cfg.R_th - 1.0) * cfg.sigma2 / h2
         best = -np.inf
@@ -94,14 +90,14 @@ class TestInnerSolve:
             val = w00 * cfg.P_T  # all remaining power goes to the probe
             best = max(best, val)
         assert info["objective"] == pytest.approx(best, rel=1e-4)
-        assert exact_rates(np.array([1]), grams, channels, cfg)[0] >= cfg.R_th - 1e-8
+        assert metrics.rate(np.array([1]), grams.Q, channels.H_comm,
+                            cfg.sigma2)[0] >= cfg.R_th - 1e-8
 
     def test_infeasible_start_raises(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=6, R_th=5.0)
         weight = bf.build_objective_weight(np.array([1, 1]), consts, channels, cfg)
         anchor = uniform_gram(cfg)
-        cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, 50.0)
-                for k in range(2)]
+        cons = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, 50.0)
         with pytest.raises(InfeasibleStartError):
             inner_convex_solve(weight, cons, cfg.P_T, anchor)
 
@@ -109,8 +105,7 @@ class TestInnerSolve:
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         weight = bf.build_objective_weight(np.array([1, 1, 1]), consts, channels, cfg)
         anchor = feasibility_init(np.array([1, 1, 1]), cfg, channels)
-        cons = [sca_linearize(k, 1, anchor, channels.H_comm[k], cfg.sigma2, cfg.R_th)
-                for k in range(3)]
+        cons = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
         grams, info = inner_convex_solve(weight, cons, cfg.P_T, anchor)
         assert info["kkt_residual"] < 1e-5
         assert all(c.value(grams.Q) > 0 for c in cons)
@@ -153,7 +148,7 @@ class TestFeasibilityInit:
         cfg, layout, channels, consts = make_scene(K=4, seed=10, R_th=0.25)
         b = np.array([1, 1, 0, 0])
         grams = feasibility_init(b, cfg, channels)
-        assert exact_rates(b, grams, channels, cfg).min() >= cfg.R_th
+        assert metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min() >= cfg.R_th
         grams.check()
 
 
@@ -177,8 +172,7 @@ class TestScaOptimize:
         assert all(b2 >= b1 - 1e-9 * abs(b1) for b1, b2 in zip(objs, objs[1:]))
         assert all(it[2] <= 1e-8 for it in trace.iterations)
         assert W.power() <= cfg.P_T * (1 + 1e-6)
-        rates = np.array([metrics.rate(k, b, W, channels, cfg.sigma2)
-                          for k in range(4)])
+        rates = metrics.rate(b, metrics.grams(W), channels.H_comm, cfg.sigma2)
         assert rates.min() >= cfg.R_th - 1e-6
 
     def test_final_crb_not_worse_than_initial(self):
@@ -203,8 +197,8 @@ def scalar_crb_of_split(q, b, cfg, channels, consts):
 
 
 def scalar_feasible(q, b, cfg, channels):
-    return exact_rates(b, np.array([[[qi]] for qi in q], dtype=complex),
-                       channels, cfg).min() >= cfg.R_th
+    return metrics.rate(b, np.array([[[qi]] for qi in q], dtype=complex),
+                        channels.H_comm, cfg.sigma2).min() >= cfg.R_th
 
 
 class TestScalarOracle:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isacsim import metrics
 from isacsim.channel import build_channels
-from isacsim.metrics import (SingularFimError, cooperation_cost, crb,
-                             interference_cov, numerical_fim_oracle,
-                             pulse_integrals, pulse_waveform, rate, upsilon)
+from isacsim.metrics import (SingularFimError, cooperation_cost, crb, grams,
+                             interference_mask, numerical_fim_oracle,
+                             pulse_integrals, pulse_waveform, rate,
+                             receiver_covariance, upsilon)
 from isacsim.scenario import Layout, cooperation_price
 
 from conftest import make_cfg, make_layout, make_scene
@@ -192,12 +194,18 @@ class TestNumericalFimOracle:
                                       np.zeros((2, 2)))
 
 
+def interference(k, b, W, H, sigma2):
+    """Receiver k's covariance from the mask and builder, with H_k = H."""
+    mask = interference_mask(b)[k:k + 1]
+    return receiver_covariance(H[None], mask, grams(W), sigma2)[0]
+
+
 class TestInterferenceAndRate:
     def test_single_user_no_probe(self):
         cfg, layout, channels, consts = make_scene(K=1, seed=1)
         W = np.zeros((2, 2, 2), dtype=complex)
         for b_k in (0, 1):
-            psi = interference_cov(0, b_k, W, channels.H_comm[0], cfg.sigma2)
+            psi = interference(0, np.array([b_k]), W, channels.H_comm[0], cfg.sigma2)
             np.testing.assert_allclose(psi, cfg.sigma2 * np.eye(2), atol=1e-18)
 
     def test_probe_term_is_psd(self):
@@ -205,8 +213,8 @@ class TestInterferenceAndRate:
         rng = np.random.default_rng(0)
         W = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         H = channels.H_comm[0]
-        diff = (interference_cov(0, 0, W, H, cfg.sigma2)
-                - interference_cov(0, 1, W, H, cfg.sigma2))
+        diff = (interference(0, np.array([0, 1]), W, H, cfg.sigma2)
+                - interference(0, np.array([1, 1]), W, H, cfg.sigma2))
         HW0 = H @ W[0]
         np.testing.assert_allclose(diff, HW0 @ HW0.conj().T, atol=1e-14)
         assert np.linalg.eigvalsh(diff).min() > -1e-12
@@ -215,23 +223,24 @@ class TestInterferenceAndRate:
         cfg = make_cfg(K=2, N_t=1, N_r=1, L=1)
         h = 0.3 + 0.4j
         W = np.array([[[0.5]], [[0.8]], [[1.1]]], dtype=complex)
-        psi1 = interference_cov(0, 1, W, np.array([[h]]), cfg.sigma2)
+        psi1 = interference(0, np.array([1, 0]), W, np.array([[h]]), cfg.sigma2)
         assert psi1[0, 0] == pytest.approx(abs(h) ** 2 * 1.1 ** 2 + cfg.sigma2)
-        psi0 = interference_cov(0, 0, W, np.array([[h]]), cfg.sigma2)
+        psi0 = interference(0, np.array([0, 0]), W, np.array([[h]]), cfg.sigma2)
         assert psi0[0, 0] == pytest.approx(abs(h) ** 2 * (1.1 ** 2 + 0.5 ** 2) + cfg.sigma2)
 
     def test_zero_beamformer_zero_rate(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=3)
-        W = np.zeros((3, 2, 2), dtype=complex)
-        assert rate(0, np.array([1, 0]), W, channels, cfg.sigma2) == pytest.approx(0.0)
+        Q = np.zeros((3, 2, 2), dtype=complex)
+        np.testing.assert_allclose(rate(np.array([1, 0]), Q, channels.H_comm, cfg.sigma2),
+                                   0.0, atol=1e-15)
 
     def test_selected_rate_at_least_unselected(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=4)
         rng = np.random.default_rng(2)
         for _ in range(10):
             W = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-            r1 = rate(1, np.array([0, 1, 0]), W, channels, cfg.sigma2)
-            r0 = rate(1, np.array([0, 0, 0]), W, channels, cfg.sigma2)
+            r1 = rate(np.array([0, 1, 0]), grams(W), channels.H_comm, cfg.sigma2)[1]
+            r0 = rate(np.array([0, 0, 0]), grams(W), channels.H_comm, cfg.sigma2)[1]
             assert r1 >= r0 - 1e-12
 
     def test_scalar_rate(self):
@@ -244,7 +253,73 @@ class TestInterferenceAndRate:
         W[1, 0, 0] = w
         h = channels.H_comm[0][0, 0]
         expected = math.log2(1 + abs(h * w) ** 2 / cfg.sigma2)
-        assert rate(0, np.array([1]), W, channels, cfg.sigma2) == pytest.approx(expected)
+        assert rate(np.array([1]), grams(W), channels.H_comm,
+                    cfg.sigma2)[0] == pytest.approx(expected)
+
+
+def w_form_rates(b, W, H, sigma2, dtype=complex):
+    """Textbook rates log2 det(I + W_k^H H_k^H Psi_k^{-1} H_k W_k), one receiver at a time.
+
+    Psi_k sums sigma^2 I, every other receiver's stream and, when b_k = 0,
+    the probe stream W_0.  With a 2 x 2 Psi_k and L = 2 the inverse and the
+    determinant are closed forms, so ``dtype=np.clongdouble`` evaluates the
+    whole formula in extended precision.
+    """
+    W, H = W.astype(dtype), H.astype(dtype)
+    out = []
+    for k in range(len(H)):
+        streams = [i for i in range(1, len(W)) if i != k + 1] + ([] if b[k] else [0])
+        psi = sigma2 * np.eye(H.shape[1], dtype=dtype)
+        for i in streams:
+            HW = H[k] @ W[i]
+            psi = psi + HW @ HW.conj().T
+        HW = H[k] @ W[k + 1]
+        if dtype is complex:
+            X = np.eye(W.shape[2]) + HW.conj().T @ np.linalg.solve(psi, HW)
+            out.append(np.linalg.slogdet(X)[1] / math.log(2.0))
+            continue
+        adj = np.array([[psi[1, 1], -psi[0, 1]], [-psi[1, 0], psi[0, 0]]])
+        psi_inv = adj / (psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0])
+        X = np.eye(2, dtype=dtype) + HW.conj().T @ psi_inv @ HW
+        det = (X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]).real
+        out.append(float(np.log2(det)))
+    return np.array(out)
+
+
+class TestRateKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accuracy_against_extended_precision(self, seed):
+        """Within 5e-13 bit/s/Hz of the W form evaluated in extended precision."""
+        cfg, layout, channels, consts = make_scene(K=10, seed=seed)
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((11, 2, 2)) + 1j * rng.standard_normal((11, 2, 2))
+        W *= math.sqrt(cfg.P_T / np.sum(np.abs(W) ** 2))
+        for b in (np.zeros(10, dtype=int), np.ones(10, dtype=int)):
+            ref = w_form_rates(b, W, channels.H_comm, cfg.sigma2, dtype=np.clongdouble)
+            np.testing.assert_allclose(rate(b, grams(W), channels.H_comm, cfg.sigma2),
+                                       ref, rtol=0, atol=5e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 4), N_t=st.integers(1, 4), N_r=st.integers(1, 3),
+           L=st.integers(1, 3), bits=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gram_kernel_equals_w_form(self, K, N_t, N_r, L, bits, seed):
+        rng = np.random.default_rng(seed)
+        b = np.array([(bits >> k) & 1 for k in range(K)])
+        W = rng.standard_normal((K + 1, N_t, L)) + 1j * rng.standard_normal((K + 1, N_t, L))
+        H = rng.standard_normal((K, N_r, N_t)) + 1j * rng.standard_normal((K, N_r, N_t))
+        sigma2 = 10.0 ** rng.uniform(-2, 1)
+        np.testing.assert_allclose(rate(b, grams(W), H, sigma2),
+                                   w_form_rates(b, W, H, sigma2), rtol=1e-9, atol=1e-10)
+
+    def test_mask_is_the_probe_cancellation_rule(self):
+        expected = np.array([[0, 0, 1, 1],
+                             [1, 1, 0, 1],
+                             [0, 1, 1, 0]])
+        np.testing.assert_array_equal(interference_mask(np.array([1, 0, 1])), expected)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            metrics.chol_log2det(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
 
 class TestCooperationCost:
