@@ -26,7 +26,7 @@ from .estimation import (DelayDopplerEstimate, DelayDopplerGrid,
                          PositionEstimate, SampledBlock, estimate_position,
                          invert_distance, invert_doa, localize,
                          matched_filter, mse_harness, synthesize_block)
-from .harness import ExperimentSpec, parse_config, run_experiment
+from .harness import ExperimentSpec, load_config, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -648,10 +648,8 @@ def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndar
 def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConfig,
                        notes: list[str], tol: float = 1e-6,
                        max_passes: int = 4) -> np.ndarray:
-    """Bisect interferer power down when eigen-truncation broke a rate.
-
-    Bisects on the Grams: scaling W_i by a scales Q_i by a^2.
-    """
+    """Bisect interferer power down (W_i -> a W_i, Q_i -> a^2 Q_i) when
+    eigen-truncation broke a rate."""
     Q = metrics.grams(W)
     for _ in range(max_passes):
         rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)

@@ -83,7 +83,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        cfg, layout = harness.parse_config(args.config)
+        cfg, layout, base = harness.load_config(args.config)
+        if layout is None:  # random placement: validate the trial-0 draw
+            harness.draw_layout(cfg, base, cfg.seed, 0)
     except (ConfigError, DegenerateGeometryError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -158,23 +158,14 @@ def _parse_raw(raw: dict):
     return cfg, layout, (p_b, p_0)
 
 
-def parse_config(path) -> tuple[ScenarioConfig, Layout]:
-    """Load and validate a flat JSON configuration.
+def load_config(path) -> tuple[ScenarioConfig, Layout | None, tuple]:
+    """Load and validate a flat JSON configuration: (cfg, layout, (p_b, p_0)).
 
     Optional keys fall back to the reference defaults; watt-valued fields
-    accept ``*_dbm`` alternates.  When receiver positions ``p`` are omitted
-    the returned Layout holds the seed's trial-0 random placement (uniform
-    annulus, radius 1..100 m around the TR); experiments redraw placements
-    per trial in that case.
+    accept ``*_dbm`` alternates.  ``layout`` is None when receiver positions
+    ``p`` are omitted: experiments then draw the placements per trial
+    (``draw_layout``) around the TR position p_b and target position p_0.
     """
-    cfg, layout, base = _parse_raw(_load_json(path))
-    if layout is None:
-        layout = _draw_layout(cfg, base, cfg.seed, 0)
-    return cfg, layout
-
-
-def load_config(path):
-    """parse_config plus the fixed-vs-random placement distinction."""
     return _parse_raw(_load_json(path))
 
 
@@ -193,7 +184,8 @@ def _load_json(path) -> dict:
     return raw
 
 
-def _draw_layout(cfg: ScenarioConfig, base, seed: int, trial: int) -> Layout:
+def draw_layout(cfg: ScenarioConfig, base, seed: int, trial: int) -> Layout:
+    """The seed's random placement for a trial: uniform annulus, 1..100 m around p_b."""
     p_b, p_0 = base
     gen = rngmod.substream(seed, rngmod.DOMAIN_LAYOUT, trial)
     return annulus_layout(cfg, p_b, p_0, gen, r_min=1.0, r_max=100.0)
@@ -443,7 +435,7 @@ def _items(spec: ExperimentSpec, cfg: ScenarioConfig, layout_fixed, base):
         for trial in range(spec.trials):
             def thunk(cfg_s=cfg_s, arg=arg, trial=trial):
                 layout = (layout_fixed if layout_fixed is not None
-                          else _draw_layout(cfg_s, base, spec.seed, trial))
+                          else draw_layout(cfg_s, base, spec.seed, trial))
                 return exp.evaluate(cfg_s, layout, spec.seed, trial, arg)
             yield sval, trial, thunk
 

@@ -25,12 +25,9 @@ envelope correlation Re int t g g'*.  The aggregate CRB is the trace of the
 inverse of the summed selected FIMs; conversion to physical units is a
 caller-side post-multiplication.
 
-Rates are evaluated on Gram stacks Q_i = W_i W_i^H (block 0 the probe, block
-k+1 receiver k) by one batched kernel that the beamformer also uses: the
-mask of the blocks in each receiver's interference (the only place that says
-a selected receiver cancels the probe), the covariance builder
-sigma^2 I + H (mask @ Q) H^H, a Cholesky log-det, and ``rate`` for all K
-receivers at once.
+Rates come from one kernel over Gram stacks Q_i = W_i W_i^H (block 0 the
+probe, block k+1 receiver k), shared with the beamformer: ``interference_mask``,
+``receiver_covariance``, ``chol_log2det`` and ``rate`` for all K receivers.
 """
 
 from __future__ import annotations
@@ -321,10 +318,7 @@ def receiver_covariance(H: np.ndarray, mask: np.ndarray, Q: np.ndarray,
 
 
 def chol_log2det(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors and log2 det of a stack of Hermitian matrices.
-
-    Raises np.linalg.LinAlgError when a matrix is not positive definite.
-    """
+    """Cholesky factors and log2 det of Hermitian matrices; LinAlgError unless all are PD."""
     chol = np.linalg.cholesky(S)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
     return chol, logdet / LN2
@@ -332,11 +326,8 @@ def chol_log2det(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def whitened_channels(b, Q: np.ndarray, H: np.ndarray,
                       sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """L_k^{-1} H_k and log2 det Psi_k for every receiver k, Psi_k = L_k L_k^H.
-
-    Psi_k is receiver k's interference-plus-noise covariance under the
-    selection b (see ``interference_mask``) and the Gram stack Q.
-    """
+    """L_k^{-1} H_k and log2 det Psi_k for every receiver k, where Psi_k = L_k L_k^H
+    is receiver k's interference-plus-noise covariance under selection b."""
     psi = receiver_covariance(H, interference_mask(b), Q, sigma2)
     chol, logdet = chol_log2det(psi)
     return np.linalg.solve(chol, H), logdet

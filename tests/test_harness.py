@@ -8,7 +8,7 @@ import pytest
 
 from isacsim import harness
 from isacsim.harness import (COLUMNS, ExperimentSpec, dbm_to_watts,
-                             default_sweep, load_config, parse_config,
+                             default_sweep, draw_layout, load_config,
                              preset_names, rows_to_csv, run_experiment)
 from isacsim.scenario import ConfigError
 
@@ -23,20 +23,21 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 
 class TestParseConfig:
     def test_minimal_file_uses_defaults(self, tmp_path):
-        cfg, layout = parse_config(write_cfg(tmp_path, {}))
+        cfg, layout, base = load_config(write_cfg(tmp_path, {}))
         assert cfg.K == 10
         assert cfg.P_T == pytest.approx(1.0)
         assert cfg.sigma2 == pytest.approx(1e-9)
         assert cfg.delta_t == pytest.approx(1.0 / (2.0 * cfg.B))
-        assert layout.p.shape == (10, 2)
+        assert layout is None
+        assert draw_layout(cfg, base, cfg.seed, 0).p.shape == (10, 2)
 
     def test_delta_t_rule_violation_names_key(self, tmp_path):
         path = write_cfg(tmp_path, {"B": 1e8, "delta_t": 1e-8})
         with pytest.raises(ConfigError, match="delta_t"):
-            parse_config(path)
+            load_config(path)
 
     def test_preset_matches_reference_values(self):
-        cfg, layout = parse_config("sec6a")
+        cfg, layout, (p_b, p_0) = load_config("sec6a")
         assert cfg.K == 10
         assert cfg.N_t == 2 and cfg.N_r == 2
         assert cfg.P_T == pytest.approx(dbm_to_watts(30.0))
@@ -49,30 +50,30 @@ class TestParseConfig:
         assert cfg.rho == pytest.approx(0.5)
         assert cfg.rician_alpha == tuple([0.5] * 10)
         assert cfg.beta == tuple([0.6] * 10)
-        np.testing.assert_allclose(layout.p_b, [0.0, 0.0])
-        np.testing.assert_allclose(layout.p_0, [20.0, 40.0])
+        np.testing.assert_allclose(p_b, [0.0, 0.0])
+        np.testing.assert_allclose(p_0, [20.0, 40.0])
 
     def test_unknown_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
-            parse_config(write_cfg(tmp_path, {"bogus": 1}))
+            load_config(write_cfg(tmp_path, {"bogus": 1}))
 
     def test_watt_and_dbm_conflict(self, tmp_path):
         with pytest.raises(ConfigError, match="P_T"):
-            parse_config(write_cfg(tmp_path, {"P_T": 1.0, "P_T_dbm": 30.0}))
+            load_config(write_cfg(tmp_path, {"P_T": 1.0, "P_T_dbm": 30.0}))
 
     def test_watt_keys_direct(self, tmp_path):
-        cfg, _ = parse_config(write_cfg(tmp_path, {"P_T": 0.5, "sigma2": 2e-9}))
+        cfg, _, _ = load_config(write_cfg(tmp_path, {"P_T": 0.5, "sigma2": 2e-9}))
         assert cfg.P_T == 0.5
         assert cfg.sigma2 == 2e-9
 
     def test_per_receiver_lists(self, tmp_path):
         alphas = [0.1 * (k + 1) for k in range(10)]
-        cfg, _ = parse_config(write_cfg(tmp_path, {"rician_alpha": alphas}))
+        cfg, _, _ = load_config(write_cfg(tmp_path, {"rician_alpha": alphas}))
         assert cfg.rician_alpha == tuple(alphas)
 
     def test_wrong_length_positions(self, tmp_path):
         with pytest.raises(ConfigError, match="'p'"):
-            parse_config(write_cfg(tmp_path, {"K": 3, "p": [[0, 1], [2, 3]]}))
+            load_config(write_cfg(tmp_path, {"K": 3, "p": [[0, 1], [2, 3]]}))
 
     def test_fixed_layout_roundtrip(self, tmp_path):
         pts = [[10.0, 0.0], [0.0, 12.0]]
@@ -81,13 +82,13 @@ class TestParseConfig:
 
     def test_lambda_cross_check(self, tmp_path):
         with pytest.raises(ConfigError, match="lambda"):
-            parse_config(write_cfg(tmp_path, {"f0": 3e9, "lambda": 0.2}))
+            load_config(write_cfg(tmp_path, {"f0": 3e9, "lambda": 0.2}))
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            parse_config(str(path))
+            load_config(str(path))
 
 
 class TestPresets:
