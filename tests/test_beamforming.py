@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from isacsim import beamforming as bf, metrics
-from isacsim.beamforming import (InfeasibleStartError, feasibility_init, inner_convex_solve,
-                                 recover_beamformers, sca_linearize,
-                                 sca_optimize, uniform_gram)
+from isacsim.beamforming import (InfeasibleStartError, feasibility_init,
+                                 inner_convex_solve, recover_beamformers,
+                                 sca_linearize, sca_optimize, uniform_gram)
 
 from conftest import make_scene
 
