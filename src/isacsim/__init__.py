@@ -19,13 +19,13 @@ from .metrics import (CrbReport, FimConstants, PulseIntegrals, crb,
                       pulse_integrals, rate, upsilon)
 from .selection import (LinkageTree, SelectionResult, build_linkage_tree,
                         exhaustive_select, minimax_radius, select_group)
-from .beamforming import (BeamformerSet, GramSet, ScaTrace, feasibility_init,
+from .beamforming import (BeamformerSet, RateSurrogate, ScaTrace, feasibility_init,
                           inner_convex_solve, recover_beamformers,
                           sca_linearize, sca_optimize)
 from .estimation import (DelayDopplerEstimate, DelayDopplerGrid,
                          PositionEstimate, SampledBlock, estimate_position,
                          invert_distance, invert_doa, localize,
-                         matched_filter, mse_harness, synthesize_block)
+                         matched_filter, matched_filter_error, synthesize_block)
 from .harness import ExperimentSpec, load_config, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,12 +6,15 @@ the Gram (covariance) variables Q_i = W_i W_i^H:
     minimize CRB  <=>  maximize  (kappa1 - kappa2^2)/(1 + kappa1) * sum_{k in G} chi_k Upsilon_k(Q)
 
 with Upsilon_k(Q) = Tr(A_k sum_i Q_i), A_k = alpha_k H_los^H H_los + N_r I.
-The communication-rate constraints stay non-convex; each SCA iteration
-replaces log det(Psi_k) by its first-order expansion at the anchor Q_bar,
-which upper-bounds it, so every surrogate-feasible point is exactly
-feasible (inner approximation) and the surrogate is tight at the anchor.
-Exact rates, the surrogates' covariances and their log-dets come from the
-rate kernel in ``metrics`` (``interference_mask``, ``receiver_covariance``,
+A Gram stack is a plain (K+1, N_t, N_t) array, block 0 the probe stream and
+block k+1 receiver k's stream, as in ``metrics``.  The communication-rate
+constraints stay non-convex; each SCA iteration replaces log det(Psi_k) by
+its first-order expansion at the anchor Q_bar, which upper-bounds it, so
+every surrogate-feasible point is exactly feasible (inner approximation)
+and the surrogate is tight at the anchor.  ``sca_linearize`` returns all K
+linearized constraints as one ``RateSurrogate``.  Exact rates, the
+surrogates' covariances and their log-dets come from the rate kernel in
+``metrics`` (``interference_mask``, ``receiver_covariance``,
 ``chol_log2det``, ``rate``).
 
 The resulting inner problem -- maximize a linear functional of Hermitian
@@ -41,7 +44,7 @@ class InfeasibleStartError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The inner convex solve failed to converge to its tolerance."""
+    """A solve missed its tolerance, or the beamformers it returns miss a rate."""
 
 
 @dataclass(frozen=True)
@@ -52,25 +55,6 @@ class BeamformerSet:
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.W) ** 2))
-
-
-@dataclass(frozen=True)
-class GramSet:
-    """Covariance lifting Q_i = W_i W_i^H of a beamformer set."""
-
-    Q: np.ndarray  # (K+1, N_t, N_t) Hermitian PSD
-
-    def total(self) -> np.ndarray:
-        return self.Q.sum(axis=0)
-
-    def power(self) -> float:
-        return float(np.trace(self.total()).real)
-
-    def check(self, tol: float = 1e-9) -> None:
-        for i, Qi in enumerate(self.Q):
-            w = np.linalg.eigvalsh(Qi)
-            if w.min() < -tol * max(np.trace(Qi).real, 1e-300):
-                raise ValueError(f"Gram {i} is not PSD (min eig {w.min()})")
 
 
 @dataclass
@@ -142,59 +126,64 @@ def _psd_cores(Xs: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # linearized rate constraints
 # ---------------------------------------------------------------------------
 
+def _interference_trace(T: np.ndarray, interf: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_{i in interferers of row k} Tr(T_k Q_i) for every row k."""
+    K, n = T.shape[:2]
+    sums = (interf @ Q.reshape(len(Q), -1)).reshape(K, n, n)
+    return np.einsum("kij,kji->k", T, sums).real
+
+
 @dataclass(frozen=True)
-class LinearizedRateConstraint:
-    """One receiver's concave surrogate rate constraint.
+class RateSurrogate:
+    """Every receiver's concave surrogate rate constraint, stacked over k:
 
-    value(Q) = log2 det(sigma^2 I + H (sum_{i in involved} Q_i) H^H)
-               - sum_{i in interferers} Tr(T Q_i) - offset  >= 0
+    slack(Q)[k] = log2 det(sigma^2 I + H_k (sum_{i in involved_k} Q_i) H_k^H)
+                  - sum_{i in interferers_k} Tr(T_k Q_i) - offset[k]  >= 0
 
-    interferers = involved minus the receiver's own beamformer; T carries the
-    anchor's whitened channel, so value(anchor) equals the exact rate slack.
+    interferers_k is row k of ``metrics.interference_mask(b)`` and
+    involved_k adds the receiver's own block k+1.  Under that mask a row
+    involves blocks 0..K (b_k = 0, the probe interferes) or 1..K (b_k = 1),
+    one contiguous range either way.  T_k carries the anchor's whitened
+    channel, so slack(anchor) equals the exact rate slacks.
     """
 
-    k: int
-    H: np.ndarray
-    involved: tuple[int, ...]
-    own: int
-    T: np.ndarray
-    offset: float
+    b: np.ndarray       # (K,) selection
+    H: np.ndarray       # (K, N_r, N_t) communication channels
+    T: np.ndarray       # (K, N_t, N_t) Hermitian linearization weights
+    offset: np.ndarray  # (K,)
     sigma2: float
 
-    def value(self, Q: np.ndarray) -> float:
-        """The constraint's slack at Q; raises LinAlgError if S is not positive definite."""
-        Q = np.asarray(getattr(Q, "Q", Q))
-        mask = np.zeros((1, Q.shape[0]))
-        mask[0, list(self.involved)] = 1.0
-        S = metrics.receiver_covariance(self.H[None], mask, Q, self.sigma2)
-        lin = sum(np.trace(self.T @ Q[i]).real for i in self.involved if i != self.own)
-        return float(metrics.chol_log2det(S)[1][0] - lin - self.offset)
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, K+1) 0/1 masks of each row's interferers and involved blocks."""
+        interf = metrics.interference_mask(self.b)
+        return interf, interf + np.eye(*interf.shape, k=1)
+
+    def slack(self, Q: np.ndarray) -> np.ndarray:
+        """Every row's slack at the Gram stack Q, shape (K,); raises LinAlgError
+        if a covariance is not positive definite."""
+        interf, involved = self.masks()
+        S = metrics.receiver_covariance(self.H, involved, Q, self.sigma2)
+        return (metrics.chol_log2det(S)[1] - _interference_trace(self.T, interf, Q)
+                - self.offset)
 
 
-def sca_linearize(b, Q_bar, H_comm: np.ndarray, sigma2: float,
-                  R_th: float) -> list[LinearizedRateConstraint]:
-    """Every receiver's surrogate constraint under selection b, anchored at Q_bar.
+def sca_linearize(b, Q_bar: np.ndarray, H_comm: np.ndarray, sigma2: float,
+                  R_th: float) -> RateSurrogate:
+    """Every receiver's surrogate constraint under selection b, anchored at
+    the Gram stack Q_bar.
 
-    Receiver k's interferers are the blocks of ``metrics.interference_mask``
-    row k.  T_k = G_k^H G_k / ln 2 = H_k^H Psi_k^{-1} H_k / ln 2 and the
-    offset come from one whitened channel G_k = L_k^{-1} H_k per receiver
+    T_k = G_k^H G_k / ln 2 = H_k^H Psi_k^{-1} H_k / ln 2 and the offset come
+    from one whitened channel G_k = L_k^{-1} H_k per receiver
     (``metrics.whitened_channels``).  The anchor covariance Psi_k must be
     positive definite, which the noise floor guarantees for any PSD anchor.
     """
-    Q = np.asarray(getattr(Q_bar, "Q", Q_bar))
+    b = np.asarray(b)
     H = np.asarray(H_comm)
-    K, n = len(H), Q.shape[-1]
-    interf = metrics.interference_mask(b)
-    G, logdet_psi = metrics.whitened_channels(b, Q, H, sigma2)
+    G, logdet_psi = metrics.whitened_channels(b, Q_bar, H, sigma2)
     # conj(G)^T G: entries (i, j) and (j, i) are exact conjugates, so T is Hermitian
     T = np.einsum("kri,krj->kij", G.conj(), G) / LN2
-    sums = (interf @ Q.reshape(len(Q), -1)).reshape(K, n, n)
-    offset = logdet_psi - np.einsum("kij,kji->k", T, sums).real + R_th
-    involved = interf + np.eye(K, len(Q), k=1)
-    return [LinearizedRateConstraint(k=k, H=H[k], own=k + 1, T=T[k], offset=float(offset[k]),
-                                     involved=tuple(np.flatnonzero(involved[k]).tolist()),
-                                     sigma2=sigma2)
-            for k in range(K)]
+    offset = logdet_psi - _interference_trace(T, metrics.interference_mask(b), Q_bar) + R_th
+    return RateSurrogate(b=b, H=H, T=T, offset=offset, sigma2=sigma2)
 
 
 def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
@@ -252,24 +241,24 @@ class _BarrierSolver:
     ``work``, one block the solver allocates once, so a Newton step allocates
     no (dim, dim) array but the Cholesky factor's copy.
 
-    Invariant: the blocks each constraint involves form one contiguous range
-    (0..K or 1..K from ``sca_linearize``), so every involvement group adds
-    its curvature to one square sub-block of the Hessian; the constructor
-    raises ValueError otherwise.
+    The rate constraints are one ``RateSurrogate`` read as it is, or None
+    for none.  Its rows involve blocks 0..K (the probe interferes, b_k = 0)
+    or 1..K (b_k = 1), one contiguous range by construction of the mask, so
+    the rows fall into at most two groups by the probe column, and each
+    group adds its log-det curvature to one square sub-block of the Hessian.
     """
 
-    def __init__(self, weight: np.ndarray, constraints, P_T: float, n: int,
-                 n_blocks: int, epigraph: bool = False) -> None:
+    def __init__(self, weight: np.ndarray, surrogate: RateSurrogate | None, P_T: float,
+                 n: int, n_blocks: int, epigraph: bool = False) -> None:
         self.basis = _hermitian_basis(n)
         self.n = n
         self.n_blocks = n_blocks
         self.bd = n * n
         self.qdim = n_blocks * self.bd
         self.dim = self.qdim + (1 if epigraph else 0)
-        self.constraints = list(constraints)
         self.P_T = P_T
         self.epigraph = epigraph
-        m = len(self.constraints)
+        self.m = m = 0 if surrogate is None else len(surrogate.offset)
 
         c = np.zeros(self.dim)
         if epigraph:
@@ -280,42 +269,30 @@ class _BarrierSolver:
                 c[i * self.bd:(i + 1) * self.bd] = w
         self.c = c
 
-        # constraint tables: channel stack, involvement masks, linear parts
-        self.H = (np.stack([con.H for con in self.constraints])
-                  if m else np.zeros((0, 0, n)))
-        self.sigma2 = np.array([con.sigma2 for con in self.constraints])
-        self.offsets = np.array([con.offset for con in self.constraints])
-        self.mask = np.zeros((m, n_blocks))
-        self.lin = np.zeros((m, self.dim))
-        for j, con in enumerate(self.constraints):
-            self.mask[j, list(con.involved)] = 1.0
-            t_vec = _vec(con.T, self.basis)
-            for i in con.involved:
-                if i != con.own:
-                    self.lin[j, i * self.bd:(i + 1) * self.bd] = t_vec
-        # group constraints by identical involvement for Hessian placement;
-        # each group's blocks must form one contiguous range lo..hi-1
-        groups: dict[tuple, list[int]] = {}
-        for j in range(m):
-            groups.setdefault(tuple(self.mask[j] > 0), []).append(j)
-        self.groups = []
-        for key, idx in groups.items():
-            blocks = np.flatnonzero(key)
-            lo, hi = int(blocks[0]), int(blocks[-1]) + 1
-            if blocks.size != hi - lo:
-                raise ValueError(f"constraint blocks {blocks.tolist()} are not contiguous")
-            self.groups.append((np.array(idx), lo, hi))
-
         self.nu = n_blocks * n + m + 1
         # the parts of the Newton system that do not depend on the point:
         # identities the Cholesky factors are solved against, the power
         # barrier's gradient direction and curvature, the epigraph column
-        n_r = self.H.shape[1]
         self.eye_Q = np.broadcast_to(np.eye(n, dtype=complex), (n_blocks, n, n))
-        self.eye_S = np.broadcast_to(np.eye(n_r, dtype=complex), (m, n_r, n_r))
         self.gP = np.zeros(self.dim)
         self.gP[:self.qdim] = -np.tile(_vec(np.eye(n, dtype=complex), self.basis), n_blocks)
-        self.epi_col = -np.ones((m, 1))
+        self.lin = np.zeros((m, self.dim))
+        if m:
+            # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
+            # interferer block i, vec(T_k) computed once per row
+            interf, self.mask = surrogate.masks()
+            self.H, self.sigma2, self.offsets = surrogate.H, surrogate.sigma2, surrogate.offset
+            t_vecs = np.stack([_vec(T_k, self.basis) for T_k in surrogate.T])
+            self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
+                                               0.0).reshape(m, self.qdim)
+            # Hessian groups (rows, first block) in order of first occurrence:
+            # blocks 1..K add both groups' curvature, in this order
+            probe = self.mask[:, 0] > 0
+            self.groups = [(np.flatnonzero(probe == p), 0 if p else 1)
+                           for p in dict.fromkeys(probe.tolist())]
+            n_r = self.H.shape[1]
+            self.eye_S = np.broadcast_to(np.eye(n_r, dtype=complex), (m, n_r, n_r))
+            self.epi_col = -np.ones((m, 1))
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -352,8 +329,7 @@ class _BarrierSolver:
         power_slack = self.P_T - float(np.einsum("kii->", Q).real)
         if power_slack <= 0:
             return None
-        m = len(self.constraints)
-        if m:
+        if self.m:
             S = metrics.receiver_covariance(self.H, self.mask, Q, self.sigma2)
             try:
                 cholS, logdets = metrics.chol_log2det(S)
@@ -420,7 +396,7 @@ class _BarrierSolver:
         np.einsum("kakb->kab", blocks)[...] += _psd_cores(Qinv, self.basis)
         grad += self.gP / power_slack
 
-        m = len(self.constraints)
+        m = self.m
         if m:
             invS_chol = np.linalg.solve(cholS, self.eye_S)
             Sinv = np.einsum("mji,mjl->mil", invS_chol.conj(), invS_chol)
@@ -434,13 +410,13 @@ class _BarrierSolver:
                 gcon = np.hstack([gcon, self.epi_col])
             gcon = gcon - self.lin
             grad += (1.0 / h) @ gcon
-            # log-det curvature, grouped by identical involvement pattern
+            # log-det curvature, one sub-block per group
             cores = _psd_cores(M, self.basis) / LN2          # (m, bd, bd)
-            for idx, lo, hi in self.groups:
+            for idx, lo in self.groups:
                 core_sum = np.tensordot(1.0 / h[idx], cores[idx], axes=(0, 0))
-                sl = slice(lo * bd, hi * bd)
+                span = self.n_blocks - lo
                 # splitting the axes of a slice keeps it a view of hess
-                view = hess[sl, sl].reshape(hi - lo, bd, hi - lo, bd)
+                view = hess[lo * bd:self.qdim, lo * bd:self.qdim].reshape(span, bd, span, bd)
                 view += core_sum[None, :, None, :]
             hess += np.matmul(gcon.T, (1.0 / h ** 2)[:, None] * gcon, out=scratch)
         return self._value(z, t, ev), grad, hess
@@ -516,41 +492,40 @@ class _BarrierSolver:
         raise SolverError("barrier path following exhausted its stage budget")
 
 
-def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
-                       Q_start, gap_tol: float | None = None,
-                       warm: bool = False) -> tuple[GramSet, dict]:
+def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T: float,
+                       Q_start: np.ndarray, gap_tol: float | None = None,
+                       warm: bool = False) -> tuple[np.ndarray, dict]:
     """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
 
     ``Q_start`` must be strictly feasible (Slater point).  The barrier path
     starts at weight max(1, 1/P_T); with ``warm``, Q_start is the center of
     the previous surrogate at the final weight and the path is the last
     rungs below nu/gap_tol, from t0 = nu/gap_tol/mu^2 (a warm
-    ``_BarrierSolver.solve``).  With no rate constraints the optimum is
-    closed-form: all power on the top eigvector of the weight.  Returns the
-    Gram set and a diagnostics dict with the objective, the power slack, and
-    a stationarity residual of the final barrier center (KKT certificate;
-    inf when its Newton system is singular).
+    ``_BarrierSolver.solve``).  With no rate constraints (``surrogate`` None)
+    the optimum is closed-form: all power on the top eigvector of the
+    weight.  Returns the Gram stack and a diagnostics dict with the
+    objective, the power slack, and a stationarity residual of the final
+    barrier center (KKT certificate; inf when its Newton system is singular).
     """
     if P_T < 0:
         raise ValueError("power budget must be >= 0")
     n = weight.shape[0]
-    Q0 = np.asarray(getattr(Q_start, "Q", Q_start))
-    n_blocks = Q0.shape[0]
+    n_blocks = Q_start.shape[0]
     if P_T == 0.0:
-        Q = GramSet(Q=np.zeros((n_blocks, n, n), dtype=complex))
+        Q = np.zeros((n_blocks, n, n), dtype=complex)
         return Q, {"objective": 0.0, "power_slack": 0.0, "kkt_residual": 0.0}
-    if not constraints:
-        _, grams = _closed_form(weight, P_T, n_blocks)
-        obj = float(np.trace(weight @ grams.Q[0]).real)
-        return grams, {"objective": obj, "power_slack": 0.0, "kkt_residual": 0.0}
+    if surrogate is None:
+        _, Q = _closed_form(weight, P_T, n_blocks)
+        obj = float(np.trace(weight @ Q[0]).real)
+        return Q, {"objective": obj, "power_slack": 0.0, "kkt_residual": 0.0}
 
     scale = float(np.linalg.norm(weight, 2))
     if scale == 0.0:
         raise ValueError("objective weight is zero")
-    solver = _BarrierSolver(weight / scale, constraints, P_T, n, n_blocks)
+    solver = _BarrierSolver(weight / scale, surrogate, P_T, n, n_blocks)
     if gap_tol is None:
         gap_tol = 1e-6 * P_T
-    z0 = solver.pack(Q0)
+    z0 = solver.pack(Q_start)
     t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2) if warm else max(1.0, 1.0 / P_T)
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
@@ -563,43 +538,40 @@ def inner_convex_solve(weight: np.ndarray, constraints, P_T: float,
             decrement = math.inf
     Q = solver.unpack(z)
     Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
-    grams = GramSet(Q=Q)
     info = {
         "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
-        "power_slack": P_T - grams.power(),
+        "power_slack": P_T - float(np.trace(Q.sum(axis=0)).real),
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * scale,
     }
-    return grams, info
+    return Q, info
 
 
 # ---------------------------------------------------------------------------
 # recovery, feasibility phase, SCA loop
 # ---------------------------------------------------------------------------
 
-def recover_beamformers(Q, L: int) -> BeamformerSet:
-    """Best rank-L beamformers from the Grams by eigen-truncation."""
-    arr = np.asarray(getattr(Q, "Q", Q))
-    n_blocks, n, _ = arr.shape
+def recover_beamformers(Q: np.ndarray, L: int) -> BeamformerSet:
+    """Best rank-L beamformers from the Gram stack by eigen-truncation."""
+    n_blocks, n, _ = Q.shape
     W = np.zeros((n_blocks, n, L), dtype=complex)
     for i in range(n_blocks):
-        w, V = np.linalg.eigh(0.5 * (arr[i] + arr[i].conj().T))
+        w, V = np.linalg.eigh(0.5 * (Q[i] + Q[i].conj().T))
         order = np.argsort(w)[::-1][:L]
         vals = np.clip(w[order], 0.0, None)
         W[i] = V[:, order] * np.sqrt(vals)[None, :]
     return BeamformerSet(W=W)
 
 
-def uniform_gram(cfg: ScenarioConfig) -> GramSet:
-    """Uniform-power strictly interior starting point."""
+def uniform_gram(cfg: ScenarioConfig) -> np.ndarray:
+    """Uniform-power strictly interior starting point, a (K+1, N_t, N_t) Gram stack."""
     scale = cfg.P_T / ((cfg.K + 1) * cfg.N_t) * (1.0 - 1e-9)
-    Q = np.stack([scale * np.eye(cfg.N_t, dtype=complex) for _ in range(cfg.K + 1)])
-    return GramSet(Q=Q)
+    return np.stack([scale * np.eye(cfg.N_t, dtype=complex) for _ in range(cfg.K + 1)])
 
 
 def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
-                     max_rounds: int = 25) -> GramSet:
+                     max_rounds: int = 25) -> np.ndarray:
     """Strictly feasible Grams for the rate constraints, or InfeasibleStartError.
 
     Phase 1: starting from uniform power, repeatedly maximize the minimum
@@ -607,26 +579,26 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
     machinery) until every exact slack is strictly positive.
     """
     b = np.asarray(b)
-    grams = uniform_gram(cfg)
+    Q = uniform_gram(cfg)
     if cfg.R_th <= 0:
-        return grams
+        return Q
     margin = 1e-9 * max(cfg.R_th, 1.0)
     best_slack = -np.inf
     for _ in range(max_rounds):
-        slack = float(metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
+        slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if slack > margin:
-            return grams
-        constraints = sca_linearize(b, grams, channels.H_comm, cfg.sigma2, cfg.R_th)
-        solver = _BarrierSolver(np.eye(cfg.N_t), constraints, cfg.P_T, cfg.N_t,
+            return Q
+        surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
+        solver = _BarrierSolver(np.eye(cfg.N_t), surrogate, cfg.P_T, cfg.N_t,
                                 cfg.K + 1, epigraph=True)
         # the surrogates are tight at the anchor: their minimum is this slack
-        z0 = solver.pack(grams.Q, s=slack - 1.0)
+        z0 = solver.pack(Q, s=slack - 1.0)
         z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
         Q = solver.unpack(z)
-        grams = GramSet(Q=0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
-        new_slack = float(metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
+        Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
+        new_slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if new_slack > margin:
-            return grams
+            return Q
         if new_slack <= best_slack + 1e-10:
             break
         best_slack = new_slack
@@ -634,28 +606,37 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
         f"rate threshold {cfg.R_th} bit/s/Hz unreachable within the power budget")
 
 
-def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndarray, GramSet]:
+def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimum without rate constraints: all power on the weight's top eigenvector v.
 
-    Returns v and the Gram set whose probe block is P_T v v^H.
+    Returns v and the Gram stack whose probe block is P_T v v^H.
     """
     v = np.linalg.eigh(weight)[1][:, -1]
     Q = np.zeros((n_blocks, v.size, v.size), dtype=complex)
     Q[0] = P_T * np.outer(v, v.conj())
-    return v, GramSet(Q=Q)
+    return v, Q
 
 
 def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConfig,
                        notes: list[str], tol: float = 1e-6,
                        max_passes: int = 4) -> np.ndarray:
     """Bisect interferer power down (W_i -> a W_i, Q_i -> a^2 Q_i) when
-    eigen-truncation broke a rate."""
+    eigen-truncation broke a rate.
+
+    Raises SolverError when a rate is still below R_th - tol after
+    ``max_passes`` passes: the bisection may have scaled another receiver's
+    own stream away.
+    """
     Q = metrics.grams(W)
-    for _ in range(max_passes):
+    for passes in range(max_passes + 1):
         rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
         bad = np.flatnonzero(rates < cfg.R_th - tol)
         if bad.size == 0:
             return W
+        if passes == max_passes:
+            k = int(np.argmin(rates))
+            raise SolverError(f"receiver {k} keeps rate {rates[k]:.6g} bit/s/Hz below "
+                              f"R_th = {cfg.R_th} after {max_passes} interferer rescales")
         k = int(bad[0])
         interf = np.flatnonzero(metrics.interference_mask(b)[k])
         lo, hi = 0.0, 1.0
@@ -670,11 +651,10 @@ def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConf
         W[interf] *= lo
         Q[interf] *= lo ** 2
         notes.append(f"rescaled interferers of receiver {k} by {lo:.6f} after rank truncation")
-    return W
 
 
 def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConstants,
-                 init: GramSet | None = None, max_iters: int = 50,
+                 init: np.ndarray | None = None, max_iters: int = 50,
                  tol: float = 1e-6, inner_gap: float | None = None,
                  objective_weight: np.ndarray | None = None) -> tuple[BeamformerSet, ScaTrace]:
     """Optimize the beamformers for a fixed selection b.
@@ -683,7 +663,10 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     objective gain drops below ``tol``.  The trace records, per accepted
     iterate, the equivalent linear objective, the CRB, and the maximum
     exact-constraint violation (which stays at 0 by construction of the
-    inner approximation).
+    inner approximation).  ``init`` is a strictly feasible Gram stack to
+    start from in place of ``feasibility_init``'s.  With L < N_t a rate that
+    eigen-truncation breaks and ``_rescale_for_rates`` cannot restore raises
+    SolverError.
 
     ``objective_weight`` overrides the sensing weight built from b; the
     mono-static proxy uses it to optimize for a virtual receiver while the
@@ -697,29 +680,30 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
               else build_objective_weight(b, consts, channels, cfg))
 
     if cfg.R_th <= 0:
-        v, grams = _closed_form(weight, cfg.P_T, cfg.K + 1)
+        v, Q = _closed_form(weight, cfg.P_T, cfg.K + 1)
         W = np.zeros((cfg.K + 1, cfg.N_t, cfg.L), dtype=complex)
         W[0][:, 0] = math.sqrt(cfg.P_T) * v
-        obj = float(np.trace(weight @ grams.total()).real)
+        obj = float(np.trace(weight @ Q.sum(axis=0)).real)
         trace.iterations.append((obj, 1.0 / obj, 0.0))
         trace.converged = True
         trace.reason = "tolerance"
         return BeamformerSet(W=W), trace
 
     try:
-        grams = init if init is not None else feasibility_init(b, cfg, channels)
+        Q = init if init is not None else feasibility_init(b, cfg, channels)
     except InfeasibleStartError:
         trace.converged = False
         trace.reason = "infeasible-start"
         raise
 
-    def describe(g: GramSet) -> tuple[float, float, float]:
-        obj = float(np.trace(weight @ g.total()).real)
-        rates = metrics.rate(b, g.Q, channels.H_comm, cfg.sigma2)
-        viol = max(0.0, float(cfg.R_th - rates.min()), g.power() - cfg.P_T)
+    def describe(Q: np.ndarray) -> tuple[float, float, float]:
+        total = Q.sum(axis=0)
+        obj = float(np.trace(weight @ total).real)
+        rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
+        viol = max(0.0, float(cfg.R_th - rates.min()), float(np.trace(total).real) - cfg.P_T)
         return obj, 1.0 / obj, viol
 
-    obj_prev = float(np.trace(weight @ grams.total()).real)
+    obj_prev = float(np.trace(weight @ Q.sum(axis=0)).real)
     reason = "max-iters"
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
@@ -730,17 +714,16 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # first rung with nu/t <= gap, is the same to the bit.
     warm = False
     for _ in range(max_iters):
-        constraints = sca_linearize(b, grams, channels.H_comm, cfg.sigma2, cfg.R_th)
-        new_grams, info = inner_convex_solve(weight, constraints, cfg.P_T, grams,
-                                             gap_tol=gap, warm=warm)
+        surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
+        Q_new, info = inner_convex_solve(weight, surrogate, cfg.P_T, Q, gap_tol=gap, warm=warm)
         warm = True
-        obj_new = float(np.trace(weight @ new_grams.total()).real)
+        obj_new = float(np.trace(weight @ Q_new.sum(axis=0)).real)
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor
             reason = "tolerance"
             break
-        grams = new_grams
-        trace.iterations.append(describe(grams))
+        Q = Q_new
+        trace.iterations.append(describe(Q))
         if obj_new - obj_prev <= tol * max(abs(obj_prev), 1e-300):
             reason = "tolerance"
             obj_prev = obj_new
@@ -749,9 +732,9 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     trace.converged = reason == "tolerance"
     trace.reason = reason
     if not trace.iterations:
-        trace.iterations.append(describe(grams))
+        trace.iterations.append(describe(Q))
 
-    W = recover_beamformers(grams, cfg.L).W
+    W = recover_beamformers(Q, cfg.L).W
     if cfg.L < cfg.N_t:
         W = _rescale_for_rates(W, b, channels, cfg, trace.notes)
     return BeamformerSet(W=W), trace

@@ -32,7 +32,6 @@ import numpy as np
 from scipy import optimize
 
 from . import rng as rngmod
-from . import metrics
 from .channel import ChannelSet
 from .metrics import pulse_waveform
 from .scenario import SPEED_OF_LIGHT, Layout, ScenarioConfig, wrap_angle
@@ -187,6 +186,17 @@ def matched_filter(block: SampledBlock, grid: DelayDopplerGrid,
     return DelayDopplerEstimate(tau_hat=tau_hat, f_hat=f_hat, score=score)
 
 
+def matched_filter_error(block: SampledBlock, grid: DelayDopplerGrid, b) -> float:
+    """Squared delay + Doppler error of the matched filter, summed over the
+    selected receivers (samples^2 + cycles-per-sample^2, the CRB's units)."""
+    err = 0.0
+    for k in np.flatnonzero(b):
+        est = matched_filter(block, grid, k=int(k))
+        err += float((est.tau_hat - block.tau_tilde[k]) ** 2)
+        err += float((est.f_hat - block.f_tilde[k]) ** 2)
+    return err
+
+
 # ---------------------------------------------------------------------------
 # localization inversion
 # ---------------------------------------------------------------------------
@@ -248,8 +258,10 @@ def doa_candidates(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> tupl
     return (theta, -theta)
 
 
-def invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> float:
-    """Target->RE distance from the bearing and the path delay.
+def invert_distance(theta: float, tau_k: float, layout: Layout,
+                    k: int) -> tuple[float, float]:
+    """Target->RE distance from the bearing and the path delay, and its
+    conditioning |denominator| / (c tau).
 
     Law-of-cosines inversion in the TR / target / RE triangle:
 
@@ -257,15 +269,8 @@ def invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> float
             / (2 c tau - 2 d_bk cos(theta - vartheta_k))
 
     with vartheta_k the TR->RE bearing.  A receiver co-located with the TR
-    reduces to the mono-static d = c tau / 2.
-    """
-    return _invert_distance(theta, tau_k, layout, k)[0]
-
-
-def _invert_distance(theta: float, tau_k: float, layout: Layout, k: int) -> tuple[float, float]:
-    """invert_distance plus its conditioning |denominator| / (c tau).
-
-    Rounding in the numerator reaches d amplified by about c tau / |denominator|.
+    reduces to the mono-static d = c tau / 2.  Rounding in the numerator
+    reaches d amplified by about c tau / |denominator|.
     """
     if tau_k <= 0:
         raise ValueError("delay must be > 0")
@@ -323,8 +328,8 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     last_err: Exception | None = None
     for theta in candidates:
         try:
-            d_k, cond_k = _invert_distance(theta, tau_k, layout, k)
-            d_kp, cond_kp = _invert_distance(theta, tau_kp, layout, kp)
+            d_k, cond_k = invert_distance(theta, tau_k, layout, k)
+            d_kp, cond_kp = invert_distance(theta, tau_kp, layout, kp)
             pos_k = estimate_position(k, d_k, phi_k, layout)
             pos_kp = estimate_position(kp, d_kp, phi_kp, layout)
         except (DegenerateTriangleError, ValueError) as exc:
@@ -343,54 +348,3 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
         raise DegenerateTriangleError(
             f"no bearing candidate produced a consistent fix: {last_err}")
     return best
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo MSE harness
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MseReport:
-    mse: float          # sum over selected REs of delay^2 + Doppler^2 errors
-    stderr: float
-    crb: float
-    per_trial: np.ndarray
-
-
-def mse_harness(cfg: ScenarioConfig, layout: Layout, channels: ChannelSet, W, b,
-                trials: int, grid: DelayDopplerGrid, seed: int,
-                truths=None, min_trials: int = 100) -> MseReport:
-    """Monte-Carlo matched-filter MSE against the closed-form CRB.
-
-    Truths default to fresh draws per trial: integer delays uniform on the
-    grid window and normalized Dopplers uniform inside the Doppler raster
-    (generic off-grid values).  MSE and CRB share the normalized units
-    (samples^2 + cycles-per-sample^2, summed over the selected receivers).
-    """
-    if trials < min_trials:
-        raise ValueError(f"need at least {min_trials} trials")
-    b = np.asarray(b)
-    selected = np.flatnonzero(b)
-    if selected.size == 0:
-        raise ValueError("need at least one selected receiver")
-    geom = channels.geom
-    consts_report = metrics.crb(b, W, metrics.fim_constants(cfg, geom), channels, cfg)
-    errors = np.zeros(trials)
-    for t in range(trials):
-        if truths is None:
-            gen_t = rngmod.substream(seed, rngmod.DOMAIN_TRUTH, t)
-            taus = gen_t.integers(grid.tau_min, grid.tau_max + 1, size=cfg.K)
-            freqs = gen_t.uniform(-grid.f_max, grid.f_max, size=cfg.K)
-            trial_truths = list(zip(taus.tolist(), freqs.tolist()))
-        else:
-            trial_truths = truths
-        block = synthesize_block(cfg, channels, W, trial_truths, seed=seed, trial=t)
-        err = 0.0
-        for k in selected:
-            est = matched_filter(block, grid, k=int(k))
-            err += (est.tau_hat - block.tau_tilde[k]) ** 2
-            err += (est.f_hat - block.f_tilde[k]) ** 2
-        errors[t] = err
-    mse = float(errors.mean())
-    stderr = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MseReport(mse=mse, stderr=stderr, crb=consts_report.crb, per_trial=errors)

@@ -355,12 +355,8 @@ def _mf_row(cfg, layout, seed, trial, grid) -> dict:
     block = estimation.synthesize_block(
         cfg, channels, W, list(zip(taus.tolist(), freqs.tolist())),
         seed=seed, trial=trial)
-    err = 0.0
-    for k in np.flatnonzero(b):
-        est = estimation.matched_filter(block, grid, k=int(k))
-        err += float((est.tau_hat - block.tau_tilde[k]) ** 2)
-        err += float((est.f_hat - block.f_tilde[k]) ** 2)
-    return dict(_summary(cfg, layout, channels, consts, b, W, trace), mse=err)
+    return dict(_summary(cfg, layout, channels, consts, b, W, trace),
+                mse=estimation.matched_filter_error(block, grid, b))
 
 
 def _roundtrip_row(cfg, layout, seed, trial, _arg) -> dict:

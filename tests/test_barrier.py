@@ -16,12 +16,12 @@ def solver_at(n, epigraph):
     cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=n, R_th=0.0)
     b = np.array([1, 1, 0])
     anchor = uniform_gram(cfg)
-    cons = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+    surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     weight = bf.build_objective_weight(b, consts, channels, cfg)
-    solver = _BarrierSolver(weight / np.linalg.norm(weight, 2), cons, cfg.P_T, n,
+    solver = _BarrierSolver(weight / np.linalg.norm(weight, 2), surrogate, cfg.P_T, n,
                             cfg.K + 1, epigraph=epigraph)
-    Q = 0.5 * anchor.Q
-    s = min(c.value(Q) for c in cons) - 1.0
+    Q = 0.5 * anchor
+    s = surrogate.slack(Q).min() - 1.0
     return solver, solver.pack(Q, s=s)
 
 
@@ -55,16 +55,6 @@ def test_grad_hess_matches_central_differences(n, epigraph):
     assert rel_err(fd_hess, -hess) <= 1e-6
 
 
-def test_non_contiguous_involvement_rejected():
-    solver, _ = solver_at(2, False)
-    con = solver.constraints[0]
-    gapped = bf.LinearizedRateConstraint(k=con.k, H=con.H, involved=(0, 2, 3),
-                                         own=con.own, T=con.T, offset=con.offset,
-                                         sigma2=con.sigma2)
-    with pytest.raises(ValueError, match="contiguous"):
-        _BarrierSolver(np.eye(2), [gapped], 1.0, 2, 4)
-
-
 def random_hermitian(rng, m, n):
     A = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
     return A + np.conj(np.transpose(A, (0, 2, 1)))
@@ -95,7 +85,7 @@ def test_kernels_match_einsum_definitions(n):
                                    rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(bf._psd_cores(Xs, basis), psd_cores_ref(Xs, basis),
                                rtol=1e-12, atol=1e-12)
-    solver = _BarrierSolver(np.eye(n), [], 1.0, n, 5)
+    solver = _BarrierSolver(np.eye(n), None, 1.0, n, 5)
     z = rng.standard_normal(solver.dim)
     np.testing.assert_allclose(solver.unpack(z),
                                unpack_ref(z.reshape(5, n * n), basis),
@@ -108,13 +98,13 @@ def certificate_scene():
     b = np.array([1, 1, 1])
     weight = bf.build_objective_weight(b, consts, channels, cfg)
     anchor = feasibility_init(b, cfg, channels)
-    cons = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-    return weight, cons, cfg.P_T, anchor
+    surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+    return weight, surrogate, cfg.P_T, anchor
 
 
 @pytest.mark.parametrize("max_newton", [200, 1])
 def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_newton):
-    weight, cons, P_T, anchor = certificate_scene()
+    weight, surrogate, P_T, anchor = certificate_scene()
     calls = []
     center = _BarrierSolver.center
 
@@ -124,7 +114,7 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
         return out
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
-    _, info = inner_convex_solve(weight, cons, P_T, anchor)
+    _, info = inner_convex_solve(weight, surrogate, P_T, anchor)
     solver, t, (z, decrement) = calls[-1]
     # a full solve stops on the decrement test; one Newton step leaves it unmet
     assert (decrement is None) == (max_newton == 1)
@@ -136,7 +126,7 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
 def test_certificate_of_a_singular_newton_system(monkeypatch):
     """A final stage that stops short at a point whose Newton system is
     singular reports an infinite residual instead of raising."""
-    weight, cons, P_T, anchor = certificate_scene()
+    weight, surrogate, P_T, anchor = certificate_scene()
     grad_hess = _BarrierSolver.grad_hess
 
     def singular(self, z, t, ev=None):
@@ -145,35 +135,35 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
 
     monkeypatch.setattr(_BarrierSolver, "grad_hess", singular)
     monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
-    grams, info = inner_convex_solve(weight, cons, P_T, anchor)
+    grams, info = inner_convex_solve(weight, surrogate, P_T, anchor)
     assert info["kkt_residual"] == np.inf
-    np.testing.assert_allclose(grams.Q, anchor.Q, rtol=0, atol=1e-15 * P_T)
+    np.testing.assert_allclose(grams, anchor, rtol=0, atol=1e-15 * P_T)
 
 
 def surrogate_pair(iterations):
     """The certificate scene's SCA surrogate after ``iterations`` solves, and its anchor."""
-    weight, cons, P_T, anchor = certificate_scene()
+    weight, surrogate, P_T, anchor = certificate_scene()
     cfg, _, channels, _ = make_scene(K=3, seed=7)
     for _ in range(iterations):
-        anchor, _ = inner_convex_solve(weight, cons, P_T, anchor)
-        cons = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-    return weight, cons, P_T, anchor, 1e-6 * P_T
+        anchor, _ = inner_convex_solve(weight, surrogate, P_T, anchor)
+        surrogate = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+    return weight, surrogate, P_T, anchor, 1e-6 * P_T
 
 
-def cold_solve(weight, cons, P_T, anchor, gap):
+def cold_solve(weight, surrogate, P_T, anchor, gap):
     """The full ladder from the anchor at a warm solve's t0 = nu/gap/30^2:
     (Hermitian Grams, gap bound, t0)."""
     scale = np.linalg.norm(weight, 2)
-    solver = _BarrierSolver(weight / scale, cons, P_T, weight.shape[0], anchor.Q.shape[0])
+    solver = _BarrierSolver(weight / scale, surrogate, P_T, weight.shape[0], anchor.shape[0])
     t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
-    z, t, _ = solver.solve(solver.pack(anchor.Q), gap_tol=gap, t0=t0)
+    z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * scale, t0
 
 
 def warm_and_cold(monkeypatch, iterations):
-    weight, cons, P_T, anchor, gap = surrogate_pair(iterations)
-    cold = cold_solve(weight, cons, P_T, anchor, gap)
+    weight, surrogate, P_T, anchor, gap = surrogate_pair(iterations)
+    cold = cold_solve(weight, surrogate, P_T, anchor, gap)
     calls = []
     center = _BarrierSolver.center
 
@@ -183,7 +173,7 @@ def warm_and_cold(monkeypatch, iterations):
         return out
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
-    warm = inner_convex_solve(weight, cons, P_T, anchor, gap_tol=gap, warm=True)
+    warm = inner_convex_solve(weight, surrogate, P_T, anchor, gap_tol=gap, warm=True)
     return weight, cold, warm, calls
 
 
@@ -204,7 +194,7 @@ def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
     _, (cold_Q, cold_gap, t0), (warm_grams, warm), calls = warm_and_cold(monkeypatch, 1)
     assert calls[0][0] == t0 * 30.0 and calls[0][1] is None
     assert calls[1][0] == t0
-    np.testing.assert_array_equal(warm_grams.Q, cold_Q)
+    np.testing.assert_array_equal(warm_grams, cold_Q)
     assert warm["gap_bound"] == cold_gap
 
 

@@ -27,32 +27,30 @@ class TestLinearize:
         Q = random_gram(rng, 4, 2, cfg.P_T)
         b = np.array([1, 0, 1])
         rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
-        for k, con in enumerate(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)):
-            assert con.value(Q) == pytest.approx(rates[k] - cfg.R_th, abs=1e-9)
+        surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
+        np.testing.assert_allclose(surrogate.slack(Q), rates - cfg.R_th, rtol=0, atol=1e-9)
 
     def test_inner_bound(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=2)
         rng = np.random.default_rng(1)
         Q_bar = random_gram(rng, 4, 2, cfg.P_T)
         b = np.array([1, 1, 0])
-        cons = sca_linearize(b, Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
+        surrogate = sca_linearize(b, Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
         for trial in range(20):
             Q = random_gram(rng, 4, 2, cfg.P_T * rng.uniform(0.2, 1.0))
             rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
-            for k, con in enumerate(cons):
-                surrogate = con.value(Q) + cfg.R_th
-                assert surrogate <= rates[k] + 1e-9
+            assert np.all(surrogate.slack(Q) + cfg.R_th <= rates + 1e-9)
 
     def test_scalar_single_user_is_exact(self):
         cfg, layout, channels, consts = make_scene(K=1, seed=3, N_t=1, N_r=1, L=1)
         rng = np.random.default_rng(2)
         Q_bar = random_gram(rng, 2, 1, cfg.P_T)
-        con, = sca_linearize(np.array([1]), Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
+        surrogate = sca_linearize(np.array([1]), Q_bar, channels.H_comm, cfg.sigma2, cfg.R_th)
         q = 0.37
         Q = np.zeros((2, 1, 1), dtype=complex)
         Q[1, 0, 0] = q
         h2 = abs(channels.H_comm[0][0, 0]) ** 2
-        assert con.value(Q) == pytest.approx(
+        assert surrogate.slack(Q)[0] == pytest.approx(
             math.log2(1 + h2 * q / cfg.sigma2) - cfg.R_th, abs=1e-12)
 
 
@@ -60,17 +58,17 @@ class TestInnerSolve:
     def test_unconstrained_top_eigendirection(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=4)
         weight = bf.build_objective_weight(np.array([1, 1]), consts, channels, cfg)
-        grams, info = inner_convex_solve(weight, [], cfg.P_T, uniform_gram(cfg))
+        Q, info = inner_convex_solve(weight, None, cfg.P_T, uniform_gram(cfg))
         w, V = np.linalg.eigh(weight)
         expected = cfg.P_T * np.outer(V[:, -1], V[:, -1].conj())
-        np.testing.assert_allclose(grams.total(), expected, atol=1e-12)
+        np.testing.assert_allclose(Q.sum(axis=0), expected, atol=1e-12)
         assert info["objective"] == pytest.approx(cfg.P_T * w[-1], rel=1e-12)
 
     def test_zero_power(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=4)
         weight = np.eye(2)
-        grams, info = inner_convex_solve(weight, [], 0.0, uniform_gram(cfg))
-        assert grams.power() == 0.0
+        Q, info = inner_convex_solve(weight, None, 0.0, uniform_gram(cfg))
+        assert np.trace(Q.sum(axis=0)).real == 0.0
 
     def test_scalar_grid_oracle(self):
         # K = 1, scalar channels, one exact rate constraint: the solution
@@ -80,8 +78,8 @@ class TestInnerSolve:
         h2 = abs(channels.H_comm[0][0, 0]) ** 2
         weight = bf.build_objective_weight(np.array([1]), consts, channels, cfg)
         anchor = uniform_gram(cfg)
-        cons = sca_linearize(np.array([1]), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-        grams, info = inner_convex_solve(weight, cons, cfg.P_T, anchor)
+        surrogate = sca_linearize(np.array([1]), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        Q, info = inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
         # brute force: rate needs q_user >= q_min; objective is total power
         q_min = (2.0 ** cfg.R_th - 1.0) * cfg.sigma2 / h2
         best = -np.inf
@@ -90,26 +88,26 @@ class TestInnerSolve:
             val = w00 * cfg.P_T  # all remaining power goes to the probe
             best = max(best, val)
         assert info["objective"] == pytest.approx(best, rel=1e-4)
-        assert metrics.rate(np.array([1]), grams.Q, channels.H_comm,
+        assert metrics.rate(np.array([1]), Q, channels.H_comm,
                             cfg.sigma2)[0] >= cfg.R_th - 1e-8
 
     def test_infeasible_start_raises(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=6, R_th=5.0)
         weight = bf.build_objective_weight(np.array([1, 1]), consts, channels, cfg)
         anchor = uniform_gram(cfg)
-        cons = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, 50.0)
+        surrogate = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, 50.0)
         with pytest.raises(InfeasibleStartError):
-            inner_convex_solve(weight, cons, cfg.P_T, anchor)
+            inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
 
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         weight = bf.build_objective_weight(np.array([1, 1, 1]), consts, channels, cfg)
         anchor = feasibility_init(np.array([1, 1, 1]), cfg, channels)
-        cons = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-        grams, info = inner_convex_solve(weight, cons, cfg.P_T, anchor)
+        surrogate = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        Q, info = inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
         assert info["kkt_residual"] < 1e-5
-        assert all(c.value(grams.Q) > 0 for c in cons)
-        assert grams.power() <= cfg.P_T + 1e-8
+        assert np.all(surrogate.slack(Q) > 0)
+        assert np.trace(Q.sum(axis=0)).real <= cfg.P_T + 1e-8
 
 
 class TestRecovery:
@@ -135,9 +133,9 @@ class TestRecovery:
 class TestFeasibilityInit:
     def test_zero_threshold_uniform(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=8, R_th=0.0)
-        grams = feasibility_init(np.array([1, 0, 0]), cfg, channels)
+        Q = feasibility_init(np.array([1, 0, 0]), cfg, channels)
         expected = cfg.P_T / (4 * 2) * (1 - 1e-9)
-        np.testing.assert_allclose(grams.Q[0], expected * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(Q[0], expected * np.eye(2), atol=1e-15)
 
     def test_huge_threshold_infeasible(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=9, R_th=1e3, P_T=1e-3)
@@ -147,9 +145,11 @@ class TestFeasibilityInit:
     def test_moderate_threshold_feasible(self):
         cfg, layout, channels, consts = make_scene(K=4, seed=10, R_th=0.25)
         b = np.array([1, 1, 0, 0])
-        grams = feasibility_init(b, cfg, channels)
-        assert metrics.rate(b, grams.Q, channels.H_comm, cfg.sigma2).min() >= cfg.R_th
-        grams.check()
+        Q = feasibility_init(b, cfg, channels)
+        assert metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min() >= cfg.R_th
+        # every Gram block is PSD up to rounding relative to its trace
+        for Qi in Q:
+            assert np.linalg.eigvalsh(Qi).min() >= -1e-9 * max(np.trace(Qi).real, 1e-300)
 
 
 class TestScaOptimize:
@@ -179,11 +179,33 @@ class TestScaOptimize:
         cfg, layout, channels, consts = make_scene(K=4, seed=30, R_th=0.25)
         b = np.array([1, 0, 1, 0])
         init = feasibility_init(b, cfg, channels)
-        crb0 = metrics.crb_from_gram(b, init.total(), consts, channels, cfg).crb
+        crb0 = metrics.crb_from_gram(b, init.sum(axis=0), consts, channels, cfg).crb
         W, trace = sca_optimize(b, cfg, channels, consts, init=init)
         crb1 = metrics.crb(b, W, consts, channels, cfg).crb
         assert crb1 <= crb0
         assert trace.iterations[-1][1] == pytest.approx(crb1, rel=1e-6)
+
+    def test_rescale_restores_the_rates(self):
+        # L = 1 < N_t: eigen-truncation breaks receiver 2's rate and one
+        # interferer rescale restores it
+        cfg, layout, channels, consts = make_scene(K=3, seed=4, N_t=3, N_r=2, L=1, R_th=0.5)
+        b = np.array([1, 1, 0])
+        W, trace = sca_optimize(b, cfg, channels, consts, tol=1e-4)
+        assert any(note.startswith("rescaled interferers") for note in trace.notes)
+        rates = metrics.rate(b, metrics.grams(W), channels.H_comm, cfg.sigma2)
+        assert rates.min() >= cfg.R_th - 1e-6
+        objs = [it[0] for it in trace.iterations]
+        assert all(b2 >= b1 for b1, b2 in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize("K,seed,N_t", [(3, 3, 4), (4, 2, 3)])
+    def test_rescale_that_cannot_restore_a_rate_raises(self, K, seed, N_t):
+        # the bisection scales other receivers' own streams away with the
+        # interferers; the beamformers it leaves break the rate constraint
+        cfg, layout, channels, consts = make_scene(K=K, seed=seed, N_t=N_t, N_r=2, L=1,
+                                                   R_th=1.0)
+        b = np.array([1, 1] + [0] * (K - 2))
+        with pytest.raises(bf.SolverError, match="below R_th"):
+            sca_optimize(b, cfg, channels, consts)
 
     def test_needs_selection_without_weight(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=0)

@@ -8,8 +8,8 @@ from isacsim.estimation import (DegenerateAnglesError, DegenerateInputError,
                                 DegenerateTriangleError, DelayDopplerGrid,
                                 doa_candidates, estimate_position,
                                 invert_distance, invert_doa, localize,
-                                matched_filter, mse_harness, synthesize_block)
-from isacsim.metrics import pulse_waveform
+                                matched_filter, matched_filter_error, synthesize_block)
+from isacsim.metrics import crb, pulse_waveform
 from isacsim.scenario import (SPEED_OF_LIGHT, Layout, geometry_summary,
                               true_delay, true_doppler, wrap_angle)
 
@@ -181,13 +181,13 @@ class TestInvertDistance:
     def test_monostatic_limit(self):
         lay = self.layout2((0.0, 0.0))
         tau = 2e-6
-        assert invert_distance(0.3, tau, lay, 0) == pytest.approx(C * tau / 2)
+        assert invert_distance(0.3, tau, lay, 0)[0] == pytest.approx(C * tau / 2)
 
     def test_equilateral(self):
         lay = Layout(p_b=np.zeros(2), p_0=np.array([0.5, math.sqrt(3) / 2]),
                      p=np.array([[1.0, 0.0]]))
         tau = 2.0 / C
-        d = invert_distance(math.pi / 3, tau, lay, 0)
+        d = invert_distance(math.pi / 3, tau, lay, 0)[0]
         assert d == pytest.approx(1.0, rel=1e-12)
 
     def test_round_trip_random(self):
@@ -199,7 +199,7 @@ class TestInvertDistance:
                          p=rng.uniform(-80, 80, (1, 2)))
             geom = geometry_summary(lay, cfg)
             tau = true_delay(geom.d_b0, geom.d_0k[0])
-            d = invert_distance(geom.theta, tau, lay, 0)
+            d = invert_distance(geom.theta, tau, lay, 0)[0]
             assert d == pytest.approx(geom.d_0k[0], abs=1e-9)
 
     def test_degenerate_triangle(self):
@@ -267,20 +267,17 @@ class TestLocalize:
 
 
 class TestMseHarness:
+    """The matched-filter error of one trial, as the mf_vs_crb rows compute it."""
+
     def test_noiseless_on_grid_zero_mse(self):
         cfg, layout, channels, consts = make_scene(K=2, seed=8, sigma_c2=1e-30,
                                                    sigma_z2=1e-30)
         W = probe_only_w(cfg)
+        b = np.array([1, 1])
         grid = DelayDopplerGrid(tau_max=8, f_max=0.05, n_f=129)
         f_true = float(grid.freqs()[40])
-        report = mse_harness(cfg, layout, channels, W, np.array([1, 1]),
-                             trials=100, grid=grid, seed=3,
-                             truths=[(2, f_true), (5, f_true)])
-        assert report.mse == 0.0
-        assert report.crb > 0
-
-    def test_requires_minimum_trials(self):
-        cfg, layout, channels, consts = make_scene(K=1, seed=9)
-        with pytest.raises(ValueError):
-            mse_harness(cfg, layout, channels, probe_only_w(cfg), np.array([1]),
-                        trials=10, grid=DelayDopplerGrid(tau_max=4), seed=0)
+        for trial in range(100):
+            block = synthesize_block(cfg, channels, W, [(2, f_true), (5, f_true)],
+                                     seed=3, trial=trial)
+            assert matched_filter_error(block, grid, b) == 0.0
+        assert crb(b, W, consts, channels, cfg).crb > 0
