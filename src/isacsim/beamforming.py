@@ -207,12 +207,18 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
 
 # ratio of consecutive barrier weights on the path
 BARRIER_MU = 30.0
-# A warm barrier solve (see _BarrierSolver.solve) keeps its skipped first rung
-# only when the centering call there starts from a Newton decrement of at
-# most WARM_DECREMENT.  Past it, on small scenes with tight rates, Newton's
-# damped phase can crawl along a nearly active rate constraint for hundreds
-# of steps.
+# A warm barrier solve (see _BarrierSolver.solve) centers its anchor first at
+# the final weight, then at the rung below it, and keeps the first start that
+# certifies.  On small scenes with tight rates Newton's damped phase can crawl
+# along a nearly active rate constraint for hundreds of steps, so each start
+# gives up when its first Newton decrement exceeds its guard.
+# The rung below: a guard of 1e5 there let Newton crawl to max_newton.
 WARM_DECREMENT = 1e4
+# The final weight: 1e4 keeps too few starts (342 vs 305 steps per tradeoff row).
+WARM_FINAL_DECREMENT = 1e5
+# The final weight crawls to max_newton within its guard on 3 of 48 small scenes,
+# where a kept start takes at most 23 Newton steps.
+WARM_FINAL_NEWTON = 25
 
 
 class _BarrierSolver:
@@ -469,26 +475,35 @@ class _BarrierSolver:
         """Path following along t0 mu^k up to the first weight with nu/t <= gap_tol.
 
         Returns (z, t, decrement) of the final centering call (see ``center``).
-        ``warm`` says z0 is the center of a nearby problem at the final weight:
-        the path then starts at the second weight t0 mu, unless that is the
-        final one.  That start is kept only if its centering call certifies
-        from a first decrement of at most WARM_DECREMENT; otherwise the path
-        starts over from z0 at t0.
+        ``warm`` says z0 is the center of a nearby problem at the final weight
+        t0 mu^2: unless t0 mu is already final, the path then starts from z0
+        at t0 mu^2, and failing that at t0 mu.  Each start is kept only if its
+        centering call certifies: at t0 mu^2 from a first decrement of at most
+        WARM_FINAL_DECREMENT within WARM_FINAL_NEWTON steps, at t0 mu from a
+        first decrement of at most WARM_DECREMENT.  When neither is kept the
+        path starts over from z0 at t0.
         """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
-        t = t0
-        z = z0
+        t, z, decrement = t0, z0, None
         if warm and self.nu / (t0 * mu) > gap_tol:
-            z_up, decrement = self.center(z0, t0 * mu, tol=1e-6, max_first=WARM_DECREMENT)
-            if decrement is not None:
-                t, z = t0 * mu * mu, z_up
+            for t_start, guard in ((t0 * mu * mu, {"max_first": WARM_FINAL_DECREMENT,
+                                                    "max_newton": WARM_FINAL_NEWTON}),
+                                   (t0 * mu, {"max_first": WARM_DECREMENT})):
+                tol = 1e-9 if self.nu / t_start <= gap_tol else 1e-6
+                z_start, decrement = self.center(z0, t_start, tol=tol, **guard)
+                if decrement is not None:
+                    t, z = t_start, z_start
+                    break
+        # a decrement that is not None says z is already centered at t
         for _ in range(max_stages):
             final = self.nu / t <= gap_tol
-            z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
+            if decrement is None:
+                z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
             if final:
                 return z, t, decrement
             t *= mu
+            decrement = None
         raise SolverError("barrier path following exhausted its stage budget")
 
 
@@ -499,9 +514,10 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
 
     ``Q_start`` must be strictly feasible (Slater point).  The barrier path
     starts at weight max(1, 1/P_T); with ``warm``, Q_start is the center of
-    the previous surrogate at the final weight and the path is the last
-    rungs below nu/gap_tol, from t0 = nu/gap_tol/mu^2 (a warm
-    ``_BarrierSolver.solve``).  With no rate constraints (``surrogate`` None)
+    the previous surrogate at the final weight, and a warm
+    ``_BarrierSolver.solve`` from t0 = nu/gap_tol/mu^2 centers it straight at
+    the final weight t0 mu^2, else from t0 mu, else climbs the full path
+    from t0.  With no rate constraints (``surrogate`` None)
     the optimum is closed-form: all power on the top eigvector of the
     weight.  Returns the Gram stack and a diagnostics dict with the
     objective, the power slack, and a stationarity residual of the final
@@ -708,10 +724,12 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight, often nearly central for the next surrogate:
-    # a warm solve climbs t0 mu^k from t0 = nu/gap/mu^2 and skips its first
-    # rung when Newton's first decrement there is small (Boyd & Vandenberghe,
-    # Convex Optimization, sec. 11.3).  Either way the final weight, the
-    # first rung with nu/t <= gap, is the same to the bit.
+    # a warm solve on the path t0 mu^k, t0 = nu/gap/mu^2, centers the anchor
+    # straight at the final weight t0 mu^2, or failing that at t0 mu, when
+    # Newton's first decrement there is small, and climbs the full path
+    # otherwise (Boyd & Vandenberghe, Convex Optimization, secs. 9.6 and
+    # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
+    # the same to the bit.
     warm = False
     for _ in range(max_iters):
         surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isacsim import beamforming as bf, harness
+from isacsim import beamforming as bf, harness, metrics
 from isacsim.beamforming import (_BarrierSolver, feasibility_init, inner_convex_solve,
                                  sca_linearize, uniform_gram)
 
@@ -161,41 +161,112 @@ def cold_solve(weight, surrogate, P_T, anchor, gap):
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * scale, t0
 
 
-def warm_and_cold(monkeypatch, iterations):
-    weight, surrogate, P_T, anchor, gap = surrogate_pair(iterations)
-    cold = cold_solve(weight, surrogate, P_T, anchor, gap)
+def record_centering(monkeypatch):
+    """Count grad_hess calls (Newton steps) in ``steps[0]`` and record each
+    centering call in ``calls`` as (t, max_newton, steps used, decrement)."""
+    steps = [0]
     calls = []
-    center = _BarrierSolver.center
+    grad_hess, center = _BarrierSolver.grad_hess, _BarrierSolver.center
 
-    def recording(self, z, t, *args, **kwargs):
-        out = center(self, z, t, *args, **kwargs)
-        calls.append((t, out[1]))
+    def counting(self, *args, **kwargs):
+        steps[0] += 1
+        return grad_hess(self, *args, **kwargs)
+
+    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
+        before = steps[0]
+        out = center(self, z, t, tol, max_newton, **kwargs)
+        calls.append((t, max_newton, steps[0] - before, out[1]))
         return out
 
+    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
     monkeypatch.setattr(_BarrierSolver, "center", recording)
+    return steps, calls
+
+
+def warm_and_cold(monkeypatch, iterations):
+    """The cold ladder's (Grams, gap bound, t0), the warm solve's (Grams, info),
+    and the warm solve's centering calls as (t / t0, decrement, Newton steps)."""
+    weight, surrogate, P_T, anchor, gap = surrogate_pair(iterations)
+    cold = cold_solve(weight, surrogate, P_T, anchor, gap)
+    _, calls = record_centering(monkeypatch)
     warm = inner_convex_solve(weight, surrogate, P_T, anchor, gap_tol=gap, warm=True)
-    return weight, cold, warm, calls
+    return weight, cold, warm, [(t / cold[2], d, used) for t, _, used, d in calls]
 
 
-def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one(monkeypatch):
-    # after four SCA steps the anchor is close to the next surrogate's path
-    weight, (cold_Q, cold_gap, t0), (_, warm), calls = warm_and_cold(monkeypatch, 4)
-    assert calls[0][0] == t0 * 30.0 and calls[0][1] is not None
-    assert all(t > t0 for t, _ in calls)
+def assert_same_final_stage(weight, cold, warm):
+    """Same final weight as the cold ladder, the same center up to the
+    centering tolerance, and a certified decrement."""
+    cold_Q, cold_gap, _ = cold
     assert warm["gap_bound"] == cold_gap
     cold_objective = np.trace(weight @ cold_Q.sum(axis=0)).real
     assert 1.0 / warm["objective"] == pytest.approx(1.0 / cold_objective, rel=1e-8, abs=0)
     assert warm["kkt_residual"] <= 2e-9
 
 
+def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one(monkeypatch):
+    # after five SCA steps the anchor is nearly central at the final weight
+    # t0 30^2: one centering call there certifies, well within the cap
+    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 5)
+    assert len(calls) == 1
+    t, decrement, steps = calls[0]
+    assert t == 900.0 and decrement is not None and steps < bf.WARM_FINAL_NEWTON
+    assert_same_final_stage(weight, cold, warm)
+
+
+def test_warm_solve_drops_the_final_weight_for_the_rung_below(monkeypatch):
+    # four SCA steps in, the first decrement at the final weight is past
+    # WARM_FINAL_DECREMENT: the attempt stops there, and the rung below
+    # restarts from the anchor and certifies
+    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 4)
+    assert [(t, d is None) for t, d, _ in calls] == [(900.0, True), (30.0, False),
+                                                     (900.0, False)]
+    assert calls[0][2] == 1
+    assert_same_final_stage(weight, cold, warm)
+
+
+def test_warm_solve_falls_back_when_the_cap_cuts_the_final_weight(monkeypatch):
+    # the five-step anchor passes the final weight's decrement guard; a cap
+    # below the steps it needs cuts the attempt, and the rung below takes over
+    monkeypatch.setattr(bf, "WARM_FINAL_NEWTON", 3)
+    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 5)
+    assert [(t, d is None, n) for t, d, n in calls[:1]] == [(900.0, True, 3)]
+    assert [(t, d is None) for t, d, _ in calls[1:]] == [(30.0, False), (900.0, False)]
+    assert_same_final_stage(weight, cold, warm)
+
+
 def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
-    # one SCA step in, the anchor is far from the next surrogate's path: the
-    # skipped weight is abandoned at its first Newton decrement
-    _, (cold_Q, cold_gap, t0), (warm_grams, warm), calls = warm_and_cold(monkeypatch, 1)
-    assert calls[0][0] == t0 * 30.0 and calls[0][1] is None
-    assert calls[1][0] == t0
+    # one SCA step in, the anchor is far from the next surrogate's path: both
+    # warm starts are abandoned at their first Newton decrement, and the full
+    # ladder from the anchor gives the cold solve's Grams to the bit
+    _, (cold_Q, cold_gap, _), (warm_grams, warm), calls = warm_and_cold(monkeypatch, 1)
+    assert [(t, d is None, n) for t, d, n in calls[:2]] == [(900.0, True, 1), (30.0, True, 1)]
+    assert [t for t, _, _ in calls[2:]] == [1.0, 30.0, 900.0]
     np.testing.assert_array_equal(warm_grams, cold_Q)
     assert warm["gap_bound"] == cold_gap
+
+
+# make_scene scenes (K, seed, R_th), first K//2 receivers selected, on which a
+# final-weight start without WARM_FINAL_NEWTON passed its decrement guard and
+# then spent all of max_newton = 200 Newton steps
+CRAWL_SCENES = [(3, 3, 1.0), (3, 4, 1.0)]
+
+
+@pytest.mark.parametrize("K, seed, R_th", CRAWL_SCENES)
+def test_capped_final_weight_start_does_not_crawl(monkeypatch, K, seed, R_th):
+    cfg, _, channels, consts = make_scene(K=K, seed=seed, R_th=R_th)
+    b = np.zeros(K, dtype=int)
+    b[:K // 2] = 1
+    _, calls = record_centering(monkeypatch)
+    W, _ = bf.sca_optimize(b, cfg, channels, consts)
+    budgets = [(used, budget) for _, budget, used, _ in calls]
+    assert (bf.WARM_FINAL_NEWTON, bf.WARM_FINAL_NEWTON) in budgets  # the cap cut a start
+    assert all(used < budget for used, budget in budgets if budget == 200)
+    # a cap of 0 drops every final-weight start: the path through t0 mu
+    monkeypatch.setattr(bf, "WARM_FINAL_NEWTON", 0)
+    W_two_rung, _ = bf.sca_optimize(b, cfg, channels, consts)
+    crb = metrics.crb(b, W, consts, channels, cfg).crb
+    assert crb == pytest.approx(metrics.crb(b, W_two_rung, consts, channels, cfg).crb,
+                                rel=1e-8, abs=0)
 
 
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before
@@ -228,28 +299,13 @@ def test_tradeoff_rows_within_pinned_bound():
 
 def test_tradeoff_rows_newton_work(monkeypatch):
     """The pinned rows center every barrier stage within its Newton budget, at
-    most 450 Newton steps (grad_hess calls) per row; a null-step stall spent
+    most 340 Newton steps (grad_hess calls) per row; a null-step stall spent
     200 steps in one centering call."""
-    steps = [0]
-    calls = []
-    grad_hess, center = _BarrierSolver.grad_hess, _BarrierSolver.center
-
-    def counting(self, *args, **kwargs):
-        steps[0] += 1
-        return grad_hess(self, *args, **kwargs)
-
-    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
-        before = steps[0]
-        out = center(self, z, t, tol, max_newton, **kwargs)
-        calls.append((steps[0] - before, max_newton))
-        return out
-
-    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
-    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    steps, calls = record_centering(monkeypatch)
     cfg, layout, base = harness.load_config("sec6a")
     spec = harness.ExperimentSpec(name="tradeoff", sweep=harness.default_sweep("tradeoff", cfg),
                                   trials=2, seed=7)
     rows = harness.run_experiment(spec, cfg, layout, base=base)
     assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
-    assert all(used < budget for used, budget in calls)
-    assert steps[0] <= 450 * len(rows)
+    assert all(used < budget for _, budget, used, _ in calls)
+    assert steps[0] <= 340 * len(rows)
