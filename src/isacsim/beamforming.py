@@ -219,6 +219,15 @@ WARM_FINAL_DECREMENT = 1e5
 # The final weight crawls to max_newton within its guard on 3 of 48 small scenes,
 # where a kept start takes at most 23 Newton steps.
 WARM_FINAL_NEWTON = 25
+# At a decrement this small Newton converges quadratically: the full step
+# gains half the decrement to many digits.  The barrier change the Armijo test
+# reads is far coarser there: each rate slack is a difference of log-dets and
+# offsets near 40 in size, rounded to about 1e-13, so at slacks of 1.5e-4 the
+# summed log ratios of a sec6a row were off by 5.7e-9 against a 50-digit
+# evaluation, twice the full step's gain.  The test then rejected full steps
+# and crawled on null steps to max_newton.  So a strictly feasible full step
+# is taken without the test at or below this decrement.
+PURE_NEWTON_DECREMENT = 1e-6
 
 
 class _BarrierSolver:
@@ -230,22 +239,24 @@ class _BarrierSolver:
     constraint slacks (phase-1 feasibility search).  The caller normalizes
     the objective so the duality-gap target nu/t is meaningful.
 
-    ``grad_hess(z, t)`` returns ``(value, grad, hess)``: the barrier value
-    (as ``barrier``), its gradient, and its *negated* Hessian, which is
-    positive definite, so the Newton step solves ``hess @ step = grad``.
-    ``center`` evaluates ``_terms`` once per point: the terms of the point
-    the line search accepts go on to ``grad_hess``.  Its Armijo test compares
-    the gain 0.25 * size * decrement with the change of the barrier value,
-    summed from the ratios of the two points' terms (``_value`` with
-    ``ref``): the values themselves are of order t, and at the final weight
-    their rounding can exceed the gain, which once stalled a centering call
-    on null steps until ``max_newton``.  ``center`` also returns the Newton
-    decrement it stopped on; ``inner_convex_solve`` reports it as the KKT
-    certificate, computing the decrement at the returned point itself where
-    the final stage stopped short of its test (inf if that Newton system is
-    singular).  ``center`` assembles and regularizes the Newton system in
-    ``work``, one block the solver allocates once, so a Newton step allocates
-    no (dim, dim) array but the Cholesky factor's copy.
+    ``grad_hess(z, t)`` returns ``(grad, hess)``: the gradient of the
+    barrier value (``barrier``) and its *negated* Hessian, which is positive
+    definite, so the Newton step (``newton_step``) solves
+    ``hess @ step = grad``.  ``center`` evaluates ``_terms`` once per point:
+    the terms of the point the line search accepts go on to ``grad_hess``.
+    Its Armijo test compares the gain 0.25 * size * decrement with the change
+    of the barrier value, summed from the ratios of the two points' terms
+    (``_value`` with ``ref``): the values themselves are of order t, and at
+    the final weight their rounding can exceed the gain, which once stalled a
+    centering call on null steps until ``max_newton``.  At a decrement of at
+    most PURE_NEWTON_DECREMENT a strictly feasible full step skips the test.
+    ``center`` also returns the Newton decrement it stopped on;
+    ``inner_convex_solve`` reports it as the KKT certificate, computing the
+    decrement at the returned point itself where the final stage stopped
+    short of its test (inf if that Newton system is not positive definite).
+    ``center`` assembles, regularizes and factors the Newton system in place
+    in ``work``, one block the solver allocates once, so a Newton step
+    allocates no (dim, dim) array.
 
     The rate constraints are one ``RateSurrogate`` read as it is, or None
     for none.  Its rows involve blocks 0..K (the probe interferes, b_k = 0)
@@ -276,14 +287,24 @@ class _BarrierSolver:
         self.c = c
 
         self.nu = n_blocks * n + m + 1
-        # the parts of the Newton system that do not depend on the point:
-        # identities the Cholesky factors are solved against, the power
-        # barrier's gradient direction and curvature, the epigraph column
-        self.eye_Q = np.broadcast_to(np.eye(n, dtype=complex), (n_blocks, n, n))
+        # the parts of the Newton system that do not depend on the point: the
+        # power barrier's gradient direction and curvature, and grad_hess's
+        # one triangular system.  Its matrices are the Cholesky factors of the
+        # Q_i and S_k, each padded with an identity to r x r, r the larger of
+        # N_t and N_r; its right-hand sides are I and the H_k, padded with
+        # zero rows.  The solution stacks A_i = L_i^-1 with Q_i^-1 = A_i^H A_i
+        # and A_k = L_k^-1 H_k with M_k = A_k^H A_k.
         self.gP = np.zeros(self.dim)
         self.gP[:self.qdim] = -np.tile(_vec(np.eye(n, dtype=complex), self.basis), n_blocks)
         self.lin = np.zeros((m, self.dim))
+        n_r = 0 if surrogate is None else surrogate.H.shape[1]
+        r = max(n, n_r)
+        self.tri = np.zeros((n_blocks + m, r, r), dtype=complex)
+        self.tri[...] = np.eye(r)
+        self.rhs = np.zeros((n_blocks + m, r, n), dtype=complex)
+        self.rhs[:n_blocks, :n] = np.eye(n)
         if m:
+            self.rhs[n_blocks:, :n_r] = surrogate.H
             # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
             # interferer block i, vec(T_k) computed once per row
             interf, self.mask = surrogate.masks()
@@ -291,14 +312,23 @@ class _BarrierSolver:
             t_vecs = np.stack([_vec(T_k, self.basis) for T_k in surrogate.T])
             self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
                                                0.0).reshape(m, self.qdim)
-            # Hessian groups (rows, first block) in order of first occurrence:
-            # blocks 1..K add both groups' curvature, in this order
+            # the constraint gradients' point-independent part: -lin, and the
+            # epigraph column -1
+            self.gcon_fixed = -self.lin
+            if epigraph:
+                self.gcon_fixed[:, -1] = -1.0
+            # Hessian groups by the probe column: a (groups, m) indicator of
+            # their rows carrying the log2 scale, so one matmul with the
+            # 1/h-weighted cores gives every group's curvature sum, and a
+            # (n_blocks^2, groups) indicator of the block pairs (i, j) both
+            # involved in a group's rows, so a second one spreads the sums
+            # over the Hessian's blocks
             probe = self.mask[:, 0] > 0
-            self.groups = [(np.flatnonzero(probe == p), 0 if p else 1)
-                           for p in dict.fromkeys(probe.tolist())]
-            n_r = self.H.shape[1]
-            self.eye_S = np.broadcast_to(np.eye(n_r, dtype=complex), (m, n_r, n_r))
-            self.epi_col = -np.ones((m, 1))
+            rows = np.stack([probe == p for p in dict.fromkeys(probe.tolist())])
+            self.group_rows = rows / LN2
+            involved = self.mask[rows.argmax(axis=1)]
+            self.group_blocks = (involved[:, :, None] * involved[:, None, :]).reshape(
+                len(rows), -1).T.copy()
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -376,7 +406,7 @@ class _BarrierSolver:
         return None if ev is None else self._value(z, t, ev)
 
     def grad_hess(self, z: np.ndarray, t: float, ev=None, out=None):
-        """(value, gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known.
+        """(gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known.
 
         With ``out``, two (dim, dim) arrays, the Hessian is written into
         out[0] with out[1] as scratch; otherwise it is a new array.
@@ -387,45 +417,60 @@ class _BarrierSolver:
             raise SolverError("barrier evaluated at an infeasible point")
         Q, s, cholQ, power_slack, h, cholS = ev
         hess_out, scratch = (None, None) if out is None else out
-        bd = self.bd
-        grad = t * self.c
+        bd, nb, m = self.bd, self.n_blocks, self.m
         # power barrier (affine constraint): its curvature starts the Hessian
         hess = np.divide(self.gP_outer, power_slack ** 2, out=hess_out)
 
-        # PSD block barriers: grad vec(Q^-1), Hessian the PSD core of Q^-1
-        inv_chol = np.linalg.solve(cholQ, self.eye_Q)
-        Qinv = np.einsum("kji,kjl->kil", inv_chol.conj(), inv_chol)
-        Qinv = 0.5 * (Qinv + np.conj(np.transpose(Qinv, (0, 2, 1))))
-        grad[:self.qdim] += _vec_many(Qinv, self.basis).ravel()
-        # block-diagonal PSD cores, added through a view of the diagonal blocks
-        blocks = hess[:self.qdim, :self.qdim].reshape(self.n_blocks, bd, self.n_blocks, bd)
-        np.einsum("kakb->kab", blocks)[...] += _psd_cores(Qinv, self.basis)
+        # the PSD block barriers' Q^-1 and the log-det curvature M_k = G_k^H G_k
+        # of the whitened channels G_k = L_k^-1 H_k, S_k = L_k L_k^H: one stack
+        # of Hermitian matrices (conj(A)^T A has exactly conjugate (i, j) and
+        # (j, i) entries), one coordinate and one PSD-core evaluation
+        self.tri[:nb, :self.n, :self.n] = cholQ
+        if m:
+            n_r = cholS.shape[1]
+            self.tri[nb:, :n_r, :n_r] = cholS
+        A = np.linalg.solve(self.tri, self.rhs)
+        X = np.einsum("kji,kjl->kil", A.conj(), A)
+        vecs = _vec_many(X, self.basis)
+        cores = _psd_cores(X, self.basis)
+
+        grad = t * self.c
+        grad[:self.qdim] += vecs[:nb].ravel()
+        # block-diagonal PSD cores, added through a view of the diagonal blocks;
+        # splitting the axes of a slice keeps it a view of hess
+        blocks = hess[:self.qdim, :self.qdim].reshape(nb, bd, nb, bd)
+        np.einsum("kakb->kab", blocks)[...] += cores[:nb]
         grad += self.gP / power_slack
 
-        m = self.m
         if m:
-            invS_chol = np.linalg.solve(cholS, self.eye_S)
-            Sinv = np.einsum("mji,mjl->mil", invS_chol.conj(), invS_chol)
-            M = np.einsum("mri,mrc,mcj->mij", self.H.conj(), Sinv, self.H)
-            M = 0.5 * (M + np.conj(np.transpose(M, (0, 2, 1))))
-            vecM = _vec_many(M, self.basis) / LN2           # (m, bd)
-            # full constraint gradients: scatter vec(M) on involved blocks
-            gcon = np.einsum("mk,ma->mka", self.mask, vecM)
-            gcon = gcon.reshape(m, self.qdim)
-            if self.epigraph:
-                gcon = np.hstack([gcon, self.epi_col])
-            gcon = gcon - self.lin
-            grad += (1.0 / h) @ gcon
-            # log-det curvature, one sub-block per group
-            cores = _psd_cores(M, self.basis) / LN2          # (m, bd, bd)
-            for idx, lo in self.groups:
-                core_sum = np.tensordot(1.0 / h[idx], cores[idx], axes=(0, 0))
-                span = self.n_blocks - lo
-                # splitting the axes of a slice keeps it a view of hess
-                view = hess[lo * bd:self.qdim, lo * bd:self.qdim].reshape(span, bd, span, bd)
-                view += core_sum[None, :, None, :]
-            hess += np.matmul(gcon.T, (1.0 / h ** 2)[:, None] * gcon, out=scratch)
-        return self._value(z, t, ev), grad, hess
+            inv_h = 1.0 / h
+            # full constraint gradients: vec(M_k) / ln 2 on every involved block
+            gcon = self.gcon_fixed.copy()
+            # splitting the axes of a slice keeps it a view of gcon
+            gcon[:, :self.qdim].reshape(m, nb, bd)[...] += (
+                self.mask[:, :, None] * (vecs[nb:] / LN2)[:, None, :])
+            grad += inv_h @ gcon
+            # log-det curvature: each group's sum on every pair of its blocks
+            sums = (self.group_rows * inv_h) @ cores[nb:].reshape(m, bd * bd)
+            blocks += (self.group_blocks @ sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
+            hess += np.matmul(gcon.T, (inv_h ** 2)[:, None] * gcon, out=scratch)
+        return grad, hess
+
+    def newton_step(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+        """Solve (hess + 1e-12 I) step = grad by a Cholesky factor in ``work[2]``.
+
+        Raises LinAlgError when that matrix is not numerically positive
+        definite, or has a non-finite entry: the factor's diagonal shows
+        one, so the inputs are not scanned.  A non-finite ``grad`` shows in
+        the step.
+        """
+        # hess is symmetric, so the Fortran-ordered transpose of the
+        # C-ordered workspace is the same matrix, factored in place
+        reg = np.add(hess, self.ridge, out=self.work[2]).T
+        chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
+        if info != 0 or not np.isfinite(chol.diagonal()).all():
+            raise np.linalg.LinAlgError("Newton system is not positive definite")
+        return sla.lapack.dpotrs(chol, grad, lower=True)[0]
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
                max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
@@ -437,13 +482,14 @@ class _BarrierSolver:
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
-            _, grad, hess = self.grad_hess(z, t, ev, out=self.work[:2])
+            grad, hess = self.grad_hess(z, t, ev, out=self.work[:2])
             try:
-                chol = sla.cho_factor(np.add(hess, self.ridge, out=self.work[2]), lower=True)
-                step = sla.cho_solve(chol, grad)
+                step = self.newton_step(grad, hess)
             except np.linalg.LinAlgError:
+                if not np.isfinite(hess).all():
+                    return z, None
                 try:
-                    reg = 1e-8 * max(1.0, np.nanmax(np.abs(np.diag(hess))))
+                    reg = 1e-8 * max(1.0, np.max(np.abs(np.diag(hess))))
                     step = np.linalg.solve(hess + reg * np.eye(self.dim), grad)
                 except np.linalg.LinAlgError:
                     # hopeless conditioning: keep the last strictly feasible point
@@ -460,8 +506,9 @@ class _BarrierSolver:
             while size > 1e-14:
                 cand = z + size * step
                 cand_ev = self._terms(cand)
-                if (cand_ev is not None and self._value(cand, t, cand_ev, (z, ev))
-                        >= 0.25 * size * decrement):
+                if cand_ev is not None and (
+                        (size == 1.0 and decrement <= PURE_NEWTON_DECREMENT)
+                        or self._value(cand, t, cand_ev, (z, ev)) >= 0.25 * size * decrement):
                     z, ev = cand, cand_ev
                     accepted = True
                     break
@@ -521,7 +568,8 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
     the optimum is closed-form: all power on the top eigvector of the
     weight.  Returns the Gram stack and a diagnostics dict with the
     objective, the power slack, and a stationarity residual of the final
-    barrier center (KKT certificate; inf when its Newton system is singular).
+    barrier center (KKT certificate; inf when its Newton system is not
+    positive definite).
     """
     if P_T < 0:
         raise ValueError("power budget must be >= 0")
@@ -546,9 +594,9 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
-        _, grad, hess = solver.grad_hess(z, t_used)
+        grad, hess = solver.grad_hess(z, t_used, out=solver.work[:2])
         try:
-            decrement = float(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
+            decrement = float(grad @ solver.newton_step(grad, hess))
         except np.linalg.LinAlgError:
             # a singular Newton system at a stalled point: no certificate
             decrement = math.inf

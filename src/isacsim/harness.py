@@ -5,7 +5,9 @@ draw their receiver placements, channels, symbols and noise from keyed
 substreams, and rows are emitted in canonical (sweep value, trial) order, so
 two runs with identical inputs produce byte-identical CSV files.  The
 ``wall_time_ms`` column is therefore written as 0 unless timing is requested
-explicitly (real timings would break the byte-determinism contract).
+explicitly (real timings would break the byte-determinism contract).  Nor
+do the bytes depend on the caller's BLAS thread count: ``run_experiment``
+runs the bundled OpenBLAS on one thread.
 
 Experiments mirror the reference evaluation:
 
@@ -23,13 +25,18 @@ communication traffic.  It is a qualitative comparison baseline.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import beamforming, estimation, metrics, rng as rngmod, selection
 from .channel import ChannelSet, build_channels
@@ -450,6 +457,55 @@ def _execute_item(item, timing: bool) -> dict:
     return row
 
 
+# the OpenBLAS builds bundled with the NumPy and SciPy wheels: (module, library
+# glob relative to the module's site directory, suffix of the symbol names)
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every bundled OpenBLAS found.
+
+    Looked up on first use, not at import; a NumPy or SciPy built against
+    another BLAS contributes none.
+    """
+    controls = []
+    for module, pattern, suffix in _OPENBLAS:
+        for path in sorted(Path(module.__file__).parents[1].glob(pattern)):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore
+    the caller's thread counts.
+
+    A threaded OpenBLAS splits some products differently with the thread
+    count, so the last digits of a row, and the CSV bytes, would depend on
+    it; and forked workers that each run several BLAS threads oversubscribe
+    the cores.  Workers forked inside the body inherit the one thread.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
 def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
                    layout: Layout | None = None,
                    base=None, timing: bool = False, jobs: int = 1) -> list[dict]:
@@ -460,15 +516,18 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     Row-level failures land in the ``error`` column instead of aborting
     the sweep; a sweep value the experiment cannot run raises ConfigError
     before any row runs.  ``jobs > 1`` forks workers over rows; substream-keyed
-    randomness makes the result identical to the sequential run.
+    randomness makes the result identical to the sequential run.  BLAS runs
+    on one thread throughout, in the workers too, whatever the caller's
+    setting, which is restored on return.
     """
     if base is None:  # read only when placements are drawn per trial
         base = (np.asarray(_DEFAULTS["p_b"], float),
                 np.asarray(_DEFAULTS["p_0"], float))
     items = list(_items(spec, cfg, layout, base))
-    if jobs <= 1 or len(items) < 2:
-        return [_execute_item(item, timing) for item in items]
-    return _run_parallel(items, timing, jobs)
+    with _one_blas_thread():
+        if jobs <= 1 or len(items) < 2:
+            return [_execute_item(item, timing) for item in items]
+        return _run_parallel(items, timing, jobs)
 
 
 _forked_items: list = []

@@ -1,5 +1,7 @@
 """The log-barrier solver's derivatives and kernels, and the SCA rows they drive."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from conftest import make_scene
 
 
 def solver_at(n, epigraph):
-    """A solver with K = 3, b = [1, 1, 0] (both involvement groups) and its
-    variable vector at half the uniform Grams."""
-    cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=n, R_th=0.0)
+    """A solver with K = 3, b = [1, 1, 0] (both involvement groups), N_r = 2,
+    and its variable vector at half the uniform Grams."""
+    cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=n, L=min(n, 2), R_th=0.0)
     b = np.array([1, 1, 0])
     anchor = uniform_gram(cfg)
     surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
@@ -34,11 +36,10 @@ def rel_err(approx, exact):
 def test_grad_hess_matches_central_differences(n, epigraph):
     solver, z = solver_at(n, epigraph)
     t = 10.0
-    assert len(solver.groups) == 2
-    val, grad, hess = solver.grad_hess(z, t)
-    assert val == solver.barrier(z, t)
+    assert len(solver.group_rows) == 2
+    grad, hess = solver.grad_hess(z, t)
     # center's path writes the same Hessian into the solver's workspace
-    in_work = solver.grad_hess(z, t, out=solver.work[:2])[2]
+    in_work = solver.grad_hess(z, t, out=solver.work[:2])[1]
     assert np.shares_memory(in_work, solver.work)
     np.testing.assert_array_equal(in_work, hess)
     step = 1e-6 * np.max(np.abs(z))
@@ -48,8 +49,8 @@ def test_grad_hess_matches_central_differences(n, epigraph):
         e = np.zeros(solver.dim)
         e[i] = step
         fd_grad[i] = (solver.barrier(z + e, t) - solver.barrier(z - e, t)) / (2 * step)
-        fd_hess[:, i] = (solver.grad_hess(z + e, t)[1]
-                         - solver.grad_hess(z - e, t)[1]) / (2 * step)
+        fd_hess[:, i] = (solver.grad_hess(z + e, t)[0]
+                         - solver.grad_hess(z - e, t)[0]) / (2 * step)
     assert rel_err(fd_grad, grad) <= 1e-6
     # the solver maximizes: grad_hess returns the negated Hessian
     assert rel_err(fd_hess, -hess) <= 1e-6
@@ -74,6 +75,38 @@ def psd_cores_ref(Xs, basis):
     return np.einsum("maij,mbji->mab", P, P).real
 
 
+def grad_hess_ref(solver, z, t):
+    """grad_hess term by term from the einsum definitions: Q_i^-1 and
+    M_k = H_k^H S_k^-1 H_k from explicit inverses, and every row's
+    constraint gradient and log-det curvature added on its own."""
+    Q, _, _, power_slack, h, _ = solver._terms(z)
+    basis, bd = solver.basis, solver.bd
+    blocks = [slice(i * bd, (i + 1) * bd) for i in range(solver.n_blocks)]
+    Qinv = np.linalg.inv(Q)
+    S = metrics.receiver_covariance(solver.H, solver.mask, Q, solver.sigma2)
+    M = np.einsum("mri,mrc,mcj->mij", solver.H.conj(), np.linalg.inv(S), solver.H)
+    grad = t * solver.c + solver.gP / power_slack
+    grad[:solver.qdim] += vec_many_ref(Qinv, basis).ravel()
+    hess = np.outer(solver.gP, solver.gP) / power_slack ** 2
+    for sl, core in zip(blocks, psd_cores_ref(Qinv, basis)):
+        hess[sl, sl] += core
+    vec_M = vec_many_ref(M, basis) / metrics.LN2
+    cores_M = psd_cores_ref(M, basis) / metrics.LN2
+    for k in range(solver.m):
+        involved = [blocks[i] for i in np.flatnonzero(solver.mask[k])]
+        g = -solver.lin[k]
+        for sl in involved:
+            g[sl] += vec_M[k]
+        if solver.epigraph:
+            g[-1] -= 1.0
+        grad += g / h[k]
+        hess += np.outer(g, g) / h[k] ** 2
+        for row in involved:
+            for col in involved:
+                hess[row, col] += cores_M[k] / h[k]
+    return grad, hess
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernels_match_einsum_definitions(n):
     rng = np.random.default_rng(n)
@@ -90,6 +123,15 @@ def test_kernels_match_einsum_definitions(n):
     np.testing.assert_allclose(solver.unpack(z),
                                unpack_ref(z.reshape(5, n * n), basis),
                                rtol=1e-12, atol=1e-12)
+    # grad_hess's one stacked _vec_many/_psd_cores call on [Q^-1; M] and its
+    # group sums against every row's terms added one by one, with N_r = 2
+    # above, equal to and below n
+    for epigraph in (False, True):
+        solver, z = solver_at(n, epigraph)
+        grad, hess = solver.grad_hess(z, 10.0)
+        grad_ref, hess_ref = grad_hess_ref(solver, z, 10.0)
+        assert rel_err(grad, grad_ref) <= 1e-10
+        assert rel_err(hess, hess_ref) <= 1e-10
 
 
 def certificate_scene():
@@ -118,8 +160,10 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     solver, t, (z, decrement) = calls[-1]
     # a full solve stops on the decrement test; one Newton step leaves it unmet
     assert (decrement is None) == (max_newton == 1)
-    _, grad, hess = solver.grad_hess(z, t)
-    fresh = abs(grad @ np.linalg.solve(hess + 1e-12 * np.eye(solver.dim), grad))
+    # the same solve of hess + 1e-12 I as center's: at the one-step point its
+    # condition number is about 2e15, where an LU solve differs by 6e-4
+    grad, hess = solver.grad_hess(z, t)
+    fresh = abs(grad @ solver.newton_step(grad, hess))
     assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
 
@@ -129,15 +173,65 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
     weight, surrogate, P_T, anchor = certificate_scene()
     grad_hess = _BarrierSolver.grad_hess
 
-    def singular(self, z, t, ev=None):
-        value, grad, _ = grad_hess(self, z, t, ev)
-        return value, grad, -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
+    def singular(self, *args, **kwargs):
+        grad, _ = grad_hess(self, *args, **kwargs)
+        return grad, -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
 
     monkeypatch.setattr(_BarrierSolver, "grad_hess", singular)
     monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
     grams, info = inner_convex_solve(weight, surrogate, P_T, anchor)
     assert info["kkt_residual"] == np.inf
     np.testing.assert_allclose(grams, anchor, rtol=0, atol=1e-15 * P_T)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (3, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_newton_system_keeps_the_start(monkeypatch, entry, value):
+    """A non-finite Hessian entry (and its mirror) ends centering at once on
+    the point it started from, with no decrement: the Cholesky factor's
+    diagonal shows it, and center returns before the regularized fallback."""
+    solver, z = solver_at(2, False)
+    grad_hess = _BarrierSolver.grad_hess
+
+    def poisoned(self, *args, **kwargs):
+        grad, hess = grad_hess(self, *args, **kwargs)
+        hess[entry] = hess[entry[::-1]] = value
+        return grad, hess
+
+    monkeypatch.setattr(_BarrierSolver, "grad_hess", poisoned)
+    end, decrement = solver.center(z.copy(), 10.0)
+    assert decrement is None
+    np.testing.assert_array_equal(end, z)
+
+
+def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatch):
+    """At a decrement of at most PURE_NEWTON_DECREMENT center takes the full
+    Newton step when it is strictly feasible, even when the barrier change
+    it reads (rounded coarser than the gain there) says the step loses:
+    Newton then certifies within a few steps."""
+    solver, z = solver_at(2, False)
+    t = 1e4
+    z, decrement = solver.center(z, t)
+    assert decrement is not None
+    # move off the center to a decrement of about 1e-7
+    _, hess = solver.grad_hess(z, t)
+    v = np.random.default_rng(0).standard_normal(solver.dim)
+    start = z + np.sqrt(1e-7 / (v @ hess @ v)) * v
+    value = _BarrierSolver._value
+
+    def losing(self, z, t, ev, ref=None):
+        return value(self, z, t, ev) if ref is None else -1.0
+
+    monkeypatch.setattr(_BarrierSolver, "_value", losing)
+    steps, _ = record_centering(monkeypatch)
+    end, decrement = solver.center(start, t)
+    assert decrement is not None and decrement <= 2e-9
+    assert 1 < steps[0] <= 4
+    # above the bound the test still decides: every step is rejected
+    monkeypatch.setattr(bf, "PURE_NEWTON_DECREMENT", 1e-8)
+    end, decrement = solver.center(start, t)
+    assert decrement is None
+    np.testing.assert_array_equal(end, start)
 
 
 def surrogate_pair(iterations):
@@ -283,18 +377,47 @@ PINNED_TRADEOFF = {
 }
 
 
-def test_tradeoff_rows_within_pinned_bound():
-    cfg, layout, base = harness.load_config("sec6a")
-    spec = harness.ExperimentSpec(name="tradeoff", sweep=harness.default_sweep("tradeoff", cfg),
-                                  trials=2, seed=7)
-    rows = harness.run_experiment(spec, cfg, layout, base=base)
-    assert {(r["sweep_value"], r["trial"]) for r in rows} == set(PINNED_TRADEOFF)
+# selection_compare rows at perfbench/configs/sec6a_nt4.json (N_t = 4, Newton
+# dimension 176, L < N_t), seed 7, 1 trial, default sweep, as computed with one
+# BLAS thread before grad_hess read the whitened channels:
+# (crb, rate_min, rate_mean, objective)
+NT4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "sec6a_nt4.json"
+PINNED_NT4 = {
+    ("minimax:100", 0): (1.6563625641979424e-08, 0.2360779225073173, 0.45893481881162534,
+                         60377694.04926509),
+    ("minimax:200", 0): (8.132143051249296e-09, 0.20805245353673832, 0.4620259222110505,
+                         122977726.95965904),
+    ("kmeans:100", 0): (1.2693901145233888e-08, 0.23610196011095902, 0.46023797194348404,
+                        78783747.04168321),
+    ("kmeans:200", 0): (8.639517876257533e-09, 0.2355597205724306, 0.46457195067255636,
+                        115755620.4440544),
+}
+
+
+def seed7_rows(config, experiment, trials):
+    cfg, layout, base = harness.load_config(config)
+    spec = harness.ExperimentSpec(name=experiment, sweep=harness.default_sweep(experiment, cfg),
+                                  trials=trials, seed=7)
+    return harness.run_experiment(spec, cfg, layout, base=base)
+
+
+def assert_rows_match(rows, pinned):
+    """The CRB and objective within rtol 1e-8, the rates within 1e-7 bit/s/Hz."""
+    assert {(r["sweep_value"], r["trial"]) for r in rows} == set(pinned)
     for row in rows:
-        crb, rate_min, rate_mean, objective = PINNED_TRADEOFF[row["sweep_value"], row["trial"]]
+        crb, rate_min, rate_mean, objective = pinned[row["sweep_value"], row["trial"]]
         assert row["crb"] == pytest.approx(crb, rel=1e-8, abs=0)
         assert row["objective"] == pytest.approx(objective, rel=1e-8, abs=0)
         assert row["rate_min"] == pytest.approx(rate_min, rel=0, abs=1e-7)
         assert row["rate_mean"] == pytest.approx(rate_mean, rel=0, abs=1e-7)
+
+
+def test_tradeoff_rows_within_pinned_bound():
+    assert_rows_match(seed7_rows("sec6a", "tradeoff", 2), PINNED_TRADEOFF)
+
+
+def test_nt4_selection_rows_within_pinned_bound():
+    assert_rows_match(seed7_rows(str(NT4_CONFIG), "selection_compare", 1), PINNED_NT4)
 
 
 def test_tradeoff_rows_newton_work(monkeypatch):
@@ -302,10 +425,7 @@ def test_tradeoff_rows_newton_work(monkeypatch):
     most 340 Newton steps (grad_hess calls) per row; a null-step stall spent
     200 steps in one centering call."""
     steps, calls = record_centering(monkeypatch)
-    cfg, layout, base = harness.load_config("sec6a")
-    spec = harness.ExperimentSpec(name="tradeoff", sweep=harness.default_sweep("tradeoff", cfg),
-                                  trials=2, seed=7)
-    rows = harness.run_experiment(spec, cfg, layout, base=base)
+    rows = seed7_rows("sec6a", "tradeoff", 2)
     assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
     assert all(used < budget for _, budget, used, _ in calls)
     assert steps[0] <= 340 * len(rows)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,42 @@ def test_parallel_survives_killed_worker():
     assert rows[0]["objective"] == 0.5 and not rows[0].get("error")
     assert rows[2]["objective"] == 2.5 and not rows[2].get("error")
     assert "worker died" in rows[1]["error"]
+
+
+def test_run_experiment_restores_the_callers_blas_threads():
+    controls = harness._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS found")
+    saved = [get() for get, _ in controls]
+    cfg, layout, base = load_config("sec6a")
+    spec = ExperimentSpec(name="roundtrip", sweep=default_sweep("roundtrip", cfg), trials=2,
+                          seed=3)
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        for jobs in (1, 2):
+            run_experiment(spec, cfg, layout, base=base, jobs=jobs)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+def test_nt4_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """selection_compare at N_t = 4 (Newton dimension 176, where OpenBLAS
+    threads its products) writes the same bytes under 1 and 2 threads."""
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "sec6a_nt4.json"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "isacsim.cli", "run", "--config",
+                               str(config), "--experiment", "selection_compare",
+                               "--trials", "1", "--seed", "5", "--out", str(out)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 class TestCli:
