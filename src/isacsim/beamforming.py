@@ -97,10 +97,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _vec(Q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("aij,ji->a", basis, Q).real
-
-
 def _vec_many(Qs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row m is the coordinate vector of Qs[m], Re Tr(E_a Q_m) for every basis E_a.
 
@@ -281,7 +277,7 @@ class _BarrierSolver:
         if epigraph:
             c[-1] = 1.0
         else:
-            w = _vec(weight, self.basis)
+            w = _vec_many(weight[None], self.basis)[0]
             for i in range(n_blocks):
                 c[i * self.bd:(i + 1) * self.bd] = w
         self.c = c
@@ -295,7 +291,8 @@ class _BarrierSolver:
         # zero rows.  The solution stacks A_i = L_i^-1 with Q_i^-1 = A_i^H A_i
         # and A_k = L_k^-1 H_k with M_k = A_k^H A_k.
         self.gP = np.zeros(self.dim)
-        self.gP[:self.qdim] = -np.tile(_vec(np.eye(n, dtype=complex), self.basis), n_blocks)
+        eye = _vec_many(np.eye(n, dtype=complex)[None], self.basis)[0]
+        self.gP[:self.qdim] = -np.tile(eye, n_blocks)
         self.lin = np.zeros((m, self.dim))
         n_r = 0 if surrogate is None else surrogate.H.shape[1]
         r = max(n, n_r)
@@ -309,7 +306,7 @@ class _BarrierSolver:
             # interferer block i, vec(T_k) computed once per row
             interf, self.mask = surrogate.masks()
             self.H, self.sigma2, self.offsets = surrogate.H, surrogate.sigma2, surrogate.offset
-            t_vecs = np.stack([_vec(T_k, self.basis) for T_k in surrogate.T])
+            t_vecs = _vec_many(surrogate.T, self.basis)
             self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
                                                0.0).reshape(m, self.qdim)
             # the constraint gradients' point-independent part: -lin, and the
