@@ -8,6 +8,9 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
 - ``center/row``: centering calls (``_BarrierSolver.center``) per row
 - ``grad_hess/row`` and ``grad_hess``: Newton steps (plus the few KKT
   certificates computed outside ``center``) per row and in total
+- ``terms/row`` and ``terms/step``: barrier evaluations
+  (``_BarrierSolver._terms`` calls: every line-search trial point, one per
+  centering call and solve start) per row and per ``grad_hess`` call
 - ``at_max_newton``: centering calls under the default Newton budget that
   used all of it; ``at_cap``: calls under a smaller cap that used all of it
 - ``longest``: the most Newton steps one call under the default budget took
@@ -43,17 +46,19 @@ from conftest import make_scene  # noqa: E402
 
 
 class Counter:
-    """Wraps grad_hess, center and inner_convex_solve; counts their work."""
+    """Wraps grad_hess, _terms, center and inner_convex_solve; counts their work."""
 
     def __init__(self) -> None:
         self.grad_hess = 0
+        self.terms = 0
         self.solves = 0
         self.calls = []  # (Newton steps used, max_newton) per centering call
         self._saved = [(owner, name, getattr(owner, name))
                        for owner, name in ((bf._BarrierSolver, "grad_hess"),
+                                           (bf._BarrierSolver, "_terms"),
                                            (bf._BarrierSolver, "center"),
                                            (bf, "inner_convex_solve"))]
-        grad_hess, center, solve = (value for _, _, value in self._saved)
+        grad_hess, terms, center, solve = (value for _, _, value in self._saved)
         signature = inspect.signature(center)
         self.default = signature.parameters["max_newton"].default
         counter = self
@@ -61,6 +66,10 @@ class Counter:
         def counting(self, *args, **kwargs):
             counter.grad_hess += 1
             return grad_hess(self, *args, **kwargs)
+
+        def evaluating(self, *args, **kwargs):
+            counter.terms += 1
+            return terms(self, *args, **kwargs)
 
         def recording(self, *args, **kwargs):
             bound = signature.bind(self, *args, **kwargs)
@@ -75,6 +84,7 @@ class Counter:
             return solve(*args, **kwargs)
 
         bf._BarrierSolver.grad_hess = counting
+        bf._BarrierSolver._terms = evaluating
         bf._BarrierSolver.center = recording
         bf.inner_convex_solve = solving
 
@@ -89,7 +99,8 @@ class Counter:
                 f"{len(self.calls) / rows:>11.2f} {self.grad_hess / rows:>14.1f} "
                 f"{self.grad_hess:>10} {uncapped.count(self.default):>14} "
                 f"{sum(used == budget for used, budget in capped):>7} "
-                f"{max(uncapped, default=0):>8}")
+                f"{max(uncapped, default=0):>8} {self.terms / rows:>10.1f} "
+                f"{self.terms / max(self.grad_hess, 1):>11.2f}")
 
 
 def run_harness(config: str, experiment: str, trials: int) -> tuple[int, int]:
@@ -132,7 +143,7 @@ def main() -> int:
     args = ap.parse_args()
     print(f"{'set':<14} {'rows':>4} {'errors':>6} {'sca/row':>8} {'center/row':>11} "
           f"{'grad_hess/row':>14} {'grad_hess':>10} {'at_max_newton':>14} {'at_cap':>7} "
-          f"{'longest':>8}")
+          f"{'longest':>8} {'terms/row':>10} {'terms/step':>11}")
     for name in args.sets:
         counter = Counter()
         try:
