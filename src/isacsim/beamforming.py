@@ -254,6 +254,14 @@ class _BarrierSolver:
     in ``work``, one block the solver allocates once, so a Newton step
     allocates no (dim, dim) array.
 
+    Every constraint is affine in z, so ``_terms`` evaluates a point with
+    one matrix product per kind of block and one Cholesky call: it tests
+    the power slack first, then factors one stack of the Q_i = ``unpack(z)``
+    and the receiver covariances S_k(z) = sigma^2 I + z.Phi_S, each padded
+    with an identity to r x r, r the larger of N_t and N_r.  That factor
+    tests both PSD domains, gives the log-dets from its diagonal, and is
+    the triangular system ``grad_hess`` solves against.
+
     The rate constraints are one ``RateSurrogate`` read as it is, or None
     for none.  Its rows involve blocks 0..K (the probe interferes, b_k = 0)
     or 1..K (b_k = 1), one contiguous range by construction of the mask, so
@@ -264,6 +272,9 @@ class _BarrierSolver:
     def __init__(self, weight: np.ndarray, surrogate: RateSurrogate | None, P_T: float,
                  n: int, n_blocks: int, epigraph: bool = False) -> None:
         self.basis = _hermitian_basis(n)
+        # the basis as a real (n^2, 2 n^2) table: unpack multiplies the real
+        # coordinates with it without a complex cast
+        self.basis_f = self.basis.reshape(n * n, n * n).view(float)
         self.n = n
         self.n_blocks = n_blocks
         self.bd = n * n
@@ -283,29 +294,45 @@ class _BarrierSolver:
         self.c = c
 
         self.nu = n_blocks * n + m + 1
-        # the parts of the Newton system that do not depend on the point: the
-        # power barrier's gradient direction and curvature, and grad_hess's
-        # one triangular system.  Its matrices are the Cholesky factors of the
-        # Q_i and S_k, each padded with an identity to r x r, r the larger of
-        # N_t and N_r; its right-hand sides are I and the H_k, padded with
-        # zero rows.  The solution stacks A_i = L_i^-1 with Q_i^-1 = A_i^H A_i
-        # and A_k = L_k^-1 H_k with M_k = A_k^H A_k.
+        # the parts of the barrier that do not depend on the point: the power
+        # barrier's gradient direction (-vec(I) on every block, so the power
+        # slack is P_T + gP.z) and curvature, the padded stack _terms fills
+        # (identities, sigma^2 I on the receiver blocks), the affine map of
+        # the receiver covariances, and the right-hand sides of grad_hess's
+        # triangular system: I and the H_k, padded with zero rows.  Solved
+        # against the stack's factor they give A_i = L_i^-1 with
+        # Q_i^-1 = A_i^H A_i and A_k = L_k^-1 H_k with M_k = A_k^H A_k.
         self.gP = np.zeros(self.dim)
         eye = _vec_many(np.eye(n, dtype=complex)[None], self.basis)[0]
         self.gP[:self.qdim] = -np.tile(eye, n_blocks)
         self.lin = np.zeros((m, self.dim))
-        n_r = 0 if surrogate is None else surrogate.H.shape[1]
+        self.n_r = n_r = 0 if surrogate is None else surrogate.H.shape[1]
         r = max(n, n_r)
-        self.tri = np.zeros((n_blocks + m, r, r), dtype=complex)
-        self.tri[...] = np.eye(r)
+        self.stack = np.zeros((n_blocks + m, r, r), dtype=complex)
+        self.stack[...] = np.eye(r)
         self.rhs = np.zeros((n_blocks + m, r, n), dtype=complex)
         self.rhs[:n_blocks, :n] = np.eye(n)
         if m:
-            self.rhs[n_blocks:, :n_r] = surrogate.H
-            # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
-            # interferer block i, vec(T_k) computed once per row
+            H = surrogate.H
+            self.stack[n_blocks:, :n_r, :n_r] *= surrogate.sigma2
+            self.rhs[n_blocks:, :n_r] = H
+            # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H: the
+            # products H_k E_a H_k^H come from the covariance builder (row
+            # (k, a) takes the one basis block E_a), and phi_S is their
+            # (qdim, m n_r^2) table, stored as its float view so a real z
+            # multiplies it without a complex cast
             interf, self.mask = surrogate.masks()
-            self.H, self.sigma2, self.offsets = surrogate.H, surrogate.sigma2, surrogate.offset
+            heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
+                                              np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
+            phi = self.mask[:, :, None, None] * heh.reshape(m, 1, self.bd, n_r * n_r)
+            self.phi_S = np.ascontiguousarray(
+                phi.transpose(1, 2, 0, 3).reshape(self.qdim, -1)).view(float)
+            # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
+            # interferer block i, vec(T_k) computed once per row; the
+            # relative floor on the slacks keeps 1/h^2 curvature finite near
+            # active constraints
+            self.offsets = surrogate.offset
+            self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
             t_vecs = _vec_many(surrogate.T, self.basis)
             self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
                                                0.0).reshape(m, self.qdim)
@@ -348,34 +375,41 @@ class _BarrierSolver:
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
         coords = z[:self.qdim].reshape(self.n_blocks, self.bd)
-        return (coords @ self.basis.reshape(self.bd, self.bd)).reshape(
-            self.n_blocks, self.n, self.n)
+        return (coords @ self.basis_f).view(complex).reshape(self.n_blocks, self.n, self.n)
+
+    def _stack(self, z: np.ndarray) -> np.ndarray:
+        """The Q_i, then the S_k at z, each padded with an identity to r x r."""
+        nb, n, n_r = self.n_blocks, self.n, self.n_r
+        stack = self.stack.copy()
+        stack[:nb, :n, :n] = self.unpack(z)
+        if self.m:
+            stack[nb:, :n_r, :n_r] += (z[:self.qdim] @ self.phi_S).view(complex).reshape(
+                self.m, n_r, n_r)
+        return stack
 
     def _terms(self, z: np.ndarray):
-        """Evaluate every barrier ingredient; None when z is infeasible."""
-        Q = self.unpack(z)
-        s = z[-1] if self.epigraph else 0.0
-        try:
-            cholQ = np.linalg.cholesky(Q)
-        except np.linalg.LinAlgError:
-            return None
-        power_slack = self.P_T - float(np.einsum("kii->", Q).real)
+        """Evaluate every barrier ingredient; None when z is infeasible.
+
+        Returns (power slack, rate slacks h, the stack's Cholesky factor,
+        its diagonal).
+        """
+        power_slack = self.P_T + float(self.gP @ z)
         if power_slack <= 0:
             return None
-        if self.m:
-            S = metrics.receiver_covariance(self.H, self.mask, Q, self.sigma2)
-            try:
-                cholS, logdets = metrics.chol_log2det(S)
-            except np.linalg.LinAlgError:
-                return None
-            h = logdets - self.lin @ z - self.offsets - s
-            # relative floor keeps 1/h^2 curvature finite near active constraints
-            if np.any(h <= 1e-14 * (1.0 + np.abs(self.offsets))):
-                return None
-        else:
-            cholS = np.zeros((0, 0, 0))
-            h = np.zeros(0)
-        return Q, s, cholQ, power_slack, h, cholS
+        try:
+            chol = np.linalg.cholesky(self._stack(z))
+        except np.linalg.LinAlgError:
+            return None
+        diag = chol.diagonal(0, 1, 2).real
+        if not self.m:
+            return power_slack, np.zeros(0), chol, diag
+        h = (2.0 * np.log(diag[self.n_blocks:]).sum(axis=1) / LN2 - self.lin @ z
+             - self.offsets)
+        if self.epigraph:
+            h -= z[-1]
+        if (h <= self.h_floor).any():
+            return None
+        return power_slack, h, chol, diag
 
     def _value(self, z: np.ndarray, t: float, ev, ref=None) -> float:
         """Barrier value at z from its ``_terms`` ev.
@@ -384,18 +418,17 @@ class _BarrierSolver:
         ratios of the two points' terms; it keeps its precision when it lies
         far below the rounding of the values themselves (of order t).
         """
-        Q, s, cholQ, power_slack, h, cholS = ev
-        diag = np.diagonal(cholQ, axis1=1, axis2=2).real
+        power_slack, h, _, diag = ev
+        diag = diag[:self.n_blocks]
         if ref is None:
             dz, power0, h0, diag0 = z, 1.0, 1.0, 1.0
         else:
-            z0, ev0 = ref
-            dz, power0, h0 = z - z0, ev0[3], ev0[4]
-            diag0 = np.diagonal(ev0[2], axis1=1, axis2=2).real
+            z0, (power0, h0, _, diag0) = ref
+            dz, diag0 = z - z0, diag0[:self.n_blocks]
         val = t * float(self.c @ dz) + math.log(power_slack / power0)
         if h.size:
-            val += float(np.sum(np.log(h / h0)))
-        val += 2.0 * float(np.sum(np.log(diag / diag0)))
+            val += float(np.log(h / h0).sum())
+        val += 2.0 * float(np.log(diag / diag0).sum())
         return val
 
     def barrier(self, z: np.ndarray, t: float):
@@ -412,7 +445,7 @@ class _BarrierSolver:
             ev = self._terms(z)
         if ev is None:
             raise SolverError("barrier evaluated at an infeasible point")
-        Q, s, cholQ, power_slack, h, cholS = ev
+        power_slack, h, chol, _ = ev
         hess_out, scratch = (None, None) if out is None else out
         bd, nb, m = self.bd, self.n_blocks, self.m
         # power barrier (affine constraint): its curvature starts the Hessian
@@ -422,11 +455,7 @@ class _BarrierSolver:
         # of the whitened channels G_k = L_k^-1 H_k, S_k = L_k L_k^H: one stack
         # of Hermitian matrices (conj(A)^T A has exactly conjugate (i, j) and
         # (j, i) entries), one coordinate and one PSD-core evaluation
-        self.tri[:nb, :self.n, :self.n] = cholQ
-        if m:
-            n_r = cholS.shape[1]
-            self.tri[nb:, :n_r, :n_r] = cholS
-        A = np.linalg.solve(self.tri, self.rhs)
+        A = np.linalg.solve(chol, self.rhs)
         X = np.einsum("kji,kjl->kil", A.conj(), A)
         vecs = _vec_many(X, self.basis)
         cores = _psd_cores(X, self.basis)

@@ -14,7 +14,7 @@ from conftest import make_scene
 
 def solver_at(n, epigraph):
     """A solver with K = 3, b = [1, 1, 0] (both involvement groups), N_r = 2,
-    and its variable vector at half the uniform Grams."""
+    its variable vector at half the uniform Grams, and its surrogate."""
     cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=n, L=min(n, 2), R_th=0.0)
     b = np.array([1, 1, 0])
     anchor = uniform_gram(cfg)
@@ -24,7 +24,7 @@ def solver_at(n, epigraph):
                             cfg.K + 1, epigraph=epigraph)
     Q = 0.5 * anchor
     s = surrogate.slack(Q).min() - 1.0
-    return solver, solver.pack(Q, s=s)
+    return solver, solver.pack(Q, s=s), surrogate
 
 
 def rel_err(approx, exact):
@@ -34,7 +34,7 @@ def rel_err(approx, exact):
 @pytest.mark.parametrize("epigraph", [False, True])
 @pytest.mark.parametrize("n", [2, 3])
 def test_grad_hess_matches_central_differences(n, epigraph):
-    solver, z = solver_at(n, epigraph)
+    solver, z, _ = solver_at(n, epigraph)
     t = 10.0
     assert len(solver.group_rows) == 2
     grad, hess = solver.grad_hess(z, t)
@@ -75,16 +75,22 @@ def psd_cores_ref(Xs, basis):
     return np.einsum("maij,mbji->mab", P, P).real
 
 
-def grad_hess_ref(solver, z, t):
-    """grad_hess term by term from the einsum definitions: Q_i^-1 and
-    M_k = H_k^H S_k^-1 H_k from explicit inverses, and every row's
-    constraint gradient and log-det curvature added on its own."""
-    Q, _, _, power_slack, h, _ = solver._terms(z)
+def grad_hess_ref(solver, surrogate, z, t):
+    """grad_hess term by term from the einsum definitions, with none of the
+    solver's evaluation: Q from the basis, S from the covariance builder, the
+    slacks from the surrogate, Q_i^-1 and M_k = H_k^H S_k^-1 H_k from
+    explicit inverses, and every row's constraint gradient and log-det
+    curvature added on its own."""
     basis, bd = solver.basis, solver.bd
+    Q = unpack_ref(z[:solver.qdim].reshape(solver.n_blocks, bd), basis)
+    s = z[-1] if solver.epigraph else 0.0
+    power_slack = solver.P_T - np.trace(Q, axis1=1, axis2=2).sum().real
+    h = surrogate.slack(Q) - s
     blocks = [slice(i * bd, (i + 1) * bd) for i in range(solver.n_blocks)]
     Qinv = np.linalg.inv(Q)
-    S = metrics.receiver_covariance(solver.H, solver.mask, Q, solver.sigma2)
-    M = np.einsum("mri,mrc,mcj->mij", solver.H.conj(), np.linalg.inv(S), solver.H)
+    H = surrogate.H
+    S = metrics.receiver_covariance(H, surrogate.masks()[1], Q, surrogate.sigma2)
+    M = np.einsum("mri,mrc,mcj->mij", H.conj(), np.linalg.inv(S), H)
     grad = t * solver.c + solver.gP / power_slack
     grad[:solver.qdim] += vec_many_ref(Qinv, basis).ravel()
     hess = np.outer(solver.gP, solver.gP) / power_slack ** 2
@@ -127,11 +133,100 @@ def test_kernels_match_einsum_definitions(n):
     # group sums against every row's terms added one by one, with N_r = 2
     # above, equal to and below n
     for epigraph in (False, True):
-        solver, z = solver_at(n, epigraph)
+        solver, z, surrogate = solver_at(n, epigraph)
         grad, hess = solver.grad_hess(z, 10.0)
-        grad_ref, hess_ref = grad_hess_ref(solver, z, 10.0)
+        grad_ref, hess_ref = grad_hess_ref(solver, surrogate, z, 10.0)
         assert rel_err(grad, grad_ref) <= 1e-10
         assert rel_err(hess, hess_ref) <= 1e-10
+
+
+def random_solver(rng, n, n_r, epigraph, offset=-50.0):
+    """A solver on a random K = 3 surrogate, b = [1, 1, 0], noise 0.7, every
+    offset ``offset`` (far below the slacks by default), and a random
+    strictly feasible point at half the power budget: (solver, surrogate,
+    Grams, point)."""
+    K = 3
+    H = rng.standard_normal((K, n_r, n)) + 1j * rng.standard_normal((K, n_r, n))
+    G = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
+    T = np.einsum("kij,klj->kil", G, G.conj()) / (10 * n)
+    surrogate = bf.RateSurrogate(b=np.array([1, 1, 0]), H=H, T=T, offset=np.full(K, offset),
+                                 sigma2=0.7)
+    A = rng.standard_normal((K + 1, n, n)) + 1j * rng.standard_normal((K + 1, n, n))
+    Q = np.einsum("kij,klj->kil", A, A.conj()) / n + 0.1 * np.eye(n)
+    P_T = 2.0 * np.trace(Q, axis1=1, axis2=2).sum().real
+    solver = _BarrierSolver(np.eye(n), surrogate, P_T, n, K + 1, epigraph=epigraph)
+    return solver, surrogate, Q, solver.pack(Q, s=-1.0)
+
+
+@pytest.mark.parametrize("epigraph", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluation_matches_the_covariance_builder(n, epigraph):
+    """The solver's affine maps against their definitions, with N_r above,
+    equal to and below N_t: S(z) against metrics.receiver_covariance at
+    random z, and at random feasible points the power slack against
+    P_T - sum_i Tr Q_i and the rate slacks against the surrogate's."""
+    rng = np.random.default_rng(10 * n + epigraph)
+    for n_r in {max(n - 1, 1), n, n + 1}:
+        solver, surrogate, _, _ = random_solver(rng, n, n_r, epigraph)
+        nb, r = solver.n_blocks, max(n, n_r)
+        mask = surrogate.masks()[1]
+        for _ in range(5):
+            z = rng.standard_normal(solver.dim)
+            Q = unpack_ref(z[:solver.qdim].reshape(nb, n * n), solver.basis)
+            stack = solver._stack(z)
+            assert stack.shape == (nb + solver.m, r, r)
+            S = metrics.receiver_covariance(surrogate.H, mask, Q, surrogate.sigma2)
+            assert rel_err(stack[nb:, :n_r, :n_r], S) <= 1e-13
+            assert rel_err(stack[:nb, :n, :n], Q) <= 1e-13
+            # the padding is an identity
+            padded = stack.copy()
+            padded[:nb, :n, :n] = np.eye(n)
+            padded[nb:, :n_r, :n_r] = np.eye(n_r)
+            np.testing.assert_array_equal(padded, np.broadcast_to(np.eye(r), padded.shape))
+        for _ in range(5):
+            solver, surrogate, Q, z = random_solver(rng, n, n_r, epigraph)
+            power_slack, h, chol, _ = solver._terms(z)
+            power = solver.P_T - np.trace(Q, axis1=1, axis2=2).sum().real
+            assert power_slack == pytest.approx(power, rel=1e-13, abs=0)
+            s = -1.0 if epigraph else 0.0
+            assert rel_err(h, surrogate.slack(Q) - s) <= 1e-13
+            np.testing.assert_allclose(chol[:nb, :n, :n], np.linalg.cholesky(Q),
+                                       rtol=1e-13, atol=1e-13 * np.abs(Q).max())
+
+
+@pytest.mark.parametrize("epigraph", [False, True])
+def test_evaluation_outside_the_domain_is_none(epigraph):
+    """_terms returns None for a Q block that is not positive definite, a
+    power slack <= 0, and a rate slack under its relative floor
+    1e-14 (1 + |offset|); each case keeps the other tests passing."""
+    rng = np.random.default_rng(5)
+    n, n_r = 2, 2
+    solver, surrogate, Q, z = random_solver(rng, n, n_r, epigraph)
+    assert solver._terms(z) is not None
+    # one block with a small negative eigenvalue: the power and S stay fine
+    bad = Q.copy()
+    bad[2] = np.diag([-1e-6, 0.5])
+    z_bad = solver.pack(bad, s=-1.0)
+    assert solver.P_T + solver.gP @ z_bad > 0
+    assert np.all(np.linalg.eigvalsh(solver._stack(z_bad)[solver.n_blocks:]) > 0)
+    assert solver._terms(z_bad) is None
+    # power slack exactly 0, then negative
+    power = -(solver.gP @ z)
+    for P_T in (power, 0.5 * power):
+        at_budget = _BarrierSolver(np.eye(n), surrogate, P_T, n, solver.n_blocks,
+                                   epigraph=epigraph)
+        assert at_budget._terms(z) is None
+    # rate slack: offsets moved so row 1's slack is half, then twice, its floor
+    h = solver._terms(z)[1]
+    for factor, feasible in ((0.5, False), (2.0, True)):
+        offset = surrogate.offset.copy()
+        floor = 1e-14 * (1.0 + np.abs(offset[1] + h[1]))
+        offset[1] += h[1] - factor * floor
+        shifted = bf.RateSurrogate(b=surrogate.b, H=surrogate.H, T=surrogate.T,
+                                   offset=offset, sigma2=surrogate.sigma2)
+        tight = _BarrierSolver(np.eye(n), shifted, solver.P_T, n, solver.n_blocks,
+                               epigraph=epigraph)
+        assert (tight._terms(z) is not None) == feasible
 
 
 def certificate_scene():
@@ -190,7 +285,7 @@ def test_non_finite_newton_system_keeps_the_start(monkeypatch, entry, value):
     """A non-finite Hessian entry (and its mirror) ends centering at once on
     the point it started from, with no decrement: the Cholesky factor's
     diagonal shows it, and center returns before the regularized fallback."""
-    solver, z = solver_at(2, False)
+    solver, z, _ = solver_at(2, False)
     grad_hess = _BarrierSolver.grad_hess
 
     def poisoned(self, *args, **kwargs):
@@ -209,7 +304,7 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
     Newton step when it is strictly feasible, even when the barrier change
     it reads (rounded coarser than the gain there) says the step loses:
     Newton then certifies within a few steps."""
-    solver, z = solver_at(2, False)
+    solver, z, _ = solver_at(2, False)
     t = 1e4
     z, decrement = solver.center(z, t)
     assert decrement is not None
