@@ -303,12 +303,10 @@ class PositionEstimate:
     d_hat: float            # distance estimate at receiver k
     xy_hat: tuple[float, float]
     consistency: float      # distance between the two receivers' position fixes
-    method: str
 
 
 def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
-             tau_k: float, tau_kp: float, phi_k: float, phi_kp: float,
-             method: str = "numeric_root") -> PositionEstimate:
+             tau_k: float, tau_kp: float, phi_k: float, phi_kp: float) -> PositionEstimate:
     """Full two-receiver inversion with sign disambiguation.
 
     Evaluates both bearing candidates (+theta, -theta), reconstructs each
@@ -320,13 +318,9 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     then amplifies rounding error (|denominator| / (c tau) < 1e-6), and the
     other receiver's fix is used alone.
     """
-    if method == "closed_form":
-        candidates = (invert_doa(f_k, f_kp, phi_k, phi_kp, method="closed_form"),)
-    else:
-        candidates = doa_candidates(f_k, f_kp, phi_k, phi_kp)
     best: PositionEstimate | None = None
     last_err: Exception | None = None
-    for theta in candidates:
+    for theta in doa_candidates(f_k, f_kp, phi_k, phi_kp):
         try:
             d_k, cond_k = invert_distance(theta, tau_k, layout, k)
             d_kp, cond_kp = invert_distance(theta, tau_kp, layout, kp)
@@ -340,8 +334,7 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
             xy = pos_k if cond_k >= cond_kp else pos_kp
         else:
             xy = (0.5 * (pos_k[0] + pos_kp[0]), 0.5 * (pos_k[1] + pos_kp[1]))
-        cand = PositionEstimate(theta_hat=theta, d_hat=d_k, xy_hat=xy,
-                                  consistency=gap, method=method)
+        cand = PositionEstimate(theta_hat=theta, d_hat=d_k, xy_hat=xy, consistency=gap)
         if best is None or cand.consistency < best.consistency:
             best = cand
     if best is None:
