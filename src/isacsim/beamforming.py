@@ -297,30 +297,26 @@ class _BarrierSolver:
         # the parts of the barrier that do not depend on the point: the power
         # barrier's gradient direction (-vec(I) on every block, so the power
         # slack is P_T + gP.z) and curvature, the padded stack _terms fills
-        # (identities, sigma^2 I on the receiver blocks), the affine map of
-        # the receiver covariances, and the right-hand sides of grad_hess's
-        # triangular system: I and the H_k, padded with zero rows.  Solved
-        # against the stack's factor they give A_i = L_i^-1 with
-        # Q_i^-1 = A_i^H A_i and A_k = L_k^-1 H_k with M_k = A_k^H A_k.
+        # (sigma^2 I on the receiver blocks), and the right-hand sides of
+        # grad_hess's solve against its factor, I and the H_k padded with zero
+        # rows: A_i = L_i^-1 with Q_i^-1 = A_i^H A_i and A_k = L_k^-1 H_k with
+        # M_k = A_k^H A_k.
         self.gP = np.zeros(self.dim)
         eye = _vec_many(np.eye(n, dtype=complex)[None], self.basis)[0]
         self.gP[:self.qdim] = -np.tile(eye, n_blocks)
         self.lin = np.zeros((m, self.dim))
         self.n_r = n_r = 0 if surrogate is None else surrogate.H.shape[1]
         r = max(n, n_r)
-        self.stack = np.zeros((n_blocks + m, r, r), dtype=complex)
-        self.stack[...] = np.eye(r)
+        self.stack = np.tile(np.eye(r, dtype=complex), (n_blocks + m, 1, 1))
         self.rhs = np.zeros((n_blocks + m, r, n), dtype=complex)
         self.rhs[:n_blocks, :n] = np.eye(n)
         if m:
             H = surrogate.H
             self.stack[n_blocks:, :n_r, :n_r] *= surrogate.sigma2
             self.rhs[n_blocks:, :n_r] = H
-            # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H: the
-            # products H_k E_a H_k^H come from the covariance builder (row
-            # (k, a) takes the one basis block E_a), and phi_S is their
-            # (qdim, m n_r^2) table, stored as its float view so a real z
-            # multiplies it without a complex cast
+            # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H, with
+            # H_k E_a H_k^H from the covariance builder (row (k, a) takes the
+            # basis block E_a); phi_S is the (qdim, m n_r^2) table as floats
             interf, self.mask = surrogate.masks()
             heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
                                               np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
@@ -391,7 +387,7 @@ class _BarrierSolver:
         """Evaluate every barrier ingredient; None when z is infeasible.
 
         Returns (power slack, rate slacks h, the stack's Cholesky factor,
-        its diagonal).
+        the diagonals of its Q blocks).
         """
         power_slack = self.P_T + float(self.gP @ z)
         if power_slack <= 0:
@@ -400,16 +396,16 @@ class _BarrierSolver:
             chol = np.linalg.cholesky(self._stack(z))
         except np.linalg.LinAlgError:
             return None
+        nb = self.n_blocks
         diag = chol.diagonal(0, 1, 2).real
         if not self.m:
             return power_slack, np.zeros(0), chol, diag
-        h = (2.0 * np.log(diag[self.n_blocks:]).sum(axis=1) / LN2 - self.lin @ z
-             - self.offsets)
+        h = 2.0 * np.log(diag[nb:]).sum(axis=1) / LN2 - self.lin @ z - self.offsets
         if self.epigraph:
             h -= z[-1]
         if (h <= self.h_floor).any():
             return None
-        return power_slack, h, chol, diag
+        return power_slack, h, chol, diag[:nb]
 
     def _value(self, z: np.ndarray, t: float, ev, ref=None) -> float:
         """Barrier value at z from its ``_terms`` ev.
@@ -419,12 +415,11 @@ class _BarrierSolver:
         far below the rounding of the values themselves (of order t).
         """
         power_slack, h, _, diag = ev
-        diag = diag[:self.n_blocks]
         if ref is None:
             dz, power0, h0, diag0 = z, 1.0, 1.0, 1.0
         else:
             z0, (power0, h0, _, diag0) = ref
-            dz, diag0 = z - z0, diag0[:self.n_blocks]
+            dz = z - z0
         val = t * float(self.c @ dz) + math.log(power_slack / power0)
         if h.size:
             val += float(np.log(h / h0).sum())
