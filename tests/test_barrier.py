@@ -198,7 +198,7 @@ def test_evaluation_matches_the_covariance_builder(n, epigraph):
 def test_evaluation_outside_the_domain_is_none(epigraph):
     """_terms returns None for a Q block that is not positive definite, a
     power slack <= 0, and a rate slack under its relative floor
-    1e-14 (1 + |offset|); each case keeps the other tests passing."""
+    1e-14 (1 + |offset|); each case breaks one condition and meets the others."""
     rng = np.random.default_rng(5)
     n, n_r = 2, 2
     solver, surrogate, Q, z = random_solver(rng, n, n_r, epigraph)
