@@ -5,9 +5,12 @@ the Gram (covariance) variables Q_i = W_i W_i^H:
 
     minimize CRB  <=>  maximize  (kappa1 - kappa2^2)/(1 + kappa1) * sum_{k in G} chi_k Upsilon_k(Q)
 
-with Upsilon_k(Q) = Tr(A_k sum_i Q_i), A_k = alpha_k H_los^H H_los + N_r I.
-A Gram stack is a plain (K+1, N_t, N_t) array, block 0 the probe stream and
-block k+1 receiver k's stream, as in ``metrics``.  The communication-rate
+with Upsilon_k(Q) = Tr(A_k sum_i Q_i), A_k = alpha_k H_los^H H_los + N_r I
+from ``metrics.sensing_weights``.  A Gram stack is a plain (K+1, N_t, N_t)
+array, block 0 the probe stream and block k+1 receiver k's stream, as in
+``metrics``.  Without rate constraints (R_th <= 0) the optimum is
+closed-form, all power on the weight's top eigenvector, and
+``sca_optimize`` returns it without a solve.  The communication-rate
 constraints stay non-convex; each SCA iteration replaces log det(Psi_k) by
 its first-order expansion at the anchor Q_bar, which upper-bounds it, so
 every surrogate-feasible point is exactly feasible (inner approximation)
@@ -62,9 +65,12 @@ class ScaTrace:
     """Per-iteration record of one SCA run."""
 
     iterations: list[tuple[float, float, float]] = field(default_factory=list)
-    converged: bool = False
     reason: str = ""
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "tolerance"
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +194,10 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
     b = np.asarray(b)
     p = consts.pulses
     scale = (p.kappa1 - p.kappa2 ** 2) / (1.0 + p.kappa1)
-    n = cfg.N_t
-    F = np.zeros((n, n), dtype=complex)
+    A = metrics.sensing_weights(channels.los_sens, cfg.rician_alpha, cfg.N_r)
+    F = np.zeros((cfg.N_t, cfg.N_t), dtype=complex)
     for k in np.flatnonzero(b):
-        los = channels.los_sens[k]
-        A_k = cfg.rician_alpha[k] * (los.conj().T @ los) + cfg.N_r * np.eye(n)
-        F = F + consts.chi[k] * A_k
+        F = F + consts.chi[k] * A[k]
     return scale * 0.5 * (F + F.conj().T)
 
 
@@ -201,8 +205,9 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
 # log-barrier interior point
 # ---------------------------------------------------------------------------
 
-# ratio of consecutive barrier weights on the path
+# ratio of consecutive barrier weights on the path, and the most stages a path takes
 BARRIER_MU = 30.0
+MAX_STAGES = 80
 # A warm barrier solve (see _BarrierSolver.solve) centers its anchor first at
 # the final weight, then at the rung below it, and keeps the first start that
 # certifies.  On small scenes with tight rates Newton's damped phase can crawl
@@ -262,14 +267,15 @@ class _BarrierSolver:
     tests both PSD domains, gives the log-dets from its diagonal, and is
     the triangular system ``grad_hess`` solves against.
 
-    The rate constraints are one ``RateSurrogate`` read as it is, or None
-    for none.  Its rows involve blocks 0..K (the probe interferes, b_k = 0)
-    or 1..K (b_k = 1), one contiguous range by construction of the mask, so
-    the rows fall into at most two groups by the probe column, and each
-    group adds its log-det curvature to one square sub-block of the Hessian.
+    The rate constraints are one ``RateSurrogate`` read as it is (without
+    rate constraints ``sca_optimize`` needs no solver).  Its rows involve
+    blocks 0..K (the probe interferes, b_k = 0) or 1..K (b_k = 1), one
+    contiguous range by construction of the mask, so the rows fall into at
+    most two groups by the probe column, and each group adds its log-det
+    curvature to one square sub-block of the Hessian.
     """
 
-    def __init__(self, weight: np.ndarray, surrogate: RateSurrogate | None, P_T: float,
+    def __init__(self, weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
                  n: int, n_blocks: int, epigraph: bool = False) -> None:
         self.basis = _hermitian_basis(n)
         # the basis as a real (n^2, 2 n^2) table: unpack multiplies the real
@@ -282,7 +288,7 @@ class _BarrierSolver:
         self.dim = self.qdim + (1 if epigraph else 0)
         self.P_T = P_T
         self.epigraph = epigraph
-        self.m = m = 0 if surrogate is None else len(surrogate.offset)
+        self.m = m = len(surrogate.offset)
 
         c = np.zeros(self.dim)
         if epigraph:
@@ -305,50 +311,49 @@ class _BarrierSolver:
         eye = _vec_many(np.eye(n, dtype=complex)[None], self.basis)[0]
         self.gP[:self.qdim] = -np.tile(eye, n_blocks)
         self.lin = np.zeros((m, self.dim))
-        self.n_r = n_r = 0 if surrogate is None else surrogate.H.shape[1]
+        self.n_r = n_r = surrogate.H.shape[1]
         r = max(n, n_r)
+        H = surrogate.H
         self.stack = np.tile(np.eye(r, dtype=complex), (n_blocks + m, 1, 1))
+        self.stack[n_blocks:, :n_r, :n_r] *= surrogate.sigma2
         self.rhs = np.zeros((n_blocks + m, r, n), dtype=complex)
         self.rhs[:n_blocks, :n] = np.eye(n)
-        if m:
-            H = surrogate.H
-            self.stack[n_blocks:, :n_r, :n_r] *= surrogate.sigma2
-            self.rhs[n_blocks:, :n_r] = H
-            # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H, with
-            # H_k E_a H_k^H from the covariance builder (row (k, a) takes the
-            # basis block E_a); phi_S is the (qdim, m n_r^2) table as floats
-            interf, self.mask = surrogate.masks()
-            heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
-                                              np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
-            phi = self.mask[:, :, None, None] * heh.reshape(m, 1, self.bd, n_r * n_r)
-            self.phi_S = np.ascontiguousarray(
-                phi.transpose(1, 2, 0, 3).reshape(self.qdim, -1)).view(float)
-            # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
-            # interferer block i, vec(T_k) computed once per row; the
-            # relative floor on the slacks keeps 1/h^2 curvature finite near
-            # active constraints
-            self.offsets = surrogate.offset
-            self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
-            t_vecs = _vec_many(surrogate.T, self.basis)
-            self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
-                                               0.0).reshape(m, self.qdim)
-            # the constraint gradients' point-independent part: -lin, and the
-            # epigraph column -1
-            self.gcon_fixed = -self.lin
-            if epigraph:
-                self.gcon_fixed[:, -1] = -1.0
-            # Hessian groups by the probe column: a (groups, m) indicator of
-            # their rows carrying the log2 scale, so one matmul with the
-            # 1/h-weighted cores gives every group's curvature sum, and a
-            # (n_blocks^2, groups) indicator of the block pairs (i, j) both
-            # involved in a group's rows, so a second one spreads the sums
-            # over the Hessian's blocks
-            probe = self.mask[:, 0] > 0
-            rows = np.stack([probe == p for p in dict.fromkeys(probe.tolist())])
-            self.group_rows = rows / LN2
-            involved = self.mask[rows.argmax(axis=1)]
-            self.group_blocks = (involved[:, :, None] * involved[:, None, :]).reshape(
-                len(rows), -1).T.copy()
+        self.rhs[n_blocks:, :n_r] = H
+        # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H, with
+        # H_k E_a H_k^H from the covariance builder (row (k, a) takes the
+        # basis block E_a); phi_S is the (qdim, m n_r^2) table as floats
+        interf, self.mask = surrogate.masks()
+        heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
+                                          np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
+        phi = self.mask[:, :, None, None] * heh.reshape(m, 1, self.bd, n_r * n_r)
+        self.phi_S = np.ascontiguousarray(
+            phi.transpose(1, 2, 0, 3).reshape(self.qdim, -1)).view(float)
+        # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
+        # interferer block i, vec(T_k) computed once per row; the
+        # relative floor on the slacks keeps 1/h^2 curvature finite near
+        # active constraints
+        self.offsets = surrogate.offset
+        self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
+        t_vecs = _vec_many(surrogate.T, self.basis)
+        self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
+                                           0.0).reshape(m, self.qdim)
+        # the constraint gradients' point-independent part: -lin, and the
+        # epigraph column -1
+        self.gcon_fixed = -self.lin
+        if epigraph:
+            self.gcon_fixed[:, -1] = -1.0
+        # Hessian groups by the probe column: a (groups, m) indicator of
+        # their rows carrying the log2 scale, so one matmul with the
+        # 1/h-weighted cores gives every group's curvature sum, and a
+        # (n_blocks^2, groups) indicator of the block pairs (i, j) both
+        # involved in a group's rows, so a second one spreads the sums
+        # over the Hessian's blocks
+        probe = self.mask[:, 0] > 0
+        rows = np.stack([probe == p for p in dict.fromkeys(probe.tolist())])
+        self.group_rows = rows / LN2
+        involved = self.mask[rows.argmax(axis=1)]
+        self.group_blocks = (involved[:, :, None] * involved[:, None, :]).reshape(
+            len(rows), -1).T.copy()
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -378,9 +383,8 @@ class _BarrierSolver:
         nb, n, n_r = self.n_blocks, self.n, self.n_r
         stack = self.stack.copy()
         stack[:nb, :n, :n] = self.unpack(z)
-        if self.m:
-            stack[nb:, :n_r, :n_r] += (z[:self.qdim] @ self.phi_S).view(complex).reshape(
-                self.m, n_r, n_r)
+        stack[nb:, :n_r, :n_r] += (z[:self.qdim] @ self.phi_S).view(complex).reshape(
+            self.m, n_r, n_r)
         return stack
 
     def _terms(self, z: np.ndarray):
@@ -398,8 +402,6 @@ class _BarrierSolver:
             return None
         nb = self.n_blocks
         diag = chol.diagonal(0, 1, 2).real
-        if not self.m:
-            return power_slack, np.zeros(0), chol, diag
         h = 2.0 * np.log(diag[nb:]).sum(axis=1) / LN2 - self.lin @ z - self.offsets
         if self.epigraph:
             h -= z[-1]
@@ -421,8 +423,7 @@ class _BarrierSolver:
             z0, (power0, h0, _, diag0) = ref
             dz = z - z0
         val = t * float(self.c @ dz) + math.log(power_slack / power0)
-        if h.size:
-            val += float(np.log(h / h0).sum())
+        val += float(np.log(h / h0).sum())
         val += 2.0 * float(np.log(diag / diag0).sum())
         return val
 
@@ -430,21 +431,20 @@ class _BarrierSolver:
         ev = self._terms(z)
         return None if ev is None else self._value(z, t, ev)
 
-    def grad_hess(self, z: np.ndarray, t: float, ev=None, out=None):
+    def grad_hess(self, z: np.ndarray, t: float, ev=None):
         """(gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known.
 
-        With ``out``, two (dim, dim) arrays, the Hessian is written into
-        out[0] with out[1] as scratch; otherwise it is a new array.
+        The Hessian is written into ``work[0]``, with ``work[1]`` as scratch,
+        so the next call overwrites it.
         """
         if ev is None:
             ev = self._terms(z)
         if ev is None:
             raise SolverError("barrier evaluated at an infeasible point")
         power_slack, h, chol, _ = ev
-        hess_out, scratch = (None, None) if out is None else out
         bd, nb, m = self.bd, self.n_blocks, self.m
         # power barrier (affine constraint): its curvature starts the Hessian
-        hess = np.divide(self.gP_outer, power_slack ** 2, out=hess_out)
+        hess = np.divide(self.gP_outer, power_slack ** 2, out=self.work[0])
 
         # the PSD block barriers' Q^-1 and the log-det curvature M_k = G_k^H G_k
         # of the whitened channels G_k = L_k^-1 H_k, S_k = L_k L_k^H: one stack
@@ -463,18 +463,17 @@ class _BarrierSolver:
         np.einsum("kakb->kab", blocks)[...] += cores[:nb]
         grad += self.gP / power_slack
 
-        if m:
-            inv_h = 1.0 / h
-            # full constraint gradients: vec(M_k) / ln 2 on every involved block
-            gcon = self.gcon_fixed.copy()
-            # splitting the axes of a slice keeps it a view of gcon
-            gcon[:, :self.qdim].reshape(m, nb, bd)[...] += (
-                self.mask[:, :, None] * (vecs[nb:] / LN2)[:, None, :])
-            grad += inv_h @ gcon
-            # log-det curvature: each group's sum on every pair of its blocks
-            sums = (self.group_rows * inv_h) @ cores[nb:].reshape(m, bd * bd)
-            blocks += (self.group_blocks @ sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
-            hess += np.matmul(gcon.T, (inv_h ** 2)[:, None] * gcon, out=scratch)
+        inv_h = 1.0 / h
+        # full constraint gradients: vec(M_k) / ln 2 on every involved block
+        gcon = self.gcon_fixed.copy()
+        # splitting the axes of a slice keeps it a view of gcon
+        gcon[:, :self.qdim].reshape(m, nb, bd)[...] += (
+            self.mask[:, :, None] * (vecs[nb:] / LN2)[:, None, :])
+        grad += inv_h @ gcon
+        # log-det curvature: each group's sum on every pair of its blocks
+        sums = (self.group_rows * inv_h) @ cores[nb:].reshape(m, bd * bd)
+        blocks += (self.group_blocks @ sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
+        hess += np.matmul(gcon.T, (inv_h ** 2)[:, None] * gcon, out=self.work[1])
         return grad, hess
 
     def newton_step(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -503,7 +502,7 @@ class _BarrierSolver:
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
-            grad, hess = self.grad_hess(z, t, ev, out=self.work[:2])
+            grad, hess = self.grad_hess(z, t, ev)
             try:
                 step = self.newton_step(grad, hess)
             except np.linalg.LinAlgError:
@@ -538,9 +537,10 @@ class _BarrierSolver:
                 return z, None
         return z, None
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, mu: float = BARRIER_MU,
-              max_stages: int = 80, warm: bool = False) -> tuple[np.ndarray, float, float | None]:
-        """Path following along t0 mu^k up to the first weight with nu/t <= gap_tol.
+    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0,
+              warm: bool = False) -> tuple[np.ndarray, float, float | None]:
+        """Path following along t0 mu^k, mu = BARRIER_MU, up to the first weight
+        with nu/t <= gap_tol, in at most MAX_STAGES stages.
 
         Returns (z, t, decrement) of the final centering call (see ``center``).
         ``warm`` says z0 is the center of a nearby problem at the final weight
@@ -553,7 +553,7 @@ class _BarrierSolver:
         """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
-        t, z, decrement = t0, z0, None
+        t, z, decrement, mu = t0, z0, None, BARRIER_MU
         if warm and self.nu / (t0 * mu) > gap_tol:
             for t_start, guard in ((t0 * mu * mu, {"max_first": WARM_FINAL_DECREMENT,
                                                     "max_newton": WARM_FINAL_NEWTON}),
@@ -564,7 +564,7 @@ class _BarrierSolver:
                     t, z = t_start, z_start
                     break
         # a decrement that is not None says z is already centered at t
-        for _ in range(max_stages):
+        for _ in range(MAX_STAGES):
             final = self.nu / t <= gap_tol
             if decrement is None:
                 z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
@@ -575,39 +575,28 @@ class _BarrierSolver:
         raise SolverError("barrier path following exhausted its stage budget")
 
 
-def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T: float,
+def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
                        Q_start: np.ndarray, gap_tol: float | None = None,
                        warm: bool = False) -> tuple[np.ndarray, dict]:
     """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
 
-    ``Q_start`` must be strictly feasible (Slater point).  The barrier path
-    starts at weight max(1, 1/P_T); with ``warm``, Q_start is the center of
-    the previous surrogate at the final weight, and a warm
+    ``Q_start`` must be strictly feasible (Slater point) for the rate
+    surrogates and the power budget P_T > 0.  The barrier path starts at
+    weight max(1, 1/P_T); with ``warm``, Q_start is the center of the
+    previous surrogate at the final weight, and a warm
     ``_BarrierSolver.solve`` from t0 = nu/gap_tol/mu^2 centers it straight at
     the final weight t0 mu^2, else from t0 mu, else climbs the full path
-    from t0.  With no rate constraints (``surrogate`` None)
-    the optimum is closed-form: all power on the top eigvector of the
-    weight.  Returns the Gram stack and a diagnostics dict with the
-    objective, the power slack, and a stationarity residual of the final
-    barrier center (KKT certificate; inf when its Newton system is not
-    positive definite).
+    from t0.  Returns the Gram stack and a diagnostics dict with the
+    objective, a stationarity residual of the final barrier center (KKT
+    certificate; inf when its Newton system is not positive definite), and
+    the duality-gap bound of the final weight.
     """
-    if P_T < 0:
-        raise ValueError("power budget must be >= 0")
-    n = weight.shape[0]
-    n_blocks = Q_start.shape[0]
-    if P_T == 0.0:
-        Q = np.zeros((n_blocks, n, n), dtype=complex)
-        return Q, {"objective": 0.0, "power_slack": 0.0, "kkt_residual": 0.0}
-    if surrogate is None:
-        _, Q = _closed_form(weight, P_T, n_blocks)
-        obj = float(np.trace(weight @ Q[0]).real)
-        return Q, {"objective": obj, "power_slack": 0.0, "kkt_residual": 0.0}
-
+    if P_T <= 0:
+        raise ValueError("power budget must be > 0")
     scale = float(np.linalg.norm(weight, 2))
     if scale == 0.0:
         raise ValueError("objective weight is zero")
-    solver = _BarrierSolver(weight / scale, surrogate, P_T, n, n_blocks)
+    solver = _BarrierSolver(weight / scale, surrogate, P_T, weight.shape[0], Q_start.shape[0])
     if gap_tol is None:
         gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q_start)
@@ -615,7 +604,7 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
-        grad, hess = solver.grad_hess(z, t_used, out=solver.work[:2])
+        grad, hess = solver.grad_hess(z, t_used)
         try:
             decrement = float(grad @ solver.newton_step(grad, hess))
         except np.linalg.LinAlgError:
@@ -625,7 +614,6 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
     Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
     info = {
         "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
-        "power_slack": P_T - float(np.trace(Q.sum(axis=0)).real),
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * scale,
@@ -639,14 +627,11 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate | None, P_T:
 
 def recover_beamformers(Q: np.ndarray, L: int) -> BeamformerSet:
     """Best rank-L beamformers from the Gram stack by eigen-truncation."""
-    n_blocks, n, _ = Q.shape
-    W = np.zeros((n_blocks, n, L), dtype=complex)
-    for i in range(n_blocks):
-        w, V = np.linalg.eigh(0.5 * (Q[i] + Q[i].conj().T))
-        order = np.argsort(w)[::-1][:L]
-        vals = np.clip(w[order], 0.0, None)
-        W[i] = V[:, order] * np.sqrt(vals)[None, :]
-    return BeamformerSet(W=W)
+    w, V = np.linalg.eigh(0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
+    order = np.argsort(w, axis=-1)[:, ::-1][:, :L]
+    vals = np.clip(np.take_along_axis(w, order, axis=-1), 0.0, None)
+    return BeamformerSet(W=np.take_along_axis(V, order[:, None, :], axis=-1)
+                         * np.sqrt(vals)[:, None, :])
 
 
 def uniform_gram(cfg: ScenarioConfig) -> np.ndarray:
@@ -655,13 +640,13 @@ def uniform_gram(cfg: ScenarioConfig) -> np.ndarray:
     return np.stack([scale * np.eye(cfg.N_t, dtype=complex) for _ in range(cfg.K + 1)])
 
 
-def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
-                     max_rounds: int = 25) -> np.ndarray:
+def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray:
     """Strictly feasible Grams for the rate constraints, or InfeasibleStartError.
 
     Phase 1: starting from uniform power, repeatedly maximize the minimum
     linearized rate slack (an epigraph program solved by the same barrier
-    machinery) until every exact slack is strictly positive.
+    machinery) until every exact slack is strictly positive, in at most 25
+    rounds.
     """
     b = np.asarray(b)
     Q = uniform_gram(cfg)
@@ -669,7 +654,7 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
         return Q
     margin = 1e-9 * max(cfg.R_th, 1.0)
     best_slack = -np.inf
-    for _ in range(max_rounds):
+    for _ in range(25):
         slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if slack > margin:
             return Q
@@ -691,37 +676,24 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet,
         f"rate threshold {cfg.R_th} bit/s/Hz unreachable within the power budget")
 
 
-def _closed_form(weight: np.ndarray, P_T: float, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Optimum without rate constraints: all power on the weight's top eigenvector v.
-
-    Returns v and the Gram stack whose probe block is P_T v v^H.
-    """
-    v = np.linalg.eigh(weight)[1][:, -1]
-    Q = np.zeros((n_blocks, v.size, v.size), dtype=complex)
-    Q[0] = P_T * np.outer(v, v.conj())
-    return v, Q
-
-
 def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConfig,
-                       notes: list[str], tol: float = 1e-6,
-                       max_passes: int = 4) -> np.ndarray:
+                       notes: list[str]) -> np.ndarray:
     """Bisect interferer power down (W_i -> a W_i, Q_i -> a^2 Q_i) when
     eigen-truncation broke a rate.
 
-    Raises SolverError when a rate is still below R_th - tol after
-    ``max_passes`` passes: the bisection may have scaled another receiver's
-    own stream away.
+    Raises SolverError when a rate is still below R_th - 1e-6 after four
+    passes: the bisection may have scaled another receiver's own stream away.
     """
     Q = metrics.grams(W)
-    for passes in range(max_passes + 1):
+    for passes in range(5):
         rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
-        bad = np.flatnonzero(rates < cfg.R_th - tol)
+        bad = np.flatnonzero(rates < cfg.R_th - 1e-6)
         if bad.size == 0:
             return W
-        if passes == max_passes:
+        if passes == 4:
             k = int(np.argmin(rates))
             raise SolverError(f"receiver {k} keeps rate {rates[k]:.6g} bit/s/Hz below "
-                              f"R_th = {cfg.R_th} after {max_passes} interferer rescales")
+                              f"R_th = {cfg.R_th} after 4 interferer rescales")
         k = int(bad[0])
         interf = np.flatnonzero(metrics.interference_mask(b)[k])
         lo, hi = 0.0, 1.0
@@ -739,13 +711,15 @@ def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConf
 
 
 def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConstants,
-                 init: np.ndarray | None = None, max_iters: int = 50,
-                 tol: float = 1e-6, inner_gap: float | None = None,
+                 init: np.ndarray | None = None, tol: float = 1e-6, inner_gap: float | None = None,
                  objective_weight: np.ndarray | None = None) -> tuple[BeamformerSet, ScaTrace]:
     """Optimize the beamformers for a fixed selection b.
 
     Iterates linearize -> inner solve -> re-anchor until the relative
-    objective gain drops below ``tol``.  The trace records, per accepted
+    objective gain drops below ``tol``, for at most 50 iterations (reason
+    "max-iters").  Without rate constraints (R_th <= 0) the optimum is
+    closed-form: all power on the weight's top eigenvector v, the probe
+    Gram P_T v v^H, and no other stream.  The trace records, per accepted
     iterate, the equivalent linear objective, the CRB, and the maximum
     exact-constraint violation (which stays at 0 by construction of the
     inner approximation).  ``init`` is a strictly feasible Gram stack to
@@ -765,21 +739,15 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
               else build_objective_weight(b, consts, channels, cfg))
 
     if cfg.R_th <= 0:
-        v, Q = _closed_form(weight, cfg.P_T, cfg.K + 1)
+        v = np.linalg.eigh(weight)[1][:, -1]
         W = np.zeros((cfg.K + 1, cfg.N_t, cfg.L), dtype=complex)
         W[0][:, 0] = math.sqrt(cfg.P_T) * v
-        obj = float(np.trace(weight @ Q.sum(axis=0)).real)
+        obj = float(np.trace(weight @ (cfg.P_T * np.outer(v, v.conj()))).real)
         trace.iterations.append((obj, 1.0 / obj, 0.0))
-        trace.converged = True
         trace.reason = "tolerance"
         return BeamformerSet(W=W), trace
 
-    try:
-        Q = init if init is not None else feasibility_init(b, cfg, channels)
-    except InfeasibleStartError:
-        trace.converged = False
-        trace.reason = "infeasible-start"
-        raise
+    Q = init if init is not None else feasibility_init(b, cfg, channels)
 
     def describe(Q: np.ndarray) -> tuple[float, float, float]:
         total = Q.sum(axis=0)
@@ -789,7 +757,7 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
         return obj, 1.0 / obj, viol
 
     obj_prev = float(np.trace(weight @ Q.sum(axis=0)).real)
-    reason = "max-iters"
+    trace.reason = "max-iters"
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight, often nearly central for the next surrogate:
@@ -800,24 +768,21 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
     # the same to the bit.
     warm = False
-    for _ in range(max_iters):
+    for _ in range(50):
         surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
         Q_new, info = inner_convex_solve(weight, surrogate, cfg.P_T, Q, gap_tol=gap, warm=warm)
         warm = True
-        obj_new = float(np.trace(weight @ Q_new.sum(axis=0)).real)
+        obj_new = info["objective"]
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor
-            reason = "tolerance"
+            trace.reason = "tolerance"
             break
         Q = Q_new
         trace.iterations.append(describe(Q))
         if obj_new - obj_prev <= tol * max(abs(obj_prev), 1e-300):
-            reason = "tolerance"
-            obj_prev = obj_new
+            trace.reason = "tolerance"
             break
         obj_prev = obj_new
-    trace.converged = reason == "tolerance"
-    trace.reason = reason
     if not trace.iterations:
         trace.iterations.append(describe(Q))
 

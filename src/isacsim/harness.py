@@ -250,10 +250,6 @@ def top_eta_group(channels: ChannelSet, size: int) -> np.ndarray:
     return b
 
 
-def uniform_beamformers(cfg: ScenarioConfig) -> beamforming.BeamformerSet:
-    return beamforming.recover_beamformers(beamforming.uniform_gram(cfg), cfg.L)
-
-
 def _sca(b, cfg, channels, consts, **kw):
     """Experiment-throughput SCA: slightly loose tolerances, same guarantees.
 
@@ -329,7 +325,7 @@ def _selection_point(cfg, value):
 def _selection_row(cfg, layout, seed, trial, method: str) -> dict:
     """Select receivers under uniform beamformers, then optimize for them."""
     channels, consts = _scene(cfg, layout, seed, trial)
-    W_bar = uniform_beamformers(cfg)
+    W_bar = beamforming.recover_beamformers(beamforming.uniform_gram(cfg), cfg.L)
     if method == "minimax":
         tree = selection.build_linkage_tree(layout.p, layout.p_0, cfg.rho)
         sel = selection.select_group(tree, W_bar, cfg, layout, channels, consts)

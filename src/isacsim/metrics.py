@@ -15,7 +15,11 @@ with F_g = int |g'|^2, F_tg = int t^2 |g|^2, F_tgdot = Re int t g g'* over
 one pulse, and
 
     Upsilon_k(W) = alpha_k Tr(H_los^H H_los sum_i W_i W_i^H)
-                 + N_r Tr(sum_i W_i W_i^H).
+                 + N_r Tr(sum_i W_i W_i^H)  =  Tr(A_k sum_i W_i W_i^H)
+
+with the sensing weight A_k = alpha_k H_los^H H_los + N_r I.  One kernel,
+``sensing_weights``, builds the stack of A_k; the CRB and the beamformer's
+objective weight (``beamforming.build_objective_weight``) both read it.
 
 Coordinate conventions baked into these constants (and honoured by the
 numerical oracle below): the delay sensitivity is taken against physical
@@ -220,17 +224,21 @@ def grams(W) -> np.ndarray:
     return np.einsum("kil,kjl->kij", arr, arr.conj())
 
 
-def upsilon_from_gram(Q_total: np.ndarray, los_k: np.ndarray, alpha_k: float,
-                      N_r: int) -> float:
-    """Upsilon_k evaluated on the total transmit Gram matrix."""
-    lhl = los_k.conj().T @ los_k
-    value = alpha_k * np.trace(lhl @ Q_total) + N_r * np.trace(Q_total)
-    return float(value.real)
+def sensing_weights(los: np.ndarray, alpha, N_r: int) -> np.ndarray:
+    """The (K, N_t, N_t) stack A_k = alpha_k H_los,k^H H_los,k + N_r I, with
+    Upsilon_k = Tr(A_k sum_i W_i W_i^H); ``los`` is the (K, N_r, N_t) stack."""
+    lhl = np.conj(np.transpose(los, (0, 2, 1))) @ los
+    return np.asarray(alpha, dtype=float)[:, None, None] * lhl + N_r * np.eye(los.shape[-1])
+
+
+def _upsilons(A: np.ndarray, Q_total: np.ndarray) -> np.ndarray:
+    """Tr(A_k Q_total) for every sensing weight A_k of the stack."""
+    return np.einsum("kij,ji->k", A, Q_total).real
 
 
 def upsilon(W, los_k: np.ndarray, alpha_k: float, N_r: int) -> float:
     """Beamformer functional of the FIM: alpha_k Tr(L^H L sum WW^H) + N_r Tr(sum WW^H)."""
-    return upsilon_from_gram(total_gram(W), los_k, alpha_k, N_r)
+    return float(_upsilons(sensing_weights(los_k[None], [alpha_k], N_r), total_gram(W))[0])
 
 
 @dataclass(frozen=True)
@@ -267,10 +275,8 @@ def _crb_from_upsilons(b: np.ndarray, ups: np.ndarray, consts: FimConstants) -> 
 def crb_from_gram(b, Q_total: np.ndarray, consts: FimConstants,
                   channels: ChannelSet, cfg: ScenarioConfig) -> CrbReport:
     """CRB for a selection and a total transmit Gram matrix."""
-    ups = np.array([upsilon_from_gram(Q_total, channels.los_sens[k],
-                                      cfg.rician_alpha[k], cfg.N_r)
-                    for k in range(channels.K)])
-    return _crb_from_upsilons(np.asarray(b), ups, consts)
+    A = sensing_weights(channels.los_sens, cfg.rician_alpha, cfg.N_r)
+    return _crb_from_upsilons(np.asarray(b), _upsilons(A, Q_total), consts)
 
 
 def crb(b, W, consts: FimConstants, channels: ChannelSet,

@@ -55,20 +55,14 @@ class TestLinearize:
 
 
 class TestInnerSolve:
-    def test_unconstrained_top_eigendirection(self):
-        cfg, layout, channels, consts = make_scene(K=2, seed=4)
-        weight = bf.build_objective_weight(np.array([1, 1]), consts, channels, cfg)
-        Q, info = inner_convex_solve(weight, None, cfg.P_T, uniform_gram(cfg))
-        w, V = np.linalg.eigh(weight)
-        expected = cfg.P_T * np.outer(V[:, -1], V[:, -1].conj())
-        np.testing.assert_allclose(Q.sum(axis=0), expected, atol=1e-12)
-        assert info["objective"] == pytest.approx(cfg.P_T * w[-1], rel=1e-12)
-
     def test_zero_power(self):
+        # a power budget that is not positive has no strictly feasible point
         cfg, layout, channels, consts = make_scene(K=2, seed=4)
-        weight = np.eye(2)
-        Q, info = inner_convex_solve(weight, None, 0.0, uniform_gram(cfg))
-        assert np.trace(Q.sum(axis=0)).real == 0.0
+        anchor = uniform_gram(cfg)
+        surrogate = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        for P_T in (0.0, -1.0):
+            with pytest.raises(ValueError, match="power budget"):
+                inner_convex_solve(np.eye(2), surrogate, P_T, anchor)
 
     def test_scalar_grid_oracle(self):
         # K = 1, scalar channels, one exact rate constraint: the solution
@@ -129,6 +123,17 @@ class TestRecovery:
         np.testing.assert_allclose(W[0] @ W[0].conj().T, np.diag([3.0, 0.0]),
                                    atol=1e-12)
 
+    def test_stack_matches_one_block_at_a_time(self):
+        # the stacked eigendecomposition against eigh of each Hermitian block
+        rng = np.random.default_rng(3)
+        Q = random_gram(rng, 4, 3, 2.0)
+        Q[2] = np.diag([1.0, 0.0, 2.0])  # a zero eigenvalue
+        W = recover_beamformers(Q, L=2).W
+        for Qi, Wi in zip(Q, W):
+            w, V = np.linalg.eigh(0.5 * (Qi + Qi.conj().T))
+            order = np.argsort(w)[::-1][:2]
+            np.testing.assert_array_equal(Wi, V[:, order] * np.sqrt(np.clip(w[order], 0, None)))
+
 
 class TestFeasibilityInit:
     def test_zero_threshold_uniform(self):
@@ -153,6 +158,20 @@ class TestFeasibilityInit:
 
 
 class TestScaOptimize:
+    def test_zero_threshold_top_eigendirection(self):
+        # without rate constraints all power goes on the weight's top
+        # eigenvector v: the probe Gram is P_T v v^H and every other block is 0
+        cfg, layout, channels, consts = make_scene(K=2, seed=4, R_th=0.0)
+        b = np.array([1, 1])
+        W, trace = sca_optimize(b, cfg, channels, consts)
+        weight = bf.build_objective_weight(b, consts, channels, cfg)
+        w, V = np.linalg.eigh(weight)
+        Q = metrics.grams(W)
+        np.testing.assert_allclose(Q[0], cfg.P_T * np.outer(V[:, -1], V[:, -1].conj()),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(Q[1:], 0.0)
+        assert trace.iterations[0][0] == pytest.approx(cfg.P_T * w[-1], rel=1e-12)
+
     def test_zero_threshold_single_iteration(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=11, R_th=0.0)
         W, trace = sca_optimize(np.array([1, 1, 0]), cfg, channels, consts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isacsim import metrics
+from isacsim import beamforming, metrics
 from isacsim.channel import build_channels
 from isacsim.metrics import (SingularFimError, cooperation_cost, crb, grams,
                              interference_mask, numerical_fim_oracle,
@@ -164,6 +164,33 @@ class TestCrb:
         W = np.ones((3, 2, 2), dtype=complex)
         with pytest.raises(ValueError):
             crb(np.array([0, 0]), W, consts, channels, cfg)
+
+
+class TestSensingWeights:
+    @pytest.mark.parametrize("K, N_t, N_r, b", [(1, 3, 2, [1]), (4, 3, 2, [1, 0, 1, 0]),
+                                                (4, 2, 3, [0, 1, 1, 1])])
+    def test_crb_and_objective_weight_match_per_receiver_forms(self, K, N_t, N_r, b):
+        """crb_from_gram's Upsilon_k and build_objective_weight against
+        alpha_k Tr(L_k^H L_k Q) + N_r Tr(Q) and the scaled
+        sum_k b_k chi_k (alpha_k L_k^H L_k + N_r I), one receiver at a time."""
+        alpha = tuple(0.3 + 0.4 * k for k in range(K))
+        cfg, _, channels, consts = make_scene(K=K, seed=K + N_t, N_t=N_t, N_r=N_r, L=2,
+                                              rician_alpha=alpha)
+        b = np.array(b)
+        rng = np.random.default_rng(N_r)
+        A = rng.standard_normal((N_t, N_t)) + 1j * rng.standard_normal((N_t, N_t))
+        Q = A @ A.conj().T
+        lhl = [los.conj().T @ los for los in channels.los_sens]
+        ups = [alpha[k] * np.trace(lhl[k] @ Q).real + N_r * np.trace(Q).real
+               for k in range(K)]
+        report = metrics.crb_from_gram(b, Q, consts, channels, cfg)
+        np.testing.assert_allclose(report.upsilon, ups, rtol=1e-13, atol=0)
+        p = consts.pulses
+        F = sum(consts.chi[k] * (alpha[k] * lhl[k] + N_r * np.eye(N_t))
+                for k in np.flatnonzero(b))
+        F *= (p.kappa1 - p.kappa2 ** 2) / (1.0 + p.kappa1)
+        weight = beamforming.build_objective_weight(b, consts, channels, cfg)
+        assert np.max(np.abs(weight - F)) <= 1e-13 * np.max(np.abs(F))
 
 
 class TestNumericalFimOracle:
