@@ -650,8 +650,6 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
     """
     b = np.asarray(b)
     Q = uniform_gram(cfg)
-    if cfg.R_th <= 0:
-        return Q
     margin = 1e-9 * max(cfg.R_th, 1.0)
     best_slack = -np.inf
     for _ in range(25):

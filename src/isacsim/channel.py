@@ -43,24 +43,35 @@ class ChannelSet:
         return self.H_sens.shape[0]
 
 
-def los_component(beta_k: complex, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
-    """Rank-1 LoS matrix beta_k * a_rx a_tx^T (plain transpose)."""
+def los_component(beta_k, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
+    """Rank-1 LoS matrix beta_k * a_rx a_tx^T (plain transpose); broadcasts
+    over a leading axis: beta_k (K,), a_rx (K, N_r), a_tx (N_t,) -> (K, N_r, N_t).
+    """
     a_rx = np.asarray(a_rx)
     a_tx = np.asarray(a_tx)
-    if not np.any(a_rx) or not np.any(a_tx):
+    if not np.all(np.any(a_rx, axis=-1)) or not np.all(np.any(a_tx, axis=-1)):
         raise ValueError("steering vectors must be nonzero")
-    return beta_k * np.outer(a_rx, a_tx)
+    return np.asarray(beta_k)[..., None, None] * (a_rx[..., :, None] * a_tx[..., None, :])
 
 
-def sample_rician(eta: float, alpha: float, los: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One Rician block-fading draw around the given LoS matrix."""
-    if eta <= 0:
+def sample_rician(eta, alpha, los: np.ndarray, rng) -> np.ndarray:
+    """One Rician block-fading draw around the given LoS matrix.
+
+    With a (K, N_r, N_t) LoS stack, ``rng`` is a sequence of K Generators
+    and eta, alpha are (K,): matrix k draws its real then imaginary NLoS
+    parts from ``rng[k]``, exactly as K separate single-matrix calls would.
+    """
+    eta = np.asarray(eta)[..., None, None]
+    alpha = np.asarray(alpha)[..., None, None]
+    if np.any(eta <= 0):
         raise ValueError("path loss eta must be > 0")
-    if alpha < 0:
+    if np.any(alpha < 0):
         raise ValueError("Rician factor must be >= 0")
-    shape = np.asarray(los).shape
-    nlos = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    los = np.asarray(los)
+    single = isinstance(rng, np.random.Generator)
+    gens, shape = ((rng,), los.shape) if single else (rng, los.shape[1:])
+    nlos = np.reshape([g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                       for g in gens], los.shape) / np.sqrt(2.0)
     return np.sqrt(eta * alpha / (1.0 + alpha)) * los + np.sqrt(eta / (1.0 + alpha)) * nlos
 
 
@@ -76,25 +87,27 @@ def build_channels(cfg: ScenarioConfig, layout: Layout, seed: int,
     """
     geom = geometry_summary(layout, cfg)
     K, N_r, N_t = cfg.K, cfg.N_r, cfg.N_t
-    H_sens = np.zeros((K, N_r, N_t), dtype=complex)
-    H_comm = np.zeros((K, N_r, N_t), dtype=complex)
-    los_sens = np.zeros((K, N_r, N_t), dtype=complex)
+    if comm:
+        close = np.flatnonzero(geom.d_bk < MIN_DISTANCE)
+        if close.size:
+            raise ValueError(
+                f"receiver {close[0]} is co-located with the TR; build its sensing "
+                "channel with comm=False")
+
+    def substreams(domain):
+        return [rngmod.substream(seed, domain, trial, k) for k in range(K)]
+
     a_tx_target = steering(geom.theta, N_t, cfg.spacing, cfg.wavelength)
-    for k in range(K):
-        a_rx = steering(geom.phi[k], N_r, cfg.spacing, cfg.wavelength)
-        los = los_component(cfg.beta[k], a_rx, a_tx_target)
-        los_sens[k] = los
-        gen = rngmod.substream(seed, rngmod.DOMAIN_CHANNEL_SENS, trial, k)
-        H_sens[k] = sample_rician(geom.eta[k], cfg.rician_alpha[k], los, gen)
-        if comm:
-            if geom.d_bk[k] < MIN_DISTANCE:
-                raise ValueError(
-                    f"receiver {k} is co-located with the TR; build its sensing "
-                    "channel with comm=False")
-            eta_c = geom.d_bk[k] ** (-cfg.epsilon)
-            a_dep = steering(geom.vartheta[k], N_t, cfg.spacing, cfg.wavelength)
-            a_arr = steering(wrap_angle(geom.vartheta[k] + np.pi), N_r, cfg.spacing, cfg.wavelength)
-            los_c = los_component(1.0, a_arr, a_dep)
-            gen_c = rngmod.substream(seed, rngmod.DOMAIN_CHANNEL_COMM, trial, k)
-            H_comm[k] = sample_rician(eta_c, cfg.rician_alpha[k], los_c, gen_c)
+    a_rx = steering(geom.phi, N_r, cfg.spacing, cfg.wavelength)
+    los_sens = los_component(np.asarray(cfg.beta), a_rx, a_tx_target)
+    H_sens = sample_rician(geom.eta, cfg.rician_alpha, los_sens,
+                           substreams(rngmod.DOMAIN_CHANNEL_SENS))
+    H_comm = np.zeros((K, N_r, N_t), dtype=complex)
+    if comm:
+        # scalar pow: NumPy's vectorized power may differ from libm's in the last bit
+        eta_c = np.array([d ** (-cfg.epsilon) for d in geom.d_bk])
+        a_dep = steering(geom.vartheta, N_t, cfg.spacing, cfg.wavelength)
+        a_arr = steering(wrap_angle(geom.vartheta + np.pi), N_r, cfg.spacing, cfg.wavelength)
+        H_comm = sample_rician(eta_c, cfg.rician_alpha, los_component(1.0, a_arr, a_dep),
+                               substreams(rngmod.DOMAIN_CHANNEL_COMM))
     return ChannelSet(H_sens=H_sens, H_comm=H_comm, los_sens=los_sens, geom=geom)

@@ -25,11 +25,12 @@ and tests report the discrepancy between the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import fft, optimize
 
 from . import rng as rngmod
 from .channel import ChannelSet
@@ -145,12 +146,23 @@ def synthesize_block(cfg: ScenarioConfig, channels: ChannelSet, W,
                         pulse_gain=gain)
 
 
+@functools.lru_cache(maxsize=8)
+def _doppler_ramps(M: int, f_max: float, n_f: int) -> np.ndarray:
+    """e^{-j 2 pi f m}: one row per grid Doppler f, one column per sample m."""
+    ramps = np.exp(-2j * np.pi * np.outer(np.linspace(-f_max, f_max, n_f), np.arange(M)))
+    ramps.flags.writeable = False   # shared by every caller through the cache
+    return ramps
+
+
 def matched_filter(block: SampledBlock, grid: DelayDopplerGrid,
                    k: int = 0) -> DelayDopplerEstimate:
     """Grid argmax of || sum_m y[m] s0^H[m - tau] e^{-j 2 pi f m} ||_F^2.
 
-    Ties break lexicographically (smallest tau, then smallest f).  Scaling
-    the block by any nonzero complex constant leaves the argmax unchanged.
+    For each Doppler bin the lag axis is one exact FFT correlation: the
+    transform length N >= M + tau is free of wrap-around, and lags tau >= M,
+    which overlap no sample, score exactly 0.  Ties among bit-equal scores
+    break lexicographically (smallest tau, then smallest f).  Scaling the
+    block by any nonzero complex constant leaves the argmax unchanged.
     """
     y = block.y[k]
     s0 = block.s0
@@ -160,30 +172,24 @@ def matched_filter(block: SampledBlock, grid: DelayDopplerGrid,
     freqs = grid.freqs()
     if taus.size == 0 or freqs.size == 0:
         raise ValueError("empty search grid")
+    if grid.tau_min < 0:
+        raise ValueError(f"tau_min must be >= 0, got {grid.tau_min}")
     M = y.shape[1]
-    m_idx = np.arange(M)
-    dop = np.exp(-2j * np.pi * np.outer(m_idx, freqs))  # (M, n_f)
-    best = None
-    chunk = 64
-    for start in range(0, taus.size, chunk):
-        tau_block = taus[start:start + chunk]
-        # per-sample products y_r[m] * conj(s0_l[m - tau]), all (r, l) pairs
-        prod = np.zeros((tau_block.size, y.shape[0] * s0.shape[0], M), dtype=complex)
-        for i, tau in enumerate(tau_block):
-            if tau >= M:
-                continue
-            shifted = np.zeros_like(s0)
-            shifted[:, tau:] = s0[:, :M - tau]
-            prod[i] = (y[:, None, :] * shifted.conj()[None, :, :]).reshape(-1, M)
-        phi = prod.reshape(-1, M) @ dop                     # (n_tau*N_r*L, n_f)
-        scores = np.sum(np.abs(phi.reshape(tau_block.size, -1, freqs.size)) ** 2, axis=1)
-        flat = int(np.argmax(scores))
-        i_tau, i_f = divmod(flat, freqs.size)
-        cand = (float(scores[i_tau, i_f]), int(tau_block[i_tau]), float(freqs[i_f]))
-        if best is None or cand[0] > best[0]:
-            best = cand
-    score, tau_hat, f_hat = best
-    return DelayDopplerEstimate(tau_hat=tau_hat, f_hat=f_hat, score=score)
+    scores = np.zeros((taus.size, freqs.size))
+    hi = min(grid.tau_max, M - 1)
+    n_fft = fft.next_fast_len(M + hi)
+    s0_conj = np.conj(fft.fft(s0, n_fft))                       # (L, N)
+    ramps = _doppler_ramps(M, grid.f_max, grid.n_f)
+    # Doppler bins per chunk: about 1 MB of complex temporaries
+    step = max(1, (1 << 16) // (y.shape[0] * s0.shape[0] * n_fft))
+    for j in range(0, freqs.size, step):
+        u = fft.fft(y * ramps[j:j + step, None, :], n_fft)      # (f, N_r, N)
+        c = fft.ifft(u[:, :, None, :] * s0_conj, overwrite_x=True)
+        c = c[..., grid.tau_min:hi + 1]                         # (f, N_r, L, tau)
+        scores[:c.shape[-1], j:j + step] = np.sum(c.real ** 2 + c.imag ** 2, axis=(1, 2)).T
+    i_tau, i_f = divmod(int(np.argmax(scores)), freqs.size)
+    return DelayDopplerEstimate(tau_hat=int(taus[i_tau]), f_hat=float(freqs[i_f]),
+                                score=float(scores[i_tau, i_f]))
 
 
 def matched_filter_error(block: SampledBlock, grid: DelayDopplerGrid, b) -> float:

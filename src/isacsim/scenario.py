@@ -202,17 +202,18 @@ def geometry_summary(layout: Layout, cfg: ScenarioConfig) -> GeometrySummary:
                            theta=theta, phi=phi, vartheta=vartheta, eta=eta)
 
 
-def steering(angle: float, n: int, spacing: float, wavelength: float) -> np.ndarray:
+def steering(angle, n: int, spacing: float, wavelength: float) -> np.ndarray:
     """Uniform-linear-array steering vector, element 0 = 1.
 
-    Element i carries phase 2*pi*i*spacing/wavelength*sin(angle).
+    Element i carries phase 2*pi*i*spacing/wavelength*sin(angle).  An array
+    of angles gives one vector per angle along a new last axis.
     """
     if n < 1:
         raise ValueError("steering vector needs n >= 1 elements")
     if spacing <= 0 or wavelength <= 0:
         raise ValueError("spacing and wavelength must be > 0")
     idx = np.arange(n)
-    return np.exp(2j * np.pi * idx * (spacing / wavelength) * math.sin(angle))
+    return np.exp(2j * np.pi * idx * (spacing / wavelength) * np.sin(angle)[..., None])
 
 
 def true_doppler(theta: float, phi_k: float, v: float, f0: float,

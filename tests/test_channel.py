@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from isacsim import rng as rngmod
 from isacsim.channel import build_channels, los_component, sample_rician
-from isacsim.scenario import Layout
+from isacsim.scenario import (MIN_DISTANCE, Layout, geometry_summary, steering,
+                              wrap_angle)
 
 from conftest import make_cfg, make_layout
 
@@ -80,6 +82,60 @@ class TestSampleRician:
             sample_rician(0.0, 0.5, los, rng)
         with pytest.raises(ValueError):
             sample_rician(1.0, -0.1, los, rng)
+
+
+def build_channels_ref(cfg, layout, seed, trial=0, comm=True):
+    """The per-receiver loop: one steering, LoS and Rician call per receiver."""
+    geom = geometry_summary(layout, cfg)
+    K, N_r, N_t = cfg.K, cfg.N_r, cfg.N_t
+    H_sens = np.zeros((K, N_r, N_t), dtype=complex)
+    H_comm = np.zeros((K, N_r, N_t), dtype=complex)
+    los_sens = np.zeros((K, N_r, N_t), dtype=complex)
+    a_tx_target = steering(geom.theta, N_t, cfg.spacing, cfg.wavelength)
+    for k in range(K):
+        a_rx = steering(geom.phi[k], N_r, cfg.spacing, cfg.wavelength)
+        los = los_component(cfg.beta[k], a_rx, a_tx_target)
+        los_sens[k] = los
+        gen = rngmod.substream(seed, rngmod.DOMAIN_CHANNEL_SENS, trial, k)
+        H_sens[k] = sample_rician(geom.eta[k], cfg.rician_alpha[k], los, gen)
+        if comm:
+            if geom.d_bk[k] < MIN_DISTANCE:
+                raise ValueError(f"receiver {k} is co-located with the TR")
+            eta_c = geom.d_bk[k] ** (-cfg.epsilon)
+            a_dep = steering(geom.vartheta[k], N_t, cfg.spacing, cfg.wavelength)
+            a_arr = steering(wrap_angle(geom.vartheta[k] + np.pi), N_r, cfg.spacing,
+                             cfg.wavelength)
+            los_c = los_component(1.0, a_arr, a_dep)
+            gen_c = rngmod.substream(seed, rngmod.DOMAIN_CHANNEL_COMM, trial, k)
+            H_comm[k] = sample_rician(eta_c, cfg.rician_alpha[k], los_c, gen_c)
+    return H_sens, H_comm, los_sens
+
+
+class TestBatchedBuild:
+    """build_channels against the per-receiver loop, bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    @pytest.mark.parametrize("N_t,N_r", [(2, 2), (3, 2), (2, 4)])
+    @pytest.mark.parametrize("comm", [True, False])
+    def test_matches_per_receiver_loop(self, K, N_t, N_r, comm):
+        for seed in range(5):
+            alpha = tuple(np.random.default_rng(seed).uniform(0.0, 3.0, K))
+            cfg = make_cfg(K=K, N_t=N_t, N_r=N_r, rician_alpha=alpha)
+            lay = make_layout(K, seed=seed)
+            got = build_channels(cfg, lay, seed=seed, trial=seed % 3, comm=comm)
+            H_sens, H_comm, los_sens = build_channels_ref(cfg, lay, seed, seed % 3, comm)
+            assert np.array_equal(got.H_sens, H_sens)
+            assert np.array_equal(got.H_comm, H_comm)
+            assert np.array_equal(got.los_sens, los_sens)
+
+    def test_names_first_colocated_receiver(self):
+        cfg = make_cfg(K=5)
+        lay = make_layout(5, seed=2)
+        p = lay.p.copy()
+        p[[2, 4]] = lay.p_b
+        lay = Layout(p_b=lay.p_b, p_0=lay.p_0, p=p)
+        with pytest.raises(ValueError, match="receiver 2 is co-located"):
+            build_channels(cfg, lay, seed=0)
 
 
 class TestBuildChannels:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,117 @@ class TestMatchedFilter:
                                   pulse_gain=block.pulse_gain)
         e2 = matched_filter(scaled, grid, k=0)
         assert (e1.tau_hat, e1.f_hat) == (e2.tau_hat, e2.f_hat)
+
+
+def matched_filter_ref(block, grid, k=0):
+    """The chunked-GEMM matched filter: per-lag products, one GEMM per 64 lags.
+
+    Returns the estimate and the full (n_tau, n_f) score array.
+    """
+    y = block.y[k]
+    s0 = block.s0
+    taus = grid.taus()
+    freqs = grid.freqs()
+    M = y.shape[1]
+    dop = np.exp(-2j * np.pi * np.outer(np.arange(M), freqs))  # (M, n_f)
+    scores = np.zeros((taus.size, freqs.size))
+    chunk = 64
+    for start in range(0, taus.size, chunk):
+        tau_block = taus[start:start + chunk]
+        prod = np.zeros((tau_block.size, y.shape[0] * s0.shape[0], M), dtype=complex)
+        for i, tau in enumerate(tau_block):
+            if tau >= M:
+                continue
+            shifted = np.zeros_like(s0)
+            shifted[:, tau:] = s0[:, :M - tau]
+            prod[i] = (y[:, None, :] * shifted.conj()[None, :, :]).reshape(-1, M)
+        phi = prod.reshape(-1, M) @ dop
+        scores[start:start + tau_block.size] = np.sum(
+            np.abs(phi.reshape(tau_block.size, -1, freqs.size)) ** 2, axis=1)
+    i_tau, i_f = divmod(int(np.argmax(scores)), freqs.size)
+    est_ref = est.DelayDopplerEstimate(tau_hat=int(taus[i_tau]), f_hat=float(freqs[i_f]),
+                                       score=float(scores[i_tau, i_f]))
+    return est_ref, scores
+
+
+def random_block(rng, M, L, N_r):
+    """A probe, and an echo of it at a random lag and Doppler in unit noise."""
+    s0 = (rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))) / math.sqrt(2)
+    tau = int(rng.integers(0, M))
+    f = float(rng.uniform(-0.1, 0.1))
+    shifted = np.zeros_like(s0)
+    shifted[:, tau:] = s0[:, :M - tau]
+    H = rng.standard_normal((N_r, L)) + 1j * rng.standard_normal((N_r, L))
+    y = (rng.uniform(0.0, 3.0) * (H @ shifted) * np.exp(2j * np.pi * f * np.arange(M))
+         + rng.standard_normal((N_r, M)) + 1j * rng.standard_normal((N_r, M)))
+    return est.SampledBlock(y=y[None], s0=s0, tau_tilde=np.array([tau]),
+                            f_tilde=np.array([f]), pulse_gain=1.0)
+
+
+class TestMatchedFilterReference:
+    """The FFT matched filter against the chunked-GEMM reference."""
+
+    def test_random_blocks_match(self):
+        """312 blocks over M, L, N_r and n_f, some with tau_min > 0 or tau_max >= M.
+
+        Same argmax and scores within 1e-12; where the indices differ, the
+        reference scores both within 1e-12, a tie the two round differently.
+        """
+        rng = np.random.default_rng(2024)
+        cases = ties = 0
+        for M, L, N_r, n_f in itertools.product((16, 64, 1024), (1, 2), (1, 2, 3),
+                                                (1, 5, 65, 129)):
+            for rep in range(3 if M == 1024 else 5):
+                block = random_block(rng, M, L, N_r)
+                tau_min = int(rng.integers(0, M // 4)) if rep % 2 else 0
+                if rep >= 3:
+                    tau_max = M + int(rng.integers(0, M))    # lags past the block
+                else:
+                    tau_max = tau_min + int(rng.integers(0, M // 4 + 1))
+                grid = DelayDopplerGrid(tau_max=tau_max, tau_min=tau_min, n_f=n_f,
+                                        f_max=0.1)
+                got = matched_filter(block, grid)
+                want, scores = matched_filter_ref(block, grid)
+                assert got.score == pytest.approx(want.score, rel=1e-12, abs=0)
+                if (got.tau_hat, got.f_hat) != (want.tau_hat, want.f_hat):
+                    i_f = int(np.flatnonzero(grid.freqs() == got.f_hat)[0])
+                    assert scores[got.tau_hat - tau_min, i_f] == pytest.approx(
+                        want.score, rel=1e-12, abs=0)
+                    ties += 1
+                cases += 1
+        assert cases == 312
+        assert ties <= 3
+
+    def test_single_overlap_tie_scores_its_maximum(self):
+        # at tau = M - 1 one sample overlaps, so |c(tau, f)|^2 does not depend on f
+        rng = np.random.default_rng(5)
+        M = 16
+        block = random_block(rng, M, 2, 2)
+        y = np.zeros_like(block.y)
+        y[0, :, M - 1] = block.y[0, :, M - 1]
+        block = est.SampledBlock(y=y, s0=block.s0, tau_tilde=block.tau_tilde,
+                                 f_tilde=block.f_tilde, pulse_gain=1.0)
+        grid = DelayDopplerGrid(tau_max=M - 1, tau_min=M - 1, n_f=65)
+        got = matched_filter(block, grid)
+        want = np.sum(np.abs(np.outer(y[0, :, M - 1], block.s0[:, 0].conj())) ** 2)
+        assert got.tau_hat == M - 1
+        assert got.score == pytest.approx(want, rel=1e-12)
+
+    def test_lags_past_the_block_score_zero_and_tie_to_the_first(self):
+        block = random_block(np.random.default_rng(6), 16, 2, 2)
+        grid = DelayDopplerGrid(tau_max=20, tau_min=16, n_f=5)
+        got = matched_filter(block, grid)
+        assert (got.tau_hat, got.f_hat, got.score) == (16, float(grid.freqs()[0]), 0.0)
+
+    def test_lags_past_the_block_never_beat_a_real_lag(self):
+        block = random_block(np.random.default_rng(7), 16, 1, 1)
+        got = matched_filter(block, DelayDopplerGrid(tau_max=40, tau_min=3, n_f=5))
+        assert 3 <= got.tau_hat < 16 and got.score > 0
+
+    def test_negative_tau_min_rejected(self):
+        block = random_block(np.random.default_rng(8), 64, 2, 2)
+        with pytest.raises(ValueError, match="tau_min"):
+            matched_filter(block, DelayDopplerGrid(tau_max=4, tau_min=-2))
 
 
 class TestInvertDoa:
