@@ -135,25 +135,25 @@ def main(argv=None) -> int:
     specs = [parse_spec(s) for s in args.specs]
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    record = {
-        "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "host": {"cpu_count": os.cpu_count(),
-                 "note": "shared host: other tenants' load is unknown; the *_at_ref "
-                         "timings are rescaled by perfbench's reference loop, raw "
-                         "wall clock is not bounded"},
-        "order": "pairs alternate which side runs first: parent first at the first "
-                 "seed of each workload",
-    }
-    if args.claim:
-        record["claim"] = {"workload": args.claim, "metric": CLAIM_METRIC,
-                           "rule": "change wins >= 9 of 10 pairs and the median gap "
-                                   "exceeds the parent's interquartile range"}
-    record["workloads"] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("parent", "change")}
-        record["parent"] = extract(args.parent, checkouts["parent"])
-        record["change"] = extract(args.change, checkouts["change"])
+        record = {
+            "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
+                        f"--seconds {args.seconds:g} --trace 0"),
+            "parent": extract(args.parent, checkouts["parent"]),
+            "change": extract(args.change, checkouts["change"]),
+            "host": {"cpu_count": os.cpu_count(),
+                     "note": "shared host: other tenants' load is unknown; the *_at_ref "
+                             "timings are rescaled by perfbench's reference loop, raw "
+                             "wall clock is not bounded"},
+            "order": "pairs alternate which side runs first: parent first at the first "
+                     "seed of each workload",
+        }
+        if args.claim:
+            record["claim"] = {"workload": args.claim, "metric": CLAIM_METRIC,
+                               "rule": "change wins >= 9 of 10 pairs and the median gap "
+                                       "exceeds the parent's interquartile range"}
+        record["workloads"] = {}
         for name, seeds in specs:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
