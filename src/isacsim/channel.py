@@ -55,12 +55,8 @@ def los_component(beta_k, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
 
 
 def sample_rician(eta, alpha, los: np.ndarray, rng) -> np.ndarray:
-    """One Rician block-fading draw around the given LoS matrix.
-
-    With a (K, N_r, N_t) LoS stack, ``rng`` is a sequence of K Generators
-    and eta, alpha are (K,): matrix k draws its real then imaginary NLoS
-    parts from ``rng[k]``, exactly as K separate single-matrix calls would.
-    """
+    """One Rician block-fading draw around the given LoS matrix.  For a (K, N_r,
+    N_t) stack, eta and alpha are (K,) and matrix k draws from ``rng[k]``."""
     eta = np.asarray(eta)[..., None, None]
     alpha = np.asarray(alpha)[..., None, None]
     if np.any(eta <= 0):
@@ -99,7 +95,7 @@ def build_channels(cfg: ScenarioConfig, layout: Layout, seed: int,
 
     a_tx_target = steering(geom.theta, N_t, cfg.spacing, cfg.wavelength)
     a_rx = steering(geom.phi, N_r, cfg.spacing, cfg.wavelength)
-    los_sens = los_component(np.asarray(cfg.beta), a_rx, a_tx_target)
+    los_sens = los_component(cfg.beta, a_rx, a_tx_target)
     H_sens = sample_rician(geom.eta, cfg.rician_alpha, los_sens,
                            substreams(rngmod.DOMAIN_CHANNEL_SENS))
     H_comm = np.zeros((K, N_r, N_t), dtype=complex)

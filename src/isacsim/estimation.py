@@ -308,7 +308,7 @@ class PositionEstimate:
     theta_hat: float
     d_hat: float            # distance estimate at receiver k
     xy_hat: tuple[float, float]
-    consistency: float      # distance between the two receivers' position fixes
+    consistency: float      # distance between the two receivers' fixes (see localize)
 
 
 def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
@@ -322,24 +322,36 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     The estimate is the midpoint of the two fixes, unless one receiver sits
     nearly on the line through the TR and the target: its distance inversion
     then amplifies rounding error (|denominator| / (c tau) < 1e-6), and the
-    other receiver's fix is used alone.
+    other receiver's fix is used alone.  If one inversion fails outright (on
+    that line the delay fixes no distance), the other fix is scored by its
+    distance from the failed receiver's bearing line.
     """
+    phis = {k: phi_k, kp: phi_kp}
     best: PositionEstimate | None = None
     last_err: Exception | None = None
     for theta in doa_candidates(f_k, f_kp, phi_k, phi_kp):
-        try:
-            d_k, cond_k = invert_distance(theta, tau_k, layout, k)
-            d_kp, cond_kp = invert_distance(theta, tau_kp, layout, kp)
-            pos_k = estimate_position(k, d_k, phi_k, layout)
-            pos_kp = estimate_position(kp, d_kp, phi_kp, layout)
-        except (DegenerateTriangleError, ValueError) as exc:
-            last_err = exc
-            continue
-        gap = math.hypot(pos_k[0] - pos_kp[0], pos_k[1] - pos_kp[1])
-        if min(cond_k, cond_kp) < 1e-6:
-            xy = pos_k if cond_k >= cond_kp else pos_kp
+        fixes = {}
+        for r, tau in ((kp, tau_kp), (k, tau_k)):   # k last: both failing reports k's error
+            try:
+                d, cond = invert_distance(theta, tau, layout, r)
+                fixes[r] = (d, cond, estimate_position(r, d, phis[r], layout))
+            except (DegenerateTriangleError, ValueError) as exc:
+                last_err = exc
+        if len(fixes) == 2:
+            (d_k, cond_k, pos_k), (_, cond_kp, pos_kp) = fixes[k], fixes[kp]
+            gap = math.hypot(pos_k[0] - pos_kp[0], pos_k[1] - pos_kp[1])
+            if min(cond_k, cond_kp) < 1e-6:
+                xy = pos_k if cond_k >= cond_kp else pos_kp
+            else:
+                xy = (0.5 * (pos_k[0] + pos_kp[0]), 0.5 * (pos_k[1] + pos_kp[1]))
+        elif fixes:
+            ((r, (_, _, xy)),) = fixes.items()
+            o = kp if r == k else k
+            dx, dy = xy[0] - layout.p[o][0], xy[1] - layout.p[o][1]
+            gap = abs(math.cos(phis[o]) * dy - math.sin(phis[o]) * dx)
+            d_k = math.hypot(xy[0] - layout.p[k][0], xy[1] - layout.p[k][1])
         else:
-            xy = (0.5 * (pos_k[0] + pos_kp[0]), 0.5 * (pos_k[1] + pos_kp[1]))
+            continue
         cand = PositionEstimate(theta_hat=theta, d_hat=d_k, xy_hat=xy, consistency=gap)
         if best is None or cand.consistency < best.consistency:
             best = cand

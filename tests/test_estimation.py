@@ -377,6 +377,27 @@ class TestLocalize:
                        geom.phi[0], geom.phi[1])
         assert res.theta_hat == pytest.approx(geom.theta, abs=1e-9)
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_receiver_on_the_tr_target_line(self, order):
+        # receiver 1 sits beyond the target on the TR -> target ray: at the true
+        # bearing its delay fixes no distance, so receiver 0's fix stands alone
+        cfg = make_cfg(K=2)
+        lay = Layout(p_b=np.zeros(2), p_0=np.array([20.0, 40.0]),
+                     p=np.array([[-62.4343134, 54.96544269], [33.0, 66.0]]))
+        geom = geometry_summary(lay, cfg)
+        f = [true_doppler(geom.theta, geom.phi[k], cfg.v, cfg.f0, "approx")
+             for k in range(2)]
+        tau = [true_delay(geom.d_b0, geom.d_0k[k]) for k in range(2)]
+        with pytest.raises(DegenerateTriangleError):
+            invert_distance(geom.theta, tau[1], lay, 1)
+        k, kp = order
+        res = localize(lay, k, kp, f[k], f[kp], tau[k], tau[kp],
+                       geom.phi[k], geom.phi[kp])
+        assert res.theta_hat == pytest.approx(geom.theta, abs=1e-9)
+        assert res.xy_hat == pytest.approx(tuple(lay.p_0), abs=1e-6)
+        assert res.consistency < 1e-6
+        assert res.d_hat == pytest.approx(geom.d_0k[k], rel=1e-9)
+
 
 class TestMseHarness:
     """The matched-filter error of one trial, as the mf_vs_crb rows compute it."""
