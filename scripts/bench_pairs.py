@@ -11,7 +11,8 @@ range, the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 38 --trace 0
 
-once in each checkout.  The pairs alternate which side runs first, parent
+once in each checkout, with the run length from BENCHMARK.json's
+``run_seconds``.  The pairs alternate which side runs first, parent
 first at the first seed of each workload, so a slow spell of a shared host
 falls on both sides alike.  The JSON record holds every run: the
 end-to-end metrics named in BENCHMARK.json with their medians, quartiles
@@ -128,18 +129,18 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--change", default="HEAD", help="revision under test")
     parser.add_argument("--out", required=True, type=Path, help="JSON record to write")
-    parser.add_argument("--seconds", type=float, default=38.0)
     parser.add_argument("--claim", help=f"workload on which {CLAIM_METRIC} is claimed")
     parser.add_argument("specs", nargs="+", metavar="WORKLOAD=FIRST-LAST")
     args = parser.parse_args(argv)
     specs = [parse_spec(s) for s in args.specs]
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, end_to_end = bench["run_seconds"], bench["end_to_end"]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("parent", "change")}
         record = {
             "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
-                        f"--seconds {args.seconds:g} --trace 0"),
+                        f"--seconds {seconds:g} --trace 0"),
             "parent": extract(args.parent, checkouts["parent"]),
             "change": extract(args.change, checkouts["change"]),
             "host": {"cpu_count": os.cpu_count(),
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    res = run_once(checkouts[side], name, seed, args.seconds)
+                    res = run_once(checkouts[side], name, seed, seconds)
                     runs[side].append(res)
                     print(f"{name} seed {seed} {side}: {CLAIM_METRIC} = "
                           f"{res['metrics'][CLAIM_METRIC]:.6g}", flush=True)
