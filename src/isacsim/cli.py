@@ -48,12 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    try:
-        cfg, layout, base = harness.load_config(args.config)
-    except (ConfigError, DegenerateGeometryError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_run(args, cfg, layout, base) -> int:
     sweep = (tuple(args.sweep.split(",")) if args.sweep
              else harness.default_sweep(args.experiment, cfg))
     try:
@@ -62,10 +57,6 @@ def _cmd_run(args) -> int:
             trials=args.trials if args.trials is not None else harness.default_trials(args.experiment),
             seed=args.seed if args.seed is not None else cfg.seed,
             out=args.out)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         rows = harness.run_experiment(spec, cfg, layout, base=base, timing=args.timing)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -81,14 +72,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    try:
-        cfg, layout, base = harness.load_config(args.config)
-        if layout is None:  # random placement: validate the trial-0 draw
-            harness.draw_layout(cfg, base, cfg.seed, 0)
-    except (ConfigError, DegenerateGeometryError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_validate(args, cfg, layout, base) -> int:
     print(f"ok: K={cfg.K} N_t={cfg.N_t} N_r={cfg.N_r} L={cfg.L} "
           f"P_T={cfg.P_T:g} W B={cfg.B:g} Hz pulse={cfg.pulse} seed={cfg.seed}")
     return EXIT_OK
@@ -102,12 +86,19 @@ def _cmd_presets() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        code = _cmd_run(args)
-    elif args.command == "validate":
-        code = _cmd_validate(args)
-    else:
+    if args.command == "presets":
         code = _cmd_presets()
+    else:
+        try:  # the one error path of every command that loads a config
+            cfg, layout, base = harness.load_config(args.config)
+            if layout is None:  # random placement: validate the trial-0 draw
+                harness.draw_layout(cfg, base, cfg.seed, 0)
+        except (ConfigError, DegenerateGeometryError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        else:
+            command = _cmd_run if args.command == "run" else _cmd_validate
+            code = command(args, cfg, layout, base)
     if argv is None:
         sys.exit(code)
     return code

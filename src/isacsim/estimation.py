@@ -16,11 +16,7 @@ Localization inverts two receivers' Doppler shifts for the departure bearing
 theta and each delay for the target distance.  The Doppler ratio constrains
 only cos(theta), so theta's sign is unidentifiable from one receiver pair in
 isolation; ``invert_doa`` returns the root in [0, pi] and ``localize``
-resolves the sign by cross-receiver position consistency.  A closed-form
-two-receiver arctangent variant exists but its intermediate quantities are
-ill-defined (consistency requires them to depend on the unknown bearing
-itself), so the bracketed numeric root of the ratio equation is the default
-and tests report the discrepancy between the two.
+resolves the sign by cross-receiver position consistency.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from scipy import fft, optimize
 from . import rng as rngmod
 from .channel import ChannelSet
 from .metrics import pulse_waveform
-from .scenario import SPEED_OF_LIGHT, Layout, ScenarioConfig, wrap_angle
+from .scenario import SPEED_OF_LIGHT, Layout, ScenarioConfig
 
 
 class DegenerateInputError(ValueError):
@@ -214,31 +210,19 @@ def _ratio_residual(theta: float, f_k: float, f_kp: float,
             - f_kp * (math.cos(theta) + math.cos(phi_k)))
 
 
-def invert_doa(f_k: float, f_kp: float, phi_k: float, phi_kp: float,
-               method: str = "numeric_root") -> float:
+def invert_doa(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> float:
     """Departure bearing theta from two receivers' Doppler shifts.
 
-    ``numeric_root`` solves the Doppler ratio equation by bracketed root
-    finding and returns the root in [0, pi]; the mirrored root -theta is
-    equally consistent (only cos(theta) is observable), see ``localize``.
-    When the two shifts coincide the ratio carries no bearing information
-    and 0 is returned by convention (the symmetric-geometry case).
-
-    ``closed_form`` evaluates the two-receiver arctangent shortcut; it is
-    reported for comparison but is not trusted (see the module docstring).
+    Solves the Doppler ratio equation by bracketed root finding and returns
+    the root in [0, pi]; the mirrored root -theta is equally consistent
+    (only cos(theta) is observable), see ``localize``.  When the two shifts
+    coincide the ratio carries no bearing information and 0 is returned by
+    convention (the symmetric-geometry case).
     """
     if f_kp == 0.0:
         raise ValueError("the reference Doppler shift must be nonzero")
     if abs(math.sin(0.5 * (phi_k - phi_kp))) < 1e-10:
         raise DegenerateAnglesError("receiver bearings coincide (mod 2 pi)")
-    if method == "closed_form":
-        xi_k = f_k * math.cos(0.5 * phi_k)
-        xi_kp = f_kp * math.cos(0.5 * phi_kp)
-        half = 0.5 * (phi_k - phi_kp)
-        varpi = math.atan2(xi_kp - xi_k * math.cos(half), xi_k * math.sin(half))
-        return wrap_angle(2.0 * varpi - phi_k)
-    if method != "numeric_root":
-        raise ValueError(f"unknown method {method!r}")
     scale = max(abs(f_k), abs(f_kp))
     if abs(f_k - f_kp) <= 1e-12 * scale:
         return 0.0
@@ -258,7 +242,7 @@ def invert_doa(f_k: float, f_kp: float, phi_k: float, phi_kp: float,
 
 def doa_candidates(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> tuple[float, ...]:
     """Both bearings consistent with the Doppler ratio (theta and -theta)."""
-    theta = invert_doa(f_k, f_kp, phi_k, phi_kp, method="numeric_root")
+    theta = invert_doa(f_k, f_kp, phi_k, phi_kp)
     if theta in (0.0, math.pi):
         return (theta,)
     return (theta, -theta)

@@ -30,7 +30,7 @@ import functools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,22 +47,9 @@ from .scenario import (ConfigError, Layout, ScenarioConfig, annulus_layout,
 COLUMNS = ("sweep_value", "trial", "crb", "rate_min", "rate_mean", "cost",
            "group_size", "objective", "mse", "wall_time_ms", "error")
 
-_DEFAULTS = {
-    "K": 10, "N_t": 2, "N_r": 2, "L": 2,
-    "P_T_dbm": 30.0, "B": 1.0e8, "M": 1024,
-    "epsilon": 2.7, "rho": 0.5, "rician_alpha": 0.5, "beta": 0.6,
-    "sigma2_dbm": -60.0, "sigma_c2_dbm": -60.0, "sigma_z2_dbm": -60.0,
-    "f0": 3.0e9, "v": 20.0, "R_th": 1.0, "Omega_th": 200.0,
-    "pulse": "cosine", "seed": 1234,
-    "p_b": (0.0, 0.0), "p_0": (20.0, 40.0),
-}
-
-_POWER_KEYS = {"P_T": "P_T_dbm", "sigma2": "sigma2_dbm",
-               "sigma_c2": "sigma_c2_dbm", "sigma_z2": "sigma_z2_dbm"}
-
-_SCALAR_PER_K = ("rician_alpha", "beta")
-
-_KNOWN_KEYS = (set(_DEFAULTS) | set(_POWER_KEYS) | {"delta_t", "lambda", "p"})
+# the dBm alternates of the watt-valued fields
+_DBM_KEYS = {"P_T_dbm": "P_T", "sigma2_dbm": "sigma2",
+             "sigma_c2_dbm": "sigma_c2", "sigma_z2_dbm": "sigma_z2"}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -81,11 +68,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}")
+            raise ConfigError("experiment", f"unknown {self.name!r}; choose from {EXPERIMENTS}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials", "must be >= 1")
         if len(self.sweep) < 1:
-            raise ValueError("sweep must contain at least one value")
+            raise ConfigError("sweep", "must contain at least one value")
 
 
 def default_sweep(name: str, cfg: ScenarioConfig) -> tuple:
@@ -100,78 +87,93 @@ def default_trials(name: str) -> int:
 # configuration files
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _key_kinds() -> dict:
+    """The kind of every key a config file may give.
+
+    ScenarioConfig's fields are of the types their annotations read ("int",
+    "float", "str" or "tuple[float, ...]"); the other keys are the watt
+    fields' dBm alternates, ``lambda``, the points ``p_b`` and ``p_0`` and
+    the K receiver positions ``p``.
+    """
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
+    kinds.update(dict.fromkeys(_DBM_KEYS, "dBm"))
+    kinds.update({"lambda": "float", "p_b": "point", "p_0": "point", "p": "points"})
+    return kinds
+
+
+@functools.cache
+def _defaults() -> dict:
+    """The sec6a preset: the value of every key a file omits, but ``delta_t``,
+    which follows the file's B."""
+    raw = _load_json("sec6a")
+    del raw["delta_t"]
+    return raw
+
+
+def _coerce(key: str, value, K: int):
+    """``value`` as the kind of ``key`` (dBm in watts); ConfigError if it is not one."""
+    kind = _key_kinds()[key]
+    if kind == "str":
+        return value  # ScenarioConfig checks the pulse name
+    try:
+        arr = np.asarray(value, dtype=float)
+        if kind == "dBm" and arr.ndim == 0:
+            arr = np.asarray(dbm_to_watts(float(arr)))
+    except OverflowError as exc:
+        raise ConfigError(key, f"out of range: {value!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, f"not a number: {value!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(key, f"not finite: {value!r}")
+    if kind == "tuple[float, ...]":  # one number for every receiver, or a list
+        if arr.ndim > 1:
+            raise ConfigError(key, f"need a number or a list of numbers; got {value!r}")
+        return (float(arr),) * K if arr.ndim == 0 else tuple(arr.tolist())
+    shape = {"point": (2,), "points": (K, 2)}.get(kind, ())
+    if arr.shape != shape:
+        raise ConfigError(key, f"need shape {shape}; got {arr.shape}")
+    if kind == "int":
+        if arr != np.trunc(arr):
+            raise ConfigError(key, f"not an integer: {value!r}")
+        return int(value) if isinstance(value, int) else int(arr)
+    return arr if shape else float(arr)
+
+
 def _parse_raw(raw: dict):
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_key_kinds())
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown configuration key")
-    values = {key: raw.get(key, default) for key, default in _DEFAULTS.items()}
+    values = dict(_defaults())
     # watt-valued keys may be given directly or in dBm (not both)
-    for watt_key, dbm_key in _POWER_KEYS.items():
+    for dbm_key, watt_key in _DBM_KEYS.items():
         if watt_key in raw and dbm_key in raw:
             raise ConfigError(watt_key, f"give either {watt_key} (watts) or {dbm_key}, not both")
-        dbm_value = raw.get(dbm_key, values.pop(dbm_key, None))
         if watt_key in raw:
-            values[watt_key] = raw[watt_key]
-        else:
-            values[watt_key] = dbm_to_watts(float(dbm_value))
-        values.pop(dbm_key, None)
-    try:
-        K = int(values["K"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("K", f"not an integer: {raw.get('K')!r}") from exc
-    for key in _SCALAR_PER_K:
-        val = values[key]
-        if np.isscalar(val):
-            values[key] = tuple(float(val) for _ in range(K))
-        else:
-            values[key] = tuple(float(x) for x in val)
-    for key in ("N_t", "N_r", "L", "M", "seed"):
-        try:
-            values[key] = int(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, f"not an integer: {values[key]!r}") from exc
-    for key in ("B", "f0", "epsilon", "rho", "sigma2", "sigma_c2", "sigma_z2",
-                "v", "R_th", "Omega_th", "P_T"):
-        try:
-            values[key] = float(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, f"not a number: {values[key]!r}") from exc
-    B = values["B"]
-    try:
-        delta_t = float(raw.get("delta_t", 1.0 / (2.0 * B)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("delta_t", f"not a number: {raw.get('delta_t')!r}") from exc
-    if "lambda" in raw:
-        lam = float(raw["lambda"])
-        expected = 299_792_458.0 / values["f0"]
-        if abs(lam - expected) > 1e-6 * expected:
-            raise ConfigError("lambda", f"must equal c/f0 = {expected!r}; got {lam!r}")
-    p_b = np.asarray(values.pop("p_b"), dtype=float)
-    p_0 = np.asarray(values.pop("p_0"), dtype=float)
-    cfg = ScenarioConfig(K=K, N_t=values["N_t"], N_r=values["N_r"], L=values["L"],
-                         P_T=values["P_T"], B=B, f0=values["f0"], delta_t=delta_t,
-                         M=values["M"], epsilon=values["epsilon"], rho=values["rho"],
-                         rician_alpha=values["rician_alpha"], beta=values["beta"],
-                         sigma2=values["sigma2"], sigma_c2=values["sigma_c2"],
-                         sigma_z2=values["sigma_z2"], v=values["v"],
-                         R_th=values["R_th"], Omega_th=values["Omega_th"],
-                         pulse=values["pulse"], seed=values["seed"])
-    layout = None
-    if "p" in raw:
-        p = np.asarray(raw["p"], dtype=float)
-        if p.shape != (K, 2):
-            raise ConfigError("p", f"need shape (K, 2) = ({K}, 2); got {p.shape}")
-        layout = Layout(p_b=p_b, p_0=p_0, p=p)
+            del values[dbm_key]
+    values.update(raw)
+    K = _coerce("K", values["K"], 0)
+    values = {_DBM_KEYS.get(key, key): _coerce(key, value, K)
+              for key, value in values.items()}
+    if "delta_t" not in values:  # B <= 0 is ScenarioConfig's to reject
+        values["delta_t"] = 1.0 / (2.0 * values["B"]) if values["B"] else 0.0
+    p_b, p_0, lam, p = (values.pop(key, None) for key in ("p_b", "p_0", "lambda", "p"))
+    cfg = ScenarioConfig(**values)
+    if lam is not None and abs(lam - cfg.wavelength) > 1e-6 * cfg.wavelength:
+        raise ConfigError("lambda", f"must equal c/f0 = {cfg.wavelength!r}; got {lam!r}")
+    layout = None if p is None else Layout(p_b=p_b, p_0=p_0, p=p)
     return cfg, layout, (p_b, p_0)
 
 
 def load_config(path) -> tuple[ScenarioConfig, Layout | None, tuple]:
     """Load and validate a flat JSON configuration: (cfg, layout, (p_b, p_0)).
 
-    Optional keys fall back to the reference defaults; watt-valued fields
-    accept ``*_dbm`` alternates.  ``layout`` is None when receiver positions
-    ``p`` are omitted: experiments then draw the placements per trial
-    (``draw_layout``) around the TR position p_b and target position p_0.
+    Omitted keys take the ``sec6a`` preset's values, and ``delta_t`` follows
+    B as 1/(2B); watt-valued fields accept ``*_dbm`` alternates.  Every
+    malformed value raises ConfigError naming its key.  ``layout`` is None
+    when receiver positions ``p`` are omitted: experiments then draw the
+    placements per trial (``draw_layout``) around the TR position p_b and
+    target position p_0.
     """
     return _parse_raw(_load_json(path))
 
@@ -184,7 +186,7 @@ def _load_json(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a flat JSON object")
@@ -517,8 +519,7 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     setting, which is restored on return.
     """
     if base is None:  # read only when placements are drawn per trial
-        base = (np.asarray(_DEFAULTS["p_b"], float),
-                np.asarray(_DEFAULTS["p_0"], float))
+        base = _parse_raw({})[2]
     items = list(_items(spec, cfg, layout, base))
     with _one_blas_thread():
         if jobs <= 1 or len(items) < 2:

@@ -189,10 +189,9 @@ class FimConstants:
             raise ValueError("chi*iota - varsigma^2 must be > 0 for an invertible FIM")
 
 
-def fim_constants(cfg: ScenarioConfig, geom: GeometrySummary,
-                  pulses: PulseIntegrals | None = None) -> FimConstants:
+def fim_constants(cfg: ScenarioConfig, geom: GeometrySummary) -> FimConstants:
     """iota_k, chi_k, varsigma_k for every receiver of the scene."""
-    p = pulses if pulses is not None else pulse_integrals(cfg.pulse, cfg.delta_t, cfg.B)
+    p = pulse_integrals(cfg.pulse, cfg.delta_t, cfg.B)
     alpha = np.asarray(cfg.rician_alpha, dtype=float)
     G = (1.0 + alpha) * (cfg.sigma_c2 + cfg.sigma_z2)
     scale = geom.eta / G

@@ -16,7 +16,7 @@ Doppler expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # NaN would pass every comparison below
+            value = getattr(self, field.name)
+            if "float" not in field.type or field.name == "Omega_th" and value == math.inf:
+                continue  # an Omega_th of +inf sets no cost cap
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(field.name, f"not finite: {value!r}")
         if self.K < 1:
             raise ConfigError("K", "need at least one receiver")
         if self.N_t < 1 or self.N_r < 1:

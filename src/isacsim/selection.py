@@ -47,11 +47,7 @@ def minimax_radius(points: np.ndarray, target: np.ndarray, rho: float) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("minimax radius of an empty set is undefined")
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    r_min = float(d.max(axis=1).min())
-    t = float(np.linalg.norm(pts - np.asarray(target, float)[None, :], axis=1).min())
-    return (1.0 - rho) * r_min + rho * t
+    return _LinkageEvaluator(pts, target, rho).radius(tuple(range(len(pts))))
 
 
 class _LinkageEvaluator:

@@ -12,7 +12,7 @@ from isacsim.estimation import (DegenerateAnglesError, DegenerateInputError,
                                 matched_filter, matched_filter_error, synthesize_block)
 from isacsim.metrics import crb, pulse_waveform
 from isacsim.scenario import (SPEED_OF_LIGHT, Layout, geometry_summary,
-                              true_delay, true_doppler, wrap_angle)
+                              true_delay, true_doppler)
 
 from conftest import make_cfg, make_scene
 
@@ -244,7 +244,7 @@ class TestInvertDoa:
         f0, v = 3e9, 20.0
         f_k = true_doppler(theta, phi_k, v, f0, "approx")
         f_kp = true_doppler(theta, phi_kp, v, f0, "approx")
-        got = invert_doa(f_k, f_kp, phi_k, phi_kp, method="numeric_root")
+        got = invert_doa(f_k, f_kp, phi_k, phi_kp)
         assert got == pytest.approx(theta, abs=1e-9)
 
     def test_identical_bearings(self):
@@ -267,18 +267,6 @@ class TestInvertDoa:
         assert len(cands) == 2
         assert cands[0] == pytest.approx(-theta, abs=1e-9)
         assert cands[1] == pytest.approx(theta, abs=1e-9)
-
-    def test_closed_form_reported_discrepancy(self):
-        # the closed-form two-receiver arctangent shortcut disagrees with the
-        # ratio-equation root in general; record the gap, do not trust it
-        theta, phi_k, phi_kp = 0.7, 0.2, -0.9
-        f0, v = 3e9, 20.0
-        f_k = true_doppler(theta, phi_k, v, f0, "approx")
-        f_kp = true_doppler(theta, phi_kp, v, f0, "approx")
-        root = invert_doa(f_k, f_kp, phi_k, phi_kp, method="numeric_root")
-        closed = invert_doa(f_k, f_kp, phi_k, phi_kp, method="closed_form")
-        print(f"closed-form vs numeric-root bearing: {closed:+.6f} vs {root:+.6f} "
-              f"(|diff| = {abs(wrap_angle(closed - root)):.3e} rad)")
 
     def test_zero_reference_shift(self):
         with pytest.raises(ValueError):

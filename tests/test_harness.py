@@ -1,8 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from isacsim import harness
 from isacsim.harness import (COLUMNS, ExperimentSpec, dbm_to_watts,
                              default_sweep, draw_layout, load_config,
                              preset_names, rows_to_csv, run_experiment)
-from isacsim.scenario import ConfigError
+from isacsim.cli import main
+from isacsim.scenario import ConfigError, ScenarioConfig
 
 from conftest import make_scene
 
@@ -91,6 +93,31 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_empty_file_is_the_sec6a_preset(self, tmp_path):
+        cfg, layout, base = load_config(write_cfg(tmp_path, {}))
+        ref_cfg, ref_layout, ref_base = load_config("sec6a")
+        for field in fields(ScenarioConfig):
+            got, want = getattr(cfg, field.name), getattr(ref_cfg, field.name)
+            assert type(got) is type(want) and got == want, field.name
+        assert layout is None and ref_layout is None
+        for got, want in zip(base, ref_base):
+            assert np.array_equal(got, want)
+
+    def test_omitted_rate_threshold_is_the_presets(self, tmp_path):
+        cfg, _, _ = load_config(write_cfg(tmp_path, {"K": 3}))
+        assert cfg.R_th == 0.25
+
+    def test_delta_t_follows_bandwidth(self, tmp_path):
+        cfg, _, _ = load_config(write_cfg(tmp_path, {"B": 2e8}))
+        assert cfg.delta_t == 1.0 / (2.0 * 2e8)
+
+    def test_accepted_keys(self):
+        assert set(harness._key_kinds()) == {
+            "K", "N_t", "N_r", "L", "P_T", "P_T_dbm", "B", "delta_t", "M", "epsilon",
+            "rho", "rician_alpha", "beta", "sigma2", "sigma2_dbm", "sigma_c2",
+            "sigma_c2_dbm", "sigma_z2", "sigma_z2_dbm", "f0", "lambda", "v", "R_th",
+            "Omega_th", "pulse", "seed", "p_b", "p_0", "p"}
 
 
 class TestPresets:
@@ -296,6 +323,31 @@ class TestCli:
         assert proc.returncode == 1
         assert "delta_t" in proc.stderr
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"P_T_dbm": "x"}, "P_T_dbm"), ({"rician_alpha": "abc"}, "rician_alpha"),
+        ({"K": 2, "p_b": [1]}, "p_b"), ({"K": 2.7}, "K"), ({"B": math.nan}, "B"),
+        ({"P_T": math.nan}, "P_T"), ({"R_th": math.nan}, "R_th"),
+        ({"P_T_dbm": math.inf}, "P_T_dbm"), ({"P_T_dbm": 4000}, "P_T_dbm"),
+        ({"lambda": math.nan}, "lambda"), ({"K": 2, "p": [[1, 2], [3, "x"]]}, "p"),
+        ({"B": 0}, "B")])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_malformed_value_is_one_config_error_line(self, tmp_path, capsys, payload,
+                                                      key, command):
+        args = [command, "--config", write_cfg(tmp_path, payload)]
+        if command == "run":
+            args += ["--experiment", "roundtrip", "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: config field '{key}'")
+
+    def test_run_rejects_a_target_on_the_tr(self, tmp_path, capsys):
+        # found at load time, before any row runs
+        args = ["run", "--config", write_cfg(tmp_path, {"p_b": [20.0, 40.0]}),
+                "--experiment", "roundtrip", "--trials", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "config error: target coincides with the TR\n"
+
     def test_presets_lists(self):
         proc = self.run_cli("presets")
         assert proc.returncode == 0
@@ -320,7 +372,7 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment,sweep,named", [
         ("selection_compare", "minimax", "'minimax'"),
-        ("tradeoff", "-1,12", "'-1'")])
+        ("tradeoff", "-1,12", "'-1'"), ("mf_vs_crb", "inf", "'inf'")])
     def test_bad_sweep_exits_config_error(self, tmp_path, experiment, sweep, named):
         proc = self.run_cli("run", "--config", "sec6a", "--experiment", experiment,
                             "--trials", "1", f"--sweep={sweep}",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestConfig:
     def test_stream_count(self):
         with pytest.raises(ConfigError, match="'L'"):
             make_cfg(L=3, N_t=2, N_r=2)
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"B": math.nan}, "'B'"), ({"P_T": math.nan}, "'P_T'"), ({"R_th": math.nan}, "'R_th'"),
+        ({"P_T": math.inf}, "'P_T'"), ({"sigma2": math.inf}, "'sigma2'"),
+        ({"rician_alpha": (0.5, math.nan, 0.5)}, "'rician_alpha'"),
+        ({"Omega_th": math.nan}, "'Omega_th'"), ({"Omega_th": -math.inf}, "'Omega_th'")])
+    def test_non_finite_rejected_through_replace(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            replace(make_cfg(K=3), **overrides)
 
     def test_wavelength(self):
         cfg = make_cfg()
