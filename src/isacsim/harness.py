@@ -111,11 +111,19 @@ def _defaults() -> dict:
     return raw
 
 
+def _holds_bool_or_str(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_bool_or_str, value))
+    return isinstance(value, (bool, str))
+
+
 def _coerce(key: str, value, K: int):
     """``value`` as the kind of ``key`` (dBm in watts); ConfigError if it is not one."""
     kind = _key_kinds()[key]
     if kind == "str":
         return value  # ScenarioConfig checks the pulse name
+    if _holds_bool_or_str(value):  # NumPy would read True as 1 and "3" as 3
+        raise ConfigError(key, f"not a number: {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
         if kind == "dBm" and arr.ndim == 0:
@@ -389,7 +397,7 @@ class _Experiment(NamedTuple):
     trials: int          # default trial count
     sweep: Callable      # cfg -> default sweep values
     point: Callable      # (cfg, value) -> (CSV sweep_value, row cfg, row arg);
-                         # raises ValueError/TypeError on a value it cannot run
+                         # raises ValueError, TypeError or ArithmeticError on a bad value
     evaluate: Callable   # (cfg, layout, seed, trial, arg) -> row payload
 
 
@@ -424,35 +432,33 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
-def _items(spec: ExperimentSpec, cfg: ScenarioConfig, layout_fixed, base):
-    """Yield (sweep_value, trial, thunk) in canonical order."""
+def _rows(spec: ExperimentSpec, cfg: ScenarioConfig) -> list[tuple]:
+    """Every row as (sweep_value, trial, row cfg, row arg), in canonical order."""
     exp = _TABLE[spec.name]
+    rows = []
     for value in spec.sweep:
         try:
             sval, cfg_s, arg = exp.point(cfg, value)
-        except (ValueError, TypeError) as exc:
+        except (ArithmeticError, ValueError, TypeError) as exc:
             raise ConfigError("sweep", f"experiment {spec.name!r} cannot run sweep "
                                        f"value {value!r}: {exc}") from exc
-        for trial in range(spec.trials):
-            def thunk(cfg_s=cfg_s, arg=arg, trial=trial):
-                layout = (layout_fixed if layout_fixed is not None
-                          else draw_layout(cfg_s, base, spec.seed, trial))
-                return exp.evaluate(cfg_s, layout, spec.seed, trial, arg)
-            yield sval, trial, thunk
+        rows += [(sval, trial, cfg_s, arg) for trial in range(spec.trials)]
+    return rows
 
 
-def _execute_item(item, timing: bool) -> dict:
-    sval, trial, thunk = item
+def _execute_item(spec: ExperimentSpec, layout: Layout | None, base, row, timing: bool) -> dict:
+    """Run one row, on the trial's drawn placement when ``layout`` is None."""
+    sval, trial, cfg, arg = row
     start = time.perf_counter()
     try:
-        payload = thunk()
+        if layout is None:
+            layout = draw_layout(cfg, base, spec.seed, trial)
+        payload = _TABLE[spec.name].evaluate(cfg, layout, spec.seed, trial, arg)
     except Exception as exc:  # noqa: BLE001 - row-level fault isolation
         payload = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - start) * 1000.0
-    row = {"sweep_value": sval, "trial": trial,
-           "wall_time_ms": elapsed if timing else 0.0}
-    row.update(payload)
-    return row
+    return {"sweep_value": sval, "trial": trial,
+            "wall_time_ms": elapsed if timing else 0.0, **payload}
 
 
 # the OpenBLAS builds bundled with the NumPy and SciPy wheels: (module, library
@@ -520,30 +526,17 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     """
     if base is None:  # read only when placements are drawn per trial
         base = _parse_raw({})[2]
-    items = list(_items(spec, cfg, layout, base))
+    rows = _rows(spec, cfg)
     with _one_blas_thread():
-        if jobs <= 1 or len(items) < 2:
-            return [_execute_item(item, timing) for item in items]
-        return _run_parallel(items, timing, jobs)
+        if jobs <= 1 or len(rows) < 2:
+            return [_execute_item(spec, layout, base, row, timing) for row in rows]
+        return _run_parallel(spec, layout, base, rows, timing, jobs)
 
 
-_forked_items: list = []
-
-
-def _adopt_items(items) -> None:
-    # runs in each forked worker: the row thunks are closures, so workers
-    # reach them through the fork instead of through pickling
-    global _forked_items
-    _forked_items = items
-
-
-def _run_forked(idx: int, timing: bool) -> dict:
-    return _execute_item(_forked_items[idx], timing)
-
-
-def _run_parallel(items, timing: bool, jobs: int) -> list[dict]:
+def _run_parallel(spec, layout, base, rows, timing: bool, jobs: int) -> list[dict]:
     """Fork workers over rows; rows come back in canonical order.
 
+    Forked workers inherit the caller's one BLAS thread (``_one_blas_thread``).
     A worker that dies hard (a signal, the OOM killer) breaks the pool: every
     row not finished by then becomes an error row instead of a hang.
     """
@@ -551,10 +544,10 @@ def _run_parallel(items, timing: bool, jobs: int) -> list[dict]:
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     out = []
-    with ProcessPoolExecutor(jobs, mp_context=mp.get_context("fork"),
-                             initializer=_adopt_items, initargs=(items,)) as pool:
-        futures = [pool.submit(_run_forked, idx, timing) for idx in range(len(items))]
-        for (sval, trial, _), future in zip(items, futures):
+    with ProcessPoolExecutor(jobs, mp_context=mp.get_context("fork")) as pool:
+        futures = [pool.submit(_execute_item, spec, layout, base, row, timing)
+                   for row in rows]
+        for (sval, trial, _, _), future in zip(rows, futures):
             try:
                 out.append(future.result())
             except BrokenExecutor:

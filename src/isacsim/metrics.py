@@ -81,38 +81,35 @@ def pulse_waveform(pulse: str, delta_t: float):
     """
     if pulse == "cosine":
         def g(t):
-            t = np.asarray(t, dtype=float)
-            inside = (t >= 0.0) & (t <= delta_t)
-            return np.where(inside, np.sqrt(2.0) * np.cos(np.pi * t / (2.0 * delta_t)), 0.0)
+            return np.sqrt(2.0) * np.cos(np.pi * t / (2.0 * delta_t))
 
         def gdot(t):
-            t = np.asarray(t, dtype=float)
-            inside = (t >= 0.0) & (t <= delta_t)
-            return np.where(inside,
-                            -np.sqrt(2.0) * np.pi / (2.0 * delta_t) * np.sin(np.pi * t / (2.0 * delta_t)),
-                            0.0)
-        return g, gdot
+            return -np.sqrt(2.0) * np.pi / (2.0 * delta_t) * np.sin(np.pi * t / (2.0 * delta_t))
 
-    if pulse == "sinc":
+    elif pulse == "sinc":
         amp = math.sqrt(math.pi / _sinc_energy_constant())
 
         def g(t):
-            t = np.asarray(t, dtype=float)
-            inside = (t >= 0.0) & (t <= delta_t)
-            return np.where(inside, amp * np.sinc(t / delta_t), 0.0)
+            return amp * np.sinc(t / delta_t)
 
         def gdot(t):
-            t = np.asarray(t, dtype=float)
-            inside = (t >= 0.0) & (t <= delta_t)
             x = t / delta_t
             with np.errstate(divide="ignore", invalid="ignore"):
                 ds = np.where(np.abs(x) < 1e-4,
                               -np.pi ** 2 * x / 3.0,
                               (np.cos(np.pi * x) - np.sinc(x)) / np.where(x == 0.0, 1.0, x))
-            return np.where(inside, amp / delta_t * ds, 0.0)
-        return g, gdot
+            return amp / delta_t * ds
 
-    raise ValueError(f"unknown pulse {pulse!r}")
+    else:
+        raise ValueError(f"unknown pulse {pulse!r}")
+
+    def on_support(fn):
+        def masked(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t >= 0.0) & (t <= delta_t), fn(t), 0.0)
+        return masked
+
+    return on_support(g), on_support(gdot)
 
 
 @dataclass(frozen=True)
@@ -213,8 +210,7 @@ def _as_w_stack(W) -> np.ndarray:
 
 def total_gram(W) -> np.ndarray:
     """sum_i W_i W_i^H over the target and all receiver beamformers."""
-    arr = _as_w_stack(W)
-    return np.einsum("kil,kjl->ij", arr, arr.conj())
+    return grams(W).sum(axis=0)
 
 
 def grams(W) -> np.ndarray:

@@ -189,7 +189,7 @@ class TestRunExperiment:
                                             ("pulses", "cosine:11"),
                                             ("selection_compare", "minimax"),
                                             ("selection_compare", "lloyd:100"),
-                                            ("mf_vs_crb", "loud")])
+                                            ("mf_vs_crb", "loud"), ("mf_vs_crb", "1e5")])
     def test_bad_sweep_value_is_config_error(self, sec6a, name, value):
         cfg, _, base = sec6a
         spec = ExperimentSpec(name=name, sweep=(value,), trials=1, seed=0)
@@ -249,13 +249,17 @@ _KILLED_WORKER = """
 import json, os, signal, time
 from isacsim import harness
 
-def dies():
-    time.sleep(1.0)
-    os.kill(os.getpid(), signal.SIGKILL)
+def evaluate(cfg, layout, seed, trial, size):
+    if size == 1:
+        time.sleep(1.0)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"objective": size + 0.5}
 
-items = [(0, 0, lambda: {"objective": 0.5}), (1, 0, dies),
-         (2, 0, lambda: {"objective": 2.5})]
-print(json.dumps(harness._run_parallel(items, False, 2)))
+# patched before the fork, so the workers run it too
+harness._TABLE["tradeoff"] = harness._TABLE["tradeoff"]._replace(evaluate=evaluate)
+cfg, _, base = harness.load_config("sec6a")
+spec = harness.ExperimentSpec(name="tradeoff", sweep=(0, 1, 2), trials=1, seed=0)
+print(json.dumps(harness.run_experiment(spec, cfg, None, base=base, jobs=2)))
 """
 
 
@@ -268,6 +272,19 @@ def test_parallel_survives_killed_worker():
     assert rows[0]["objective"] == 0.5 and not rows[0].get("error")
     assert rows[2]["objective"] == 2.5 and not rows[2].get("error")
     assert "worker died" in rows[1]["error"]
+
+
+def test_parallel_matches_sequential_on_a_pinned_layout(tmp_path):
+    # a config with receiver positions p: the SCA rows' Layout crosses into
+    # the workers as an argument
+    cfg, _, base = load_config("sec6a")
+    pts = draw_layout(cfg, base, 3, 0).p.tolist()
+    cfg, layout, base = load_config(write_cfg(tmp_path, {"p": pts}))
+    assert layout is not None
+    spec = ExperimentSpec(name="tradeoff", sweep=(0, 2), trials=2, seed=3)
+    rows = run_experiment(spec, cfg, layout, base=base)
+    assert not any("error" in r for r in rows)
+    assert rows == run_experiment(spec, cfg, layout, base=base, jobs=2)
 
 
 def test_run_experiment_restores_the_callers_blas_threads():
@@ -329,7 +346,8 @@ class TestCli:
         ({"P_T": math.nan}, "P_T"), ({"R_th": math.nan}, "R_th"),
         ({"P_T_dbm": math.inf}, "P_T_dbm"), ({"P_T_dbm": 4000}, "P_T_dbm"),
         ({"lambda": math.nan}, "lambda"), ({"K": 2, "p": [[1, 2], [3, "x"]]}, "p"),
-        ({"B": 0}, "B")])
+        ({"B": 0}, "B"), ({"K": True}, "K"), ({"K": "3", "N_t": "4"}, "K"),
+        ({"P_T_dbm": False}, "P_T_dbm"), ({"K": 2, "beta": [0.5, True]}, "beta")])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_value_is_one_config_error_line(self, tmp_path, capsys, payload,
                                                       key, command):
@@ -372,7 +390,8 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment,sweep,named", [
         ("selection_compare", "minimax", "'minimax'"),
-        ("tradeoff", "-1,12", "'-1'"), ("mf_vs_crb", "inf", "'inf'")])
+        ("tradeoff", "-1,12", "'-1'"), ("mf_vs_crb", "inf", "'inf'"),
+        ("mf_vs_crb", "1e5", "'1e5'")])
     def test_bad_sweep_exits_config_error(self, tmp_path, experiment, sweep, named):
         proc = self.run_cli("run", "--config", "sec6a", "--experiment", experiment,
                             "--trials", "1", f"--sweep={sweep}",
