@@ -5,6 +5,8 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
 
 - ``sca/row``: surrogate solves (``inner_convex_solve`` calls) per row, the
   SCA iterations
+- ``solvers/row``: barrier solvers built (``_BarrierSolver.__init__`` calls)
+  per row: one per SCA run, and one per phase-1 search
 - ``center/row``: centering calls (``_BarrierSolver.center``) per row
 - ``grad_hess/row`` and ``grad_hess``: Newton steps (plus the few KKT
   certificates computed outside ``center``) per row and in total
@@ -46,19 +48,21 @@ from conftest import make_scene  # noqa: E402
 
 
 class Counter:
-    """Wraps grad_hess, _terms, center and inner_convex_solve; counts their work."""
+    """Wraps grad_hess, _terms, center, __init__ and inner_convex_solve; counts their work."""
 
     def __init__(self) -> None:
         self.grad_hess = 0
         self.terms = 0
         self.solves = 0
+        self.solvers = 0
         self.calls = []  # (Newton steps used, max_newton) per centering call
         self._saved = [(owner, name, getattr(owner, name))
                        for owner, name in ((bf._BarrierSolver, "grad_hess"),
                                            (bf._BarrierSolver, "_terms"),
                                            (bf._BarrierSolver, "center"),
+                                           (bf._BarrierSolver, "__init__"),
                                            (bf, "inner_convex_solve"))]
-        grad_hess, terms, center, solve = (value for _, _, value in self._saved)
+        grad_hess, terms, center, build, solve = (value for _, _, value in self._saved)
         signature = inspect.signature(center)
         self.default = signature.parameters["max_newton"].default
         counter = self
@@ -79,6 +83,10 @@ class Counter:
             counter.calls.append((counter.grad_hess - before, bound.arguments["max_newton"]))
             return out
 
+        def building(self, *args, **kwargs):
+            counter.solvers += 1
+            build(self, *args, **kwargs)
+
         def solving(*args, **kwargs):
             counter.solves += 1
             return solve(*args, **kwargs)
@@ -86,6 +94,7 @@ class Counter:
         bf._BarrierSolver.grad_hess = counting
         bf._BarrierSolver._terms = evaluating
         bf._BarrierSolver.center = recording
+        bf._BarrierSolver.__init__ = building
         bf.inner_convex_solve = solving
 
     def restore(self) -> None:
@@ -96,7 +105,8 @@ class Counter:
         uncapped = [used for used, budget in self.calls if budget == self.default]
         capped = [(used, budget) for used, budget in self.calls if budget < self.default]
         return (f"{name:<14} {rows:>4} {errors:>6} {self.solves / rows:>8.2f} "
-                f"{len(self.calls) / rows:>11.2f} {self.grad_hess / rows:>14.1f} "
+                f"{self.solvers / rows:>12.2f} {len(self.calls) / rows:>11.2f} "
+                f"{self.grad_hess / rows:>14.1f} "
                 f"{self.grad_hess:>10} {uncapped.count(self.default):>14} "
                 f"{sum(used == budget for used, budget in capped):>7} "
                 f"{max(uncapped, default=0):>8} {self.terms / rows:>10.1f} "
@@ -141,7 +151,8 @@ def main() -> int:
     ap.add_argument("--sets", nargs="*", default=list(SETS), choices=list(SETS),
                     help="row sets to count (default: all)")
     args = ap.parse_args()
-    print(f"{'set':<14} {'rows':>4} {'errors':>6} {'sca/row':>8} {'center/row':>11} "
+    print(f"{'set':<14} {'rows':>4} {'errors':>6} {'sca/row':>8} {'solvers/row':>12} "
+          f"{'center/row':>11} "
           f"{'grad_hess/row':>14} {'grad_hess':>10} {'at_max_newton':>14} {'at_cap':>7} "
           f"{'longest':>8} {'terms/row':>10} {'terms/step':>11}")
     for name in args.sets:

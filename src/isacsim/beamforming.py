@@ -31,7 +31,9 @@ L = N_t the recovery is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,11 +64,18 @@ class BeamformerSet:
 
 @dataclass
 class ScaTrace:
-    """Per-iteration record of one SCA run."""
+    """Record of one SCA run: (objective, Gram stack) of each accepted iterate.
+    ``iterations`` adds the CRB and the maximum exact-constraint violation,
+    which takes every rate: ``violation`` runs on the first read only."""
 
-    iterations: list[tuple[float, float, float]] = field(default_factory=list)
+    violation: Callable[[np.ndarray], float]
+    iterates: list[tuple[float, np.ndarray]] = field(default_factory=list)
     reason: str = ""
     notes: list[str] = field(default_factory=list)
+
+    @cached_property
+    def iterations(self) -> list[tuple[float, float, float]]:
+        return [(obj, 1.0 / obj, self.violation(Q)) for obj, Q in self.iterates]
 
     @property
     def converged(self) -> bool:
@@ -77,13 +86,9 @@ class ScaTrace:
 # Hermitian real parametrisation
 # ---------------------------------------------------------------------------
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of n x n Hermitian matrices, shape (n^2, n, n)."""
-    if n in _BASIS_CACHE:
-        return _BASIS_CACHE[n]
     mats = []
     for i in range(n):
         E = np.zeros((n, n), dtype=complex)
@@ -98,9 +103,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
             A[i, j] = 1j / math.sqrt(2.0)
             A[j, i] = -1j / math.sqrt(2.0)
             mats.append(A)
-    basis = np.stack(mats)
-    _BASIS_CACHE[n] = basis
-    return basis
+    return np.stack(mats)
 
 
 def _vec_many(Qs: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -237,8 +240,9 @@ class _BarrierSolver:
     Maximizes c.z subject to the rate surrogates, the power budget, and PSD
     blocks, all folded into logarithmic barriers.  In epigraph mode an extra
     scalar s is appended to the variables and maximized against the
-    constraint slacks (phase-1 feasibility search).  The caller normalizes
-    the objective so the duality-gap target nu/t is meaningful.
+    constraint slacks (phase-1 feasibility search).  The objective weight
+    is divided by its spectral norm ``scale`` so the duality-gap target nu/t
+    is meaningful.  ``reanchor`` moves the solver to the next surrogate.
 
     ``grad_hess(z, t)`` returns ``(grad, hess)``: the gradient of the
     barrier value (``barrier``) and its *negated* Hessian, which is positive
@@ -290,11 +294,14 @@ class _BarrierSolver:
         self.epigraph = epigraph
         self.m = m = len(surrogate.offset)
 
+        self.scale = float(np.linalg.norm(weight, 2))
+        if self.scale == 0.0:
+            raise ValueError("objective weight is zero")
         c = np.zeros(self.dim)
         if epigraph:
             c[-1] = 1.0
         else:
-            w = _vec_many(weight[None], self.basis)[0]
+            w = _vec_many((weight / self.scale)[None], self.basis)[0]
             for i in range(n_blocks):
                 c[i * self.bd:(i + 1) * self.bd] = w
         self.c = c
@@ -322,26 +329,12 @@ class _BarrierSolver:
         # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H, with
         # H_k E_a H_k^H from the covariance builder (row (k, a) takes the
         # basis block E_a); phi_S is the (qdim, m n_r^2) table as floats
-        interf, self.mask = surrogate.masks()
+        self.interf, self.mask = surrogate.masks()
         heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
                                           np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
         phi = self.mask[:, :, None, None] * heh.reshape(m, 1, self.bd, n_r * n_r)
         self.phi_S = np.ascontiguousarray(
             phi.transpose(1, 2, 0, 3).reshape(self.qdim, -1)).view(float)
-        # the surrogate's tables: row k's linear part Tr(T_k Q_i) on each
-        # interferer block i, vec(T_k) computed once per row; the
-        # relative floor on the slacks keeps 1/h^2 curvature finite near
-        # active constraints
-        self.offsets = surrogate.offset
-        self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
-        t_vecs = _vec_many(surrogate.T, self.basis)
-        self.lin[:, :self.qdim] = np.where(interf[:, :, None] > 0, t_vecs[:, None, :],
-                                           0.0).reshape(m, self.qdim)
-        # the constraint gradients' point-independent part: -lin, and the
-        # epigraph column -1
-        self.gcon_fixed = -self.lin
-        if epigraph:
-            self.gcon_fixed[:, -1] = -1.0
         # Hessian groups by the probe column: a (groups, m) indicator of
         # their rows carrying the log2 scale, so one matmul with the
         # 1/h-weighted cores gives every group's curvature sum, and a
@@ -365,6 +358,20 @@ class _BarrierSolver:
         self.gP_outer = np.outer(self.gP, self.gP, out=block[0])
         self.ridge = np.multiply(1e-12, np.eye(self.dim), out=block[1])
         self.work = block[2:]
+        self.reanchor(surrogate)
+
+    def reanchor(self, surrogate: RateSurrogate) -> None:
+        """Take the next surrogate of the row (the same b, H and sigma^2): its
+        offsets and their floor, which keeps 1/h^2 curvature finite near
+        active constraints, and row k's linear part Tr(T_k Q_i) on interferer i."""
+        self.offsets = surrogate.offset
+        self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
+        t_vecs = _vec_many(surrogate.T, self.basis)
+        self.lin[:, :self.qdim] = np.where(self.interf[:, :, None] > 0, t_vecs[:, None, :],
+                                           0.0).reshape(self.m, self.qdim)
+        self.gcon_fixed = -self.lin
+        if self.epigraph:
+            self.gcon_fixed[:, -1] = -1.0
 
     # -- state helpers ----------------------------------------------------
     def pack(self, Q: np.ndarray, s: float = 0.0) -> np.ndarray:
@@ -577,7 +584,8 @@ class _BarrierSolver:
 
 def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
                        Q_start: np.ndarray, gap_tol: float | None = None,
-                       warm: bool = False) -> tuple[np.ndarray, dict]:
+                       warm: bool = False, *,
+                       solver: _BarrierSolver | None = None) -> tuple[np.ndarray, dict]:
     """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
 
     ``Q_start`` must be strictly feasible (Slater point) for the rate
@@ -589,14 +597,15 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
     from t0.  Returns the Gram stack and a diagnostics dict with the
     objective, a stationarity residual of the final barrier center (KKT
     certificate; inf when its Newton system is not positive definite), and
-    the duality-gap bound of the final weight.
+    the duality-gap bound of the final weight.  A ``solver`` built for an
+    earlier surrogate of the row (same weight and P_T) is re-anchored.
     """
     if P_T <= 0:
         raise ValueError("power budget must be > 0")
-    scale = float(np.linalg.norm(weight, 2))
-    if scale == 0.0:
-        raise ValueError("objective weight is zero")
-    solver = _BarrierSolver(weight / scale, surrogate, P_T, weight.shape[0], Q_start.shape[0])
+    if solver is None:
+        solver = _BarrierSolver(weight, surrogate, P_T, weight.shape[0], Q_start.shape[0])
+    else:
+        solver.reanchor(surrogate)
     if gap_tol is None:
         gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q_start)
@@ -616,7 +625,7 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
         "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
-        "gap_bound": solver.nu / t_used * scale,
+        "gap_bound": solver.nu / t_used * solver.scale,
     }
     return Q, info
 
@@ -645,20 +654,23 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
 
     Phase 1: starting from uniform power, repeatedly maximize the minimum
     linearized rate slack (an epigraph program solved by the same barrier
-    machinery) until every exact slack is strictly positive, in at most 25
-    rounds.
+    machinery, one solver re-anchored each round) until every exact slack
+    is strictly positive, in at most 25 rounds.
     """
     b = np.asarray(b)
     Q = uniform_gram(cfg)
     margin = 1e-9 * max(cfg.R_th, 1.0)
     best_slack = -np.inf
-    for _ in range(25):
+    for i in range(25):
         slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if slack > margin:
             return Q
         surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
-        solver = _BarrierSolver(np.eye(cfg.N_t), surrogate, cfg.P_T, cfg.N_t,
-                                cfg.K + 1, epigraph=True)
+        if i == 0:
+            solver = _BarrierSolver(np.eye(cfg.N_t), surrogate, cfg.P_T, cfg.N_t,
+                                    cfg.K + 1, epigraph=True)
+        else:
+            solver.reanchor(surrogate)
         # the surrogates are tight at the anchor: their minimum is this slack
         z0 = solver.pack(Q, s=slack - 1.0)
         z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
@@ -715,15 +727,16 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
 
     Iterates linearize -> inner solve -> re-anchor until the relative
     objective gain drops below ``tol``, for at most 50 iterations (reason
-    "max-iters").  Without rate constraints (R_th <= 0) the optimum is
-    closed-form: all power on the weight's top eigenvector v, the probe
-    Gram P_T v v^H, and no other stream.  The trace records, per accepted
-    iterate, the equivalent linear objective, the CRB, and the maximum
-    exact-constraint violation (which stays at 0 by construction of the
-    inner approximation).  ``init`` is a strictly feasible Gram stack to
-    start from in place of ``feasibility_init``'s.  With L < N_t a rate that
-    eigen-truncation breaks and ``_rescale_for_rates`` cannot restore raises
-    SolverError.
+    "max-iters"), with one barrier solver re-anchored to each surrogate.
+    Without rate constraints (R_th <= 0) the optimum is closed-form: all
+    power on the weight's top eigenvector v, the probe Gram P_T v v^H, and
+    no other stream.  The trace records each accepted iterate with its
+    equivalent linear objective; its ``iterations`` add the CRB and the
+    maximum exact-constraint violation (which stays at 0 by construction
+    of the inner approximation).  ``init`` is a strictly feasible Gram
+    stack to start from in place of ``feasibility_init``'s.  With L < N_t a
+    rate that eigen-truncation breaks and ``_rescale_for_rates`` cannot
+    restore raises SolverError.
 
     ``objective_weight`` overrides the sensing weight built from b; the
     mono-static proxy uses it to optimize for a virtual receiver while the
@@ -732,7 +745,6 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     b = np.asarray(b)
     if objective_weight is None and b.sum() < 1:
         raise ValueError("need at least one selected receiver")
-    trace = ScaTrace()
     weight = (objective_weight if objective_weight is not None
               else build_objective_weight(b, consts, channels, cfg))
 
@@ -740,22 +752,19 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
         v = np.linalg.eigh(weight)[1][:, -1]
         W = np.zeros((cfg.K + 1, cfg.N_t, cfg.L), dtype=complex)
         W[0][:, 0] = math.sqrt(cfg.P_T) * v
-        obj = float(np.trace(weight @ (cfg.P_T * np.outer(v, v.conj()))).real)
-        trace.iterations.append((obj, 1.0 / obj, 0.0))
-        trace.reason = "tolerance"
-        return BeamformerSet(W=W), trace
+        Q = np.zeros((cfg.K + 1, cfg.N_t, cfg.N_t), dtype=complex)
+        Q[0] = cfg.P_T * np.outer(v, v.conj())
+        obj = float(np.trace(weight @ Q[0]).real)
+        return BeamformerSet(W=W), ScaTrace(lambda Q: 0.0, [(obj, Q)], reason="tolerance")
 
-    Q = init if init is not None else feasibility_init(b, cfg, channels)
-
-    def describe(Q: np.ndarray) -> tuple[float, float, float]:
-        total = Q.sum(axis=0)
-        obj = float(np.trace(weight @ total).real)
+    def violation(Q: np.ndarray) -> float:
         rates = metrics.rate(b, Q, channels.H_comm, cfg.sigma2)
-        viol = max(0.0, float(cfg.R_th - rates.min()), float(np.trace(total).real) - cfg.P_T)
-        return obj, 1.0 / obj, viol
+        return max(0.0, float(cfg.R_th - rates.min()),
+                   float(np.trace(Q.sum(axis=0)).real) - cfg.P_T)
 
+    trace = ScaTrace(violation, reason="max-iters")
+    Q = init if init is not None else feasibility_init(b, cfg, channels)
     obj_prev = float(np.trace(weight @ Q.sum(axis=0)).real)
-    trace.reason = "max-iters"
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight, often nearly central for the next surrogate:
@@ -765,24 +774,25 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # otherwise (Boyd & Vandenberghe, Convex Optimization, secs. 9.6 and
     # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
     # the same to the bit.
-    warm = False
-    for _ in range(50):
+    for i in range(50):
         surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
-        Q_new, info = inner_convex_solve(weight, surrogate, cfg.P_T, Q, gap_tol=gap, warm=warm)
-        warm = True
+        if i == 0:
+            solver = _BarrierSolver(weight, surrogate, cfg.P_T, weight.shape[0], Q.shape[0])
+        Q_new, info = inner_convex_solve(weight, surrogate, cfg.P_T, Q, gap_tol=gap, warm=i > 0,
+                                         solver=solver)
         obj_new = info["objective"]
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor
             trace.reason = "tolerance"
             break
         Q = Q_new
-        trace.iterations.append(describe(Q))
+        trace.iterates.append((obj_new, Q))
         if obj_new - obj_prev <= tol * max(abs(obj_prev), 1e-300):
             trace.reason = "tolerance"
             break
         obj_prev = obj_new
-    if not trace.iterations:
-        trace.iterations.append(describe(Q))
+    if not trace.iterates:
+        trace.iterates.append((obj_prev, Q))
 
     W = recover_beamformers(Q, cfg.L).W
     if cfg.L < cfg.N_t:

@@ -57,13 +57,18 @@ def los_component(beta_k, a_rx: np.ndarray, a_tx: np.ndarray) -> np.ndarray:
 def sample_rician(eta, alpha, los: np.ndarray, rng) -> np.ndarray:
     """One Rician block-fading draw around the given LoS matrix.  For a (K, N_r,
     N_t) stack, eta and alpha are (K,) and matrix k draws from ``rng[k]``."""
+    los = np.asarray(los)
+    if isinstance(rng, np.random.Generator) and eta > 0 and alpha >= 0:
+        # one matrix: the plain formula (bad values go on to the checks below)
+        nlos = (rng.standard_normal(los.shape)
+                + 1j * rng.standard_normal(los.shape)) / np.sqrt(2.0)
+        return np.sqrt(eta * alpha / (1.0 + alpha)) * los + np.sqrt(eta / (1.0 + alpha)) * nlos
     eta = np.asarray(eta)[..., None, None]
     alpha = np.asarray(alpha)[..., None, None]
     if np.any(eta <= 0):
         raise ValueError("path loss eta must be > 0")
     if np.any(alpha < 0):
         raise ValueError("Rician factor must be >= 0")
-    los = np.asarray(los)
     single = isinstance(rng, np.random.Generator)
     gens, shape = ((rng,), los.shape) if single else (rng, los.shape[1:])
     nlos = np.reshape([g.standard_normal(shape) + 1j * g.standard_normal(shape)

@@ -287,7 +287,7 @@ def _summary(cfg, layout, channels, consts, b, W, trace, report=None) -> dict:
             if group else 0.0)
     return {"crb": report.crb, "rate_min": rates.min(), "rate_mean": rates.mean(),
             "cost": cost, "group_size": len(group),
-            "objective": trace.iterations[-1][0]}
+            "objective": trace.iterates[-1][0]}
 
 
 # ---------------------------------------------------------------------------

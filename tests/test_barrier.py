@@ -20,8 +20,7 @@ def solver_at(n, epigraph):
     anchor = uniform_gram(cfg)
     surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     weight = bf.build_objective_weight(b, consts, channels, cfg)
-    solver = _BarrierSolver(weight / np.linalg.norm(weight, 2), surrogate, cfg.P_T, n,
-                            cfg.K + 1, epigraph=epigraph)
+    solver = _BarrierSolver(weight, surrogate, cfg.P_T, n, cfg.K + 1, epigraph=epigraph)
     Q = 0.5 * anchor
     s = surrogate.slack(Q).min() - 1.0
     return solver, solver.pack(Q, s=s), surrogate
@@ -341,12 +340,11 @@ def surrogate_pair(iterations):
 def cold_solve(weight, surrogate, P_T, anchor, gap):
     """The full ladder from the anchor at a warm solve's t0 = nu/gap/30^2:
     (Hermitian Grams, gap bound, t0)."""
-    scale = np.linalg.norm(weight, 2)
-    solver = _BarrierSolver(weight / scale, surrogate, P_T, weight.shape[0], anchor.shape[0])
+    solver = _BarrierSolver(weight, surrogate, P_T, weight.shape[0], anchor.shape[0])
     t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
     z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
-    return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * scale, t0
+    return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
 
 
 def record_centering(monkeypatch):
@@ -431,6 +429,100 @@ def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
     assert [t for t, _, _ in calls[2:]] == [1.0, 30.0, 900.0]
     np.testing.assert_array_equal(warm_grams, cold_Q)
     assert warm["gap_bound"] == cold_gap
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("epigraph", [False, True])
+def test_reanchored_solver_equals_a_fresh_one(epigraph):
+    """A solver built on one SCA surrogate and re-anchored to the next holds,
+    bit for bit, every table a solver built on the next one holds."""
+    weight, first, P_T, anchor, _ = surrogate_pair(0)
+    _, second, _, _, _ = surrogate_pair(1)
+    if epigraph:
+        weight = np.eye(weight.shape[0])
+    args = (P_T, weight.shape[0], anchor.shape[0])
+    reused = _BarrierSolver(weight, first, *args, epigraph=epigraph)
+    fresh = _BarrierSolver(weight, second, *args, epigraph=epigraph)
+    assert reused.lin.tobytes() != fresh.lin.tobytes()
+    reused.reanchor(second)
+    # lin, gcon_fixed, offsets and h_floor, and the tables that do not depend
+    # on the surrogate; work is uninitialized scratch
+    assert vars(reused).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        if name != "work":
+            assert_same_bits(getattr(reused, name), value)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_solve_on_a_reanchored_solver_equals_a_fresh_solve(warm):
+    """inner_convex_solve with the row's solver, after it solved the previous
+    surrogate, returns the Grams and info of a solve that builds its own."""
+    weight, first, P_T, first_anchor, gap = surrogate_pair(4)
+    _, second, _, anchor, _ = surrogate_pair(5)
+    reused = _BarrierSolver(weight, first, P_T, weight.shape[0], anchor.shape[0])
+    inner_convex_solve(weight, first, P_T, first_anchor, gap_tol=gap, solver=reused)
+    Q, info = inner_convex_solve(weight, second, P_T, anchor, gap_tol=gap, warm=warm,
+                                 solver=reused)
+    Q_fresh, info_fresh = inner_convex_solve(weight, second, P_T, anchor, gap_tol=gap, warm=warm)
+    assert_same_bits(Q, Q_fresh)
+    assert info == info_fresh
+
+
+def count_calls(monkeypatch, owner, name, record=None):
+    """Wrap ``owner.name``; return the list its calls append to (``record``
+    maps the call's arguments to the entry, by default None)."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs) if record else None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
+    cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.25)
+    b = np.array([1, 1, 0, 0])
+    init = feasibility_init(b, cfg, channels)
+    rate = metrics.rate
+    built = count_calls(monkeypatch, _BarrierSolver, "__init__",
+                        lambda self, *args, epigraph=False: epigraph)
+    solves = count_calls(monkeypatch, bf, "inner_convex_solve")
+    rates = count_calls(monkeypatch, metrics, "rate")
+    W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5, init=init)
+    assert len(solves) >= 3 and built == [False] and not rates
+    iterations = trace.iterations
+    assert len(rates) == len(trace.iterates) and trace.iterations is iterations
+    weight = bf.build_objective_weight(b, consts, channels, cfg)
+
+    def describe(Q):
+        """The record sca_optimize used to make for each iterate as it accepted it."""
+        total = Q.sum(axis=0)
+        obj = float(np.trace(weight @ total).real)
+        rates = rate(b, Q, channels.H_comm, cfg.sigma2)
+        viol = max(0.0, float(cfg.R_th - rates.min()), float(np.trace(total).real) - cfg.P_T)
+        return obj, 1.0 / obj, viol
+
+    assert iterations == [describe(Q) for _, Q in trace.iterates]
+    # the last iterate is the Gram stack the beamformers come from (L = N_t)
+    assert_same_bits(W.W, bf.recover_beamformers(trace.iterates[-1][1], cfg.L).W)
+
+
+def test_phase_one_builds_one_solver(monkeypatch):
+    # an unreachable threshold: phase 1 runs all 25 rounds on one solver
+    cfg, _, channels, _ = make_scene(K=4, seed=0, R_th=1.0)
+    built = count_calls(monkeypatch, _BarrierSolver, "__init__",
+                        lambda self, *args, epigraph=False: epigraph)
+    solves = count_calls(monkeypatch, _BarrierSolver, "solve")
+    with pytest.raises(bf.InfeasibleStartError):
+        feasibility_init(np.array([1, 1, 0, 0]), cfg, channels)
+    assert built == [True] and len(solves) == 25
 
 
 # make_scene scenes (K, seed, R_th), first K//2 receivers selected, on which a

@@ -75,6 +75,18 @@ class TestSampleRician:
                  for _ in range(100_000))
         assert e4 / e1 == pytest.approx(4.0, rel=0.03)
 
+    def test_single_draw_is_the_plain_formula(self):
+        # draw for draw and bit for bit: real then imaginary parts, then the mix
+        los = los_component(1.0, [1, 1j], [1, -1])
+        for eta, alpha in ((1.0, 0.5), (0.3, 0.0), (2.0, 1e9)):
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            H = sample_rician(eta, alpha, los, rng)
+            nlos = (ref_rng.standard_normal((2, 2))
+                    + 1j * ref_rng.standard_normal((2, 2))) / np.sqrt(2.0)
+            ref = np.sqrt(eta * alpha / (1.0 + alpha)) * los + np.sqrt(eta / (1.0 + alpha)) * nlos
+            assert H.dtype == ref.dtype and H.tobytes() == ref.tobytes()
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_preconditions(self):
         los = np.ones((2, 2))
         rng = np.random.default_rng(0)
