@@ -494,11 +494,11 @@ def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
     built = count_calls(monkeypatch, _BarrierSolver, "__init__",
                         lambda self, *args, epigraph=False: epigraph)
     solves = count_calls(monkeypatch, bf, "inner_convex_solve")
-    rates = count_calls(monkeypatch, metrics, "rate")
+    rate_calls = count_calls(monkeypatch, metrics, "rate")
     W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5, init=init)
-    assert len(solves) >= 3 and built == [False] and not rates
+    assert len(solves) >= 3 and built == [False] and not rate_calls
     iterations = trace.iterations
-    assert len(rates) == len(trace.iterates) and trace.iterations is iterations
+    assert len(rate_calls) == len(trace.iterates) and trace.iterations is iterations
     weight = bf.build_objective_weight(b, consts, channels, cfg)
 
     def describe(Q):
