@@ -34,3 +34,26 @@ def test_compare_flags_undefined_deltas_and_row_mismatches():
     assert gh.rel_delta(1e-300, 0.0) == math.inf
     assert gh.compare(rows(1.0, error="boom"), rows(1.0))[1]
     assert gh.compare(rows(1.0), rows(1.0) + rows(1.0))[1]
+
+
+# sha256 prefixes of the default CSV bytes of the four SCA runs at jobs=1
+SCA_GOLDEN = {
+    "tradeoff": "665a92e9c8221f06",
+    "selection_compare": "2ac8c9fce972a66b",
+    "pulses": "d451108d51298501",
+    "selection_nt4": "60ce965f5ba4a36c",
+}
+
+
+def test_sca_runs_keep_their_golden_csv_bytes():
+    """The default CSV bytes of the SCA runs are unchanged.
+
+    These bytes belong to the installed NumPy and the OpenBLAS it links:
+    another build may round the last bits of a solve differently.  A change
+    that moves them updates the prefixes here, with a CHANGES.md line that
+    lists the ``golden_hashes.py --compare`` deltas of every run and column.
+    """
+    cfg, layout, base = gh.harness.load_config("sec6a")
+    hashes = {run: gh.csv_hash(gh.run_rows(run, cfg, layout, base, jobs=1))
+              for run in SCA_GOLDEN}
+    assert hashes == SCA_GOLDEN
