@@ -138,6 +138,12 @@ def _interference_trace(T: np.ndarray, interf: np.ndarray, Q: np.ndarray) -> np.
     return np.einsum("kij,kji->k", T, sums).real
 
 
+def _rate_masks(b) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K+1) 0/1 masks of each row's interferers and involved blocks."""
+    interf = metrics.interference_mask(b)
+    return interf, interf + np.eye(*interf.shape, k=1)
+
+
 @dataclass(frozen=True)
 class RateSurrogate:
     """Every receiver's concave surrogate rate constraint, stacked over k:
@@ -158,15 +164,10 @@ class RateSurrogate:
     offset: np.ndarray  # (K,)
     sigma2: float
 
-    def masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(K, K+1) 0/1 masks of each row's interferers and involved blocks."""
-        interf = metrics.interference_mask(self.b)
-        return interf, interf + np.eye(*interf.shape, k=1)
-
     def slack(self, Q: np.ndarray) -> np.ndarray:
         """Every row's slack at the Gram stack Q, shape (K,); raises LinAlgError
         if a covariance is not positive definite."""
-        interf, involved = self.masks()
+        interf, involved = _rate_masks(self.b)
         S = metrics.receiver_covariance(self.H, involved, Q, self.sigma2)
         return (metrics.chol_log2det(S)[1] - _interference_trace(self.T, interf, Q)
                 - self.offset)
@@ -238,11 +239,13 @@ class _BarrierSolver:
     """Damped-Newton path following for the lifted subproblem.
 
     Maximizes c.z subject to the rate surrogates, the power budget, and PSD
-    blocks, all folded into logarithmic barriers.  In epigraph mode an extra
-    scalar s is appended to the variables and maximized against the
-    constraint slacks (phase-1 feasibility search).  The objective weight
-    is divided by its spectral norm ``scale`` so the duality-gap target nu/t
-    is meaningful.  ``reanchor`` moves the solver to the next surrogate.
+    blocks, all folded into logarithmic barriers.  One solver serves a row:
+    it is built from what the row fixes (weight, b, H, sigma^2, P_T), and
+    ``reanchor`` gives it each surrogate, the first one included.  With
+    ``weight`` None an extra scalar s is appended to the variables and
+    maximized against the constraint slacks (epigraph mode, the phase-1
+    feasibility search); otherwise the weight is divided by its spectral
+    norm ``scale`` so the duality-gap target nu/t is meaningful.
 
     ``grad_hess(z, t)`` returns ``(grad, hess)``: the gradient of the
     barrier value (``barrier``) and its *negated* Hessian, which is positive
@@ -279,31 +282,35 @@ class _BarrierSolver:
     curvature to one square sub-block of the Hessian.
     """
 
-    def __init__(self, weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
-                 n: int, n_blocks: int, epigraph: bool = False) -> None:
+    def __init__(self, weight: np.ndarray | None, b: np.ndarray, H: np.ndarray, sigma2: float,
+                 P_T: float) -> None:
+        if P_T <= 0:
+            raise ValueError("power budget must be > 0")
+        m, n_r, n = H.shape
         self.basis = _hermitian_basis(n)
         # the basis as a real (n^2, 2 n^2) table: unpack multiplies the real
         # coordinates with it without a complex cast
         self.basis_f = self.basis.reshape(n * n, n * n).view(float)
         self.n = n
-        self.n_blocks = n_blocks
+        self.n_r = n_r
+        self.m = m
+        self.n_blocks = n_blocks = m + 1
         self.bd = n * n
         self.qdim = n_blocks * self.bd
+        self.epigraph = epigraph = weight is None
         self.dim = self.qdim + (1 if epigraph else 0)
         self.P_T = P_T
-        self.epigraph = epigraph
-        self.m = m = len(surrogate.offset)
+        self.weight = weight
 
-        self.scale = float(np.linalg.norm(weight, 2))
-        if self.scale == 0.0:
-            raise ValueError("objective weight is zero")
         c = np.zeros(self.dim)
         if epigraph:
             c[-1] = 1.0
         else:
+            self.scale = float(np.linalg.norm(weight, 2))
+            if self.scale == 0.0:
+                raise ValueError("objective weight is zero")
             w = _vec_many((weight / self.scale)[None], self.basis)[0]
-            for i in range(n_blocks):
-                c[i * self.bd:(i + 1) * self.bd] = w
+            c[:self.qdim] = np.tile(w, n_blocks)
         self.c = c
 
         self.nu = n_blocks * n + m + 1
@@ -318,18 +325,16 @@ class _BarrierSolver:
         eye = _vec_many(np.eye(n, dtype=complex)[None], self.basis)[0]
         self.gP[:self.qdim] = -np.tile(eye, n_blocks)
         self.lin = np.zeros((m, self.dim))
-        self.n_r = n_r = surrogate.H.shape[1]
         r = max(n, n_r)
-        H = surrogate.H
         self.stack = np.tile(np.eye(r, dtype=complex), (n_blocks + m, 1, 1))
-        self.stack[n_blocks:, :n_r, :n_r] *= surrogate.sigma2
+        self.stack[n_blocks:, :n_r, :n_r] *= sigma2
         self.rhs = np.zeros((n_blocks + m, r, n), dtype=complex)
         self.rhs[:n_blocks, :n] = np.eye(n)
         self.rhs[n_blocks:, :n_r] = H
         # S_k(z) - sigma^2 I = sum_(i, a) z_(i, a) mask_ki H_k E_a H_k^H, with
         # H_k E_a H_k^H from the covariance builder (row (k, a) takes the
         # basis block E_a); phi_S is the (qdim, m n_r^2) table as floats
-        self.interf, self.mask = surrogate.masks()
+        self.interf, self.mask = _rate_masks(b)
         heh = metrics.receiver_covariance(np.repeat(H, self.bd, axis=0),
                                           np.tile(np.eye(self.bd), (m, 1)), self.basis, 0.0)
         phi = self.mask[:, :, None, None] * heh.reshape(m, 1, self.bd, n_r * n_r)
@@ -358,11 +363,10 @@ class _BarrierSolver:
         self.gP_outer = np.outer(self.gP, self.gP, out=block[0])
         self.ridge = np.multiply(1e-12, np.eye(self.dim), out=block[1])
         self.work = block[2:]
-        self.reanchor(surrogate)
 
     def reanchor(self, surrogate: RateSurrogate) -> None:
-        """Take the next surrogate of the row (the same b, H and sigma^2): its
-        offsets and their floor, which keeps 1/h^2 curvature finite near
+        """Take a surrogate of the row (same b, H and sigma^2) before each solve:
+        its offsets and their floor, which keeps 1/h^2 curvature finite near
         active constraints, and row k's linear part Tr(T_k Q_i) on interferer i."""
         self.offsets = surrogate.offset
         self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
@@ -382,6 +386,7 @@ class _BarrierSolver:
         return z
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
+        """The Gram stack at z, exactly Hermitian: (j, i) mirrors (i, j)'s products."""
         coords = z[:self.qdim].reshape(self.n_blocks, self.bd)
         return (coords @ self.basis_f).view(complex).reshape(self.n_blocks, self.n, self.n)
 
@@ -582,34 +587,23 @@ class _BarrierSolver:
         raise SolverError("barrier path following exhausted its stage budget")
 
 
-def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
-                       Q_start: np.ndarray, gap_tol: float | None = None,
-                       warm: bool = False, *,
-                       solver: _BarrierSolver | None = None) -> tuple[np.ndarray, dict]:
-    """Solve one SCA subproblem to duality gap <= gap_tol (default 1e-6 * P_T).
+def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: float,
+                       warm: bool = False) -> tuple[np.ndarray, dict]:
+    """Solve the SCA subproblem the solver is anchored at to duality gap <= gap_tol.
 
     ``Q_start`` must be strictly feasible (Slater point) for the rate
-    surrogates and the power budget P_T > 0.  The barrier path starts at
-    weight max(1, 1/P_T); with ``warm``, Q_start is the center of the
-    previous surrogate at the final weight, and a warm
-    ``_BarrierSolver.solve`` from t0 = nu/gap_tol/mu^2 centers it straight at
-    the final weight t0 mu^2, else from t0 mu, else climbs the full path
-    from t0.  Returns the Gram stack and a diagnostics dict with the
-    objective, a stationarity residual of the final barrier center (KKT
-    certificate; inf when its Newton system is not positive definite), and
-    the duality-gap bound of the final weight.  A ``solver`` built for an
-    earlier surrogate of the row (same weight and P_T) is re-anchored.
+    surrogates and the power budget.  The barrier path starts at weight
+    max(1, 1/P_T); with ``warm``, Q_start is the center of the previous
+    surrogate at the final weight, and a warm ``_BarrierSolver.solve`` from
+    t0 = nu/gap_tol/mu^2 centers it straight at the final weight t0 mu^2,
+    else from t0 mu, else climbs the full path from t0.  Returns the Gram
+    stack and a diagnostics dict with the objective, a stationarity
+    residual of the final barrier center (KKT certificate; inf when its
+    Newton system is not positive definite), and the duality-gap bound of
+    the final weight.
     """
-    if P_T <= 0:
-        raise ValueError("power budget must be > 0")
-    if solver is None:
-        solver = _BarrierSolver(weight, surrogate, P_T, weight.shape[0], Q_start.shape[0])
-    else:
-        solver.reanchor(surrogate)
-    if gap_tol is None:
-        gap_tol = 1e-6 * P_T
     z0 = solver.pack(Q_start)
-    t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2) if warm else max(1.0, 1.0 / P_T)
+    t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2 if warm else 1.0 / solver.P_T)
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
@@ -620,9 +614,8 @@ def inner_convex_solve(weight: np.ndarray, surrogate: RateSurrogate, P_T: float,
             # a singular Newton system at a stalled point: no certificate
             decrement = math.inf
     Q = solver.unpack(z)
-    Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
     info = {
-        "objective": float(np.trace(weight @ Q.sum(axis=0)).real),
+        "objective": float(np.trace(solver.weight @ Q.sum(axis=0)).real),
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * solver.scale,
@@ -653,35 +646,31 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
     """Strictly feasible Grams for the rate constraints, or InfeasibleStartError.
 
     Phase 1: starting from uniform power, repeatedly maximize the minimum
-    linearized rate slack (an epigraph program solved by the same barrier
-    machinery, one solver re-anchored each round) until every exact slack
-    is strictly positive, in at most 25 rounds.
+    linearized rate slack (an epigraph program on one barrier solver, built
+    once the uniform start fails and re-anchored each round) until every
+    exact slack is strictly positive, in at most 25 rounds; a round that
+    gains at most 1e-10 on the last one ends the search.
     """
     b = np.asarray(b)
     Q = uniform_gram(cfg)
     margin = 1e-9 * max(cfg.R_th, 1.0)
+    slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
+    if slack > margin:
+        return Q
+    solver = _BarrierSolver(None, b, channels.H_comm, cfg.sigma2, cfg.P_T)
     best_slack = -np.inf
-    for i in range(25):
-        slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
-        if slack > margin:
-            return Q
-        surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
-        if i == 0:
-            solver = _BarrierSolver(np.eye(cfg.N_t), surrogate, cfg.P_T, cfg.N_t,
-                                    cfg.K + 1, epigraph=True)
-        else:
-            solver.reanchor(surrogate)
+    for _ in range(25):
+        solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
         # the surrogates are tight at the anchor: their minimum is this slack
         z0 = solver.pack(Q, s=slack - 1.0)
         z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
         Q = solver.unpack(z)
-        Q = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
-        new_slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
-        if new_slack > margin:
+        slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
+        if slack > margin:
             return Q
-        if new_slack <= best_slack + 1e-10:
+        if slack <= best_slack + 1e-10:
             break
-        best_slack = new_slack
+        best_slack = slack
     raise InfeasibleStartError(
         f"rate threshold {cfg.R_th} bit/s/Hz unreachable within the power budget")
 
@@ -774,12 +763,10 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # otherwise (Boyd & Vandenberghe, Convex Optimization, secs. 9.6 and
     # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
     # the same to the bit.
+    solver = _BarrierSolver(weight, b, channels.H_comm, cfg.sigma2, cfg.P_T)
     for i in range(50):
-        surrogate = sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th)
-        if i == 0:
-            solver = _BarrierSolver(weight, surrogate, cfg.P_T, weight.shape[0], Q.shape[0])
-        Q_new, info = inner_convex_solve(weight, surrogate, cfg.P_T, Q, gap_tol=gap, warm=i > 0,
-                                         solver=solver)
+        solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
+        Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0)
         obj_new = info["objective"]
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isacsim import harness
+from isacsim.beamforming import _BarrierSolver
 from isacsim.channel import build_channels
 from isacsim.metrics import fim_constants
 from isacsim.scenario import Layout, ScenarioConfig
@@ -44,6 +45,14 @@ def make_scene(K: int = 4, seed: int = 0, **overrides):
     channels = build_channels(cfg, layout, seed=seed)
     consts = fim_constants(cfg, channels.geom)
     return cfg, layout, channels, consts
+
+
+def anchored_solver(weight, surrogate, P_T):
+    """A barrier solver for the surrogate's row (epigraph mode for weight None),
+    anchored at the surrogate."""
+    solver = _BarrierSolver(weight, surrogate.b, surrogate.H, surrogate.sigma2, P_T)
+    solver.reanchor(surrogate)
+    return solver
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from isacsim import beamforming as bf, harness, metrics
 from isacsim.beamforming import (_BarrierSolver, feasibility_init, inner_convex_solve,
                                  sca_linearize, uniform_gram)
 
-from conftest import make_scene
+from conftest import anchored_solver, make_scene
 
 
 def solver_at(n, epigraph):
@@ -20,7 +20,7 @@ def solver_at(n, epigraph):
     anchor = uniform_gram(cfg)
     surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     weight = bf.build_objective_weight(b, consts, channels, cfg)
-    solver = _BarrierSolver(weight, surrogate, cfg.P_T, n, cfg.K + 1, epigraph=epigraph)
+    solver = anchored_solver(None if epigraph else weight, surrogate, cfg.P_T)
     Q = 0.5 * anchor
     s = surrogate.slack(Q).min() - 1.0
     return solver, solver.pack(Q, s=s), surrogate
@@ -87,7 +87,7 @@ def grad_hess_ref(solver, surrogate, z, t):
     blocks = [slice(i * bd, (i + 1) * bd) for i in range(solver.n_blocks)]
     Qinv = np.linalg.inv(Q)
     H = surrogate.H
-    S = metrics.receiver_covariance(H, surrogate.masks()[1], Q, surrogate.sigma2)
+    S = metrics.receiver_covariance(H, bf._rate_masks(surrogate.b)[1], Q, surrogate.sigma2)
     M = np.einsum("mri,mrc,mcj->mij", H.conj(), np.linalg.inv(S), H)
     grad = t * solver.c + solver.gP / power_slack
     grad[:solver.qdim] += vec_many_ref(Qinv, basis).ravel()
@@ -138,6 +138,20 @@ def test_kernels_match_einsum_definitions(n):
         assert rel_err(hess, hess_ref) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unpack_is_exactly_hermitian(n):
+    """unpack's Gram stack equals its Hermitian part to the bit, so no caller
+    symmetrizes it: 2, 4 and 11 blocks, z over ten decades of scale."""
+    rng = np.random.default_rng(n)
+    for n_blocks in (2, 4, 11):
+        H = rng.standard_normal((n_blocks - 1, 2, n)) + 0j
+        solver = _BarrierSolver(np.eye(n), np.ones(n_blocks - 1), H, 1.0, 1.0)
+        for _ in range(200):
+            z = rng.standard_normal(solver.dim) * 10.0 ** rng.uniform(-5, 5, solver.dim)
+            Q = solver.unpack(z)
+            assert_same_bits(Q, 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
+
+
 def random_solver(rng, n, n_r, epigraph, offset=-50.0):
     """A solver on a random K = 3 surrogate, b = [1, 1, 0], noise 0.7, every
     offset ``offset`` (far below the slacks by default), and a random
@@ -152,7 +166,7 @@ def random_solver(rng, n, n_r, epigraph, offset=-50.0):
     A = rng.standard_normal((K + 1, n, n)) + 1j * rng.standard_normal((K + 1, n, n))
     Q = np.einsum("kij,klj->kil", A, A.conj()) / n + 0.1 * np.eye(n)
     P_T = 2.0 * np.trace(Q, axis1=1, axis2=2).sum().real
-    solver = _BarrierSolver(np.eye(n), surrogate, P_T, n, K + 1, epigraph=epigraph)
+    solver = anchored_solver(None if epigraph else np.eye(n), surrogate, P_T)
     return solver, surrogate, Q, solver.pack(Q, s=-1.0)
 
 
@@ -167,7 +181,7 @@ def test_evaluation_matches_the_covariance_builder(n, epigraph):
     for n_r in {max(n - 1, 1), n, n + 1}:
         solver, surrogate, _, _ = random_solver(rng, n, n_r, epigraph)
         nb, r = solver.n_blocks, max(n, n_r)
-        mask = surrogate.masks()[1]
+        mask = bf._rate_masks(surrogate.b)[1]
         for _ in range(5):
             z = rng.standard_normal(solver.dim)
             Q = unpack_ref(z[:solver.qdim].reshape(nb, n * n), solver.basis)
@@ -211,8 +225,7 @@ def test_evaluation_outside_the_domain_is_none(epigraph):
     # power slack exactly 0, then negative
     power = -(solver.gP @ z)
     for P_T in (power, 0.5 * power):
-        at_budget = _BarrierSolver(np.eye(n), surrogate, P_T, n, solver.n_blocks,
-                                   epigraph=epigraph)
+        at_budget = anchored_solver(None if epigraph else np.eye(n), surrogate, P_T)
         assert at_budget._terms(z) is None
     # rate slack: offsets moved so row 1's slack is half, then twice, its floor
     h = solver._terms(z)[1]
@@ -222,8 +235,7 @@ def test_evaluation_outside_the_domain_is_none(epigraph):
         offset[1] += h[1] - factor * floor
         shifted = bf.RateSurrogate(b=surrogate.b, H=surrogate.H, T=surrogate.T,
                                    offset=offset, sigma2=surrogate.sigma2)
-        tight = _BarrierSolver(np.eye(n), shifted, solver.P_T, n, solver.n_blocks,
-                               epigraph=epigraph)
+        tight = anchored_solver(None if epigraph else np.eye(n), shifted, solver.P_T)
         assert (tight._terms(z) is not None) == feasible
 
 
@@ -249,7 +261,7 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
         return out
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
-    _, info = inner_convex_solve(weight, surrogate, P_T, anchor)
+    _, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor, 1e-6 * P_T)
     solver, t, (z, decrement) = calls[-1]
     # a full solve stops on the decrement test; one Newton step leaves it unmet
     assert (decrement is None) == (max_newton == 1)
@@ -272,7 +284,8 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
 
     monkeypatch.setattr(_BarrierSolver, "grad_hess", singular)
     monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
-    grams, info = inner_convex_solve(weight, surrogate, P_T, anchor)
+    grams, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
+                                     1e-6 * P_T)
     assert info["kkt_residual"] == np.inf
     np.testing.assert_allclose(grams, anchor, rtol=0, atol=1e-15 * P_T)
 
@@ -332,7 +345,8 @@ def surrogate_pair(iterations):
     weight, surrogate, P_T, anchor = certificate_scene()
     cfg, _, channels, _ = make_scene(K=3, seed=7)
     for _ in range(iterations):
-        anchor, _ = inner_convex_solve(weight, surrogate, P_T, anchor)
+        anchor, _ = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
+                                       1e-6 * P_T)
         surrogate = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
     return weight, surrogate, P_T, anchor, 1e-6 * P_T
 
@@ -340,7 +354,7 @@ def surrogate_pair(iterations):
 def cold_solve(weight, surrogate, P_T, anchor, gap):
     """The full ladder from the anchor at a warm solve's t0 = nu/gap/30^2:
     (Hermitian Grams, gap bound, t0)."""
-    solver = _BarrierSolver(weight, surrogate, P_T, weight.shape[0], anchor.shape[0])
+    solver = anchored_solver(weight, surrogate, P_T)
     t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
     z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
@@ -375,7 +389,7 @@ def warm_and_cold(monkeypatch, iterations):
     weight, surrogate, P_T, anchor, gap = surrogate_pair(iterations)
     cold = cold_solve(weight, surrogate, P_T, anchor, gap)
     _, calls = record_centering(monkeypatch)
-    warm = inner_convex_solve(weight, surrogate, P_T, anchor, gap_tol=gap, warm=True)
+    warm = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor, gap, warm=True)
     return weight, cold, warm, [(t / cold[2], d, used) for t, _, used, d in calls]
 
 
@@ -440,13 +454,12 @@ def assert_same_bits(a, b):
 def test_reanchored_solver_equals_a_fresh_one(epigraph):
     """A solver built on one SCA surrogate and re-anchored to the next holds,
     bit for bit, every table a solver built on the next one holds."""
-    weight, first, P_T, anchor, _ = surrogate_pair(0)
+    weight, first, P_T, _, _ = surrogate_pair(0)
     _, second, _, _, _ = surrogate_pair(1)
     if epigraph:
-        weight = np.eye(weight.shape[0])
-    args = (P_T, weight.shape[0], anchor.shape[0])
-    reused = _BarrierSolver(weight, first, *args, epigraph=epigraph)
-    fresh = _BarrierSolver(weight, second, *args, epigraph=epigraph)
+        weight = None
+    reused = anchored_solver(weight, first, P_T)
+    fresh = anchored_solver(weight, second, P_T)
     assert reused.lin.tobytes() != fresh.lin.tobytes()
     reused.reanchor(second)
     # lin, gcon_fixed, offsets and h_floor, and the tables that do not depend
@@ -463,11 +476,12 @@ def test_solve_on_a_reanchored_solver_equals_a_fresh_solve(warm):
     surrogate, returns the Grams and info of a solve that builds its own."""
     weight, first, P_T, first_anchor, gap = surrogate_pair(4)
     _, second, _, anchor, _ = surrogate_pair(5)
-    reused = _BarrierSolver(weight, first, P_T, weight.shape[0], anchor.shape[0])
-    inner_convex_solve(weight, first, P_T, first_anchor, gap_tol=gap, solver=reused)
-    Q, info = inner_convex_solve(weight, second, P_T, anchor, gap_tol=gap, warm=warm,
-                                 solver=reused)
-    Q_fresh, info_fresh = inner_convex_solve(weight, second, P_T, anchor, gap_tol=gap, warm=warm)
+    reused = anchored_solver(weight, first, P_T)
+    inner_convex_solve(reused, first_anchor, gap)
+    reused.reanchor(second)
+    Q, info = inner_convex_solve(reused, anchor, gap, warm=warm)
+    Q_fresh, info_fresh = inner_convex_solve(anchored_solver(weight, second, P_T), anchor, gap,
+                                             warm=warm)
     assert_same_bits(Q, Q_fresh)
     assert info == info_fresh
 
@@ -492,7 +506,7 @@ def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
     init = feasibility_init(b, cfg, channels)
     rate = metrics.rate
     built = count_calls(monkeypatch, _BarrierSolver, "__init__",
-                        lambda self, *args, epigraph=False: epigraph)
+                        lambda self, weight, *args: weight is None)
     solves = count_calls(monkeypatch, bf, "inner_convex_solve")
     rate_calls = count_calls(monkeypatch, metrics, "rate")
     W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5, init=init)
@@ -518,11 +532,13 @@ def test_phase_one_builds_one_solver(monkeypatch):
     # an unreachable threshold: phase 1 runs all 25 rounds on one solver
     cfg, _, channels, _ = make_scene(K=4, seed=0, R_th=1.0)
     built = count_calls(monkeypatch, _BarrierSolver, "__init__",
-                        lambda self, *args, epigraph=False: epigraph)
+                        lambda self, weight, *args: weight is None)
     solves = count_calls(monkeypatch, _BarrierSolver, "solve")
+    rate_calls = count_calls(monkeypatch, metrics, "rate")
     with pytest.raises(bf.InfeasibleStartError):
         feasibility_init(np.array([1, 1, 0, 0]), cfg, channels)
-    assert built == [True] and len(solves) == 25
+    # one rate evaluation of the uniform start, then one per round
+    assert built == [True] and len(solves) == 25 and len(rate_calls) == 26
 
 
 # make_scene scenes (K, seed, R_th), first K//2 receivers selected, on which a

@@ -9,7 +9,7 @@ from isacsim.beamforming import (InfeasibleStartError, feasibility_init,
                                  inner_convex_solve, recover_beamformers,
                                  sca_linearize, sca_optimize, uniform_gram)
 
-from conftest import make_scene
+from conftest import anchored_solver, make_scene
 
 
 def random_gram(rng, n_blocks, n, power):
@@ -62,7 +62,7 @@ class TestInnerSolve:
         surrogate = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
         for P_T in (0.0, -1.0):
             with pytest.raises(ValueError, match="power budget"):
-                inner_convex_solve(np.eye(2), surrogate, P_T, anchor)
+                anchored_solver(np.eye(2), surrogate, P_T)
 
     def test_scalar_grid_oracle(self):
         # K = 1, scalar channels, one exact rate constraint: the solution
@@ -73,7 +73,8 @@ class TestInnerSolve:
         weight = bf.build_objective_weight(np.array([1]), consts, channels, cfg)
         anchor = uniform_gram(cfg)
         surrogate = sca_linearize(np.array([1]), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-        Q, info = inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
+        Q, info = inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor,
+                                     1e-6 * cfg.P_T)
         # brute force: rate needs q_user >= q_min; objective is total power
         q_min = (2.0 ** cfg.R_th - 1.0) * cfg.sigma2 / h2
         best = -np.inf
@@ -91,14 +92,16 @@ class TestInnerSolve:
         anchor = uniform_gram(cfg)
         surrogate = sca_linearize(np.ones(2), anchor, channels.H_comm, cfg.sigma2, 50.0)
         with pytest.raises(InfeasibleStartError):
-            inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
+            inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor,
+                               1e-6 * cfg.P_T)
 
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         weight = bf.build_objective_weight(np.array([1, 1, 1]), consts, channels, cfg)
         anchor = feasibility_init(np.array([1, 1, 1]), cfg, channels)
         surrogate = sca_linearize(np.ones(3), anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-        Q, info = inner_convex_solve(weight, surrogate, cfg.P_T, anchor)
+        Q, info = inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor,
+                                     1e-6 * cfg.P_T)
         assert info["kkt_residual"] < 1e-5
         assert np.all(surrogate.slack(Q) > 0)
         assert np.trace(Q.sum(axis=0)).real <= cfg.P_T + 1e-8
