@@ -16,6 +16,10 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
 - ``at_max_newton``: centering calls under the default Newton budget that
   used all of it; ``at_cap``: calls under a smaller cap that used all of it
 - ``longest``: the most Newton steps one call under the default budget took
+- ``eliminated``, ``dense`` and ``lu``: Newton systems solved by each path
+  (``_BarrierSolver.path_steps``, summed over the set's solvers): block
+  elimination, the dense Cholesky (at N_t >= 4 outside phase 1, a fallback
+  from elimination), and the regularized LU after a failed Cholesky
 
 The sets:
 
@@ -48,13 +52,14 @@ from conftest import make_scene  # noqa: E402
 
 
 class Counter:
-    """Wraps grad_hess, _terms, center, __init__ and inner_convex_solve; counts their work."""
+    """Wraps grad_hess, _terms, center, __init__ and inner_convex_solve; counts their
+    work, and keeps every solver built for its path counts."""
 
     def __init__(self) -> None:
         self.grad_hess = 0
         self.terms = 0
         self.solves = 0
-        self.solvers = 0
+        self.solvers = []
         self.calls = []  # (Newton steps used, max_newton) per centering call
         self._saved = [(owner, name, getattr(owner, name))
                        for owner, name in ((bf._BarrierSolver, "grad_hess"),
@@ -84,7 +89,7 @@ class Counter:
             return out
 
         def building(self, *args, **kwargs):
-            counter.solvers += 1
+            counter.solvers.append(self)
             build(self, *args, **kwargs)
 
         def solving(*args, **kwargs):
@@ -104,13 +109,15 @@ class Counter:
     def line(self, name: str, rows: int, errors: int) -> str:
         uncapped = [used for used, budget in self.calls if budget == self.default]
         capped = [(used, budget) for used, budget in self.calls if budget < self.default]
+        paths = sum(solver.path_steps for solver in self.solvers)
         return (f"{name:<14} {rows:>4} {errors:>6} {self.solves / rows:>8.2f} "
-                f"{self.solvers / rows:>12.2f} {len(self.calls) / rows:>11.2f} "
+                f"{len(self.solvers) / rows:>12.2f} {len(self.calls) / rows:>11.2f} "
                 f"{self.grad_hess / rows:>14.1f} "
                 f"{self.grad_hess:>10} {uncapped.count(self.default):>14} "
                 f"{sum(used == budget for used, budget in capped):>7} "
                 f"{max(uncapped, default=0):>8} {self.terms / rows:>10.1f} "
-                f"{self.terms / max(self.grad_hess, 1):>11.2f}")
+                f"{self.terms / max(self.grad_hess, 1):>11.2f} "
+                + " ".join(f"{count:>10}" for count in paths))
 
 
 def run_harness(config: str, experiment: str, trials: int) -> tuple[int, int]:
@@ -154,7 +161,8 @@ def main() -> int:
     print(f"{'set':<14} {'rows':>4} {'errors':>6} {'sca/row':>8} {'solvers/row':>12} "
           f"{'center/row':>11} "
           f"{'grad_hess/row':>14} {'grad_hess':>10} {'at_max_newton':>14} {'at_cap':>7} "
-          f"{'longest':>8} {'terms/row':>10} {'terms/step':>11}")
+          f"{'longest':>8} {'terms/row':>10} {'terms/step':>11} "
+          f"{'eliminated':>10} {'dense':>10} {'lu':>10}")
     for name in args.sets:
         counter = Counter()
         try:

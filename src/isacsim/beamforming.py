@@ -34,6 +34,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,12 +67,18 @@ class BeamformerSet:
 class ScaTrace:
     """Record of one SCA run: (objective, Gram stack) of each accepted iterate.
     ``iterations`` adds the CRB and the maximum exact-constraint violation,
-    which takes every rate: ``violation`` runs on the first read only."""
+    which takes every rate: ``violation`` runs on the first read only.
+    ``kkt_residual_max`` and ``gap_bound_max`` are the worst final
+    certificates of the run's surrogate solves (``inner_convex_solve``'s
+    ``kkt_residual`` and ``gap_bound``), the rejected last one included;
+    0 when no solve ran."""
 
     violation: Callable[[np.ndarray], float]
     iterates: list[tuple[float, np.ndarray]] = field(default_factory=list)
     reason: str = ""
     notes: list[str] = field(default_factory=list)
+    kkt_residual_max: float = 0.0
+    gap_bound_max: float = 0.0
 
     @cached_property
     def iterations(self) -> list[tuple[float, float, float]]:
@@ -233,6 +240,33 @@ WARM_FINAL_NEWTON = 25
 # and crawled on null steps to max_newton.  So a strictly feasible full step
 # is taken without the test at or below this decrement.
 PURE_NEWTON_DECREMENT = 1e-6
+# An eliminated Newton step (_BarrierSolver._eliminated_step) is kept when its
+# decrement grad @ step agrees with step^T hess step to this relative bound.
+# Near the boundary the power and rate barriers' curvature exceeds the PSD
+# cores' by many orders, and Woodbury's subtraction loses the step's stiff
+# components: with no test, 44 of the 1,003 eliminated steps of the N_t = 4
+# selection_compare rows at sec6a_nt4, seed 7, had a decrement more than 1e-6
+# off the dense solve's (one by 400%), and on make_scene scenes at N_t = 4
+# and 6, P_T = 1, some were negative, which center would have taken for a
+# certificate.  With the test the kept steps' decrements lay within 1e-6 of
+# the dense ones on those rows, and 57 of 1,011 systems went dense.
+ELIMINATION_RTOL = 1e-6
+
+
+class _Curvature(NamedTuple):
+    """The negated barrier Hessian at z in parts (see ``_BarrierSolver.hessian``):
+
+        blockdiag(cores) + sum_g E_g S_g E_g^T + gP gP^T / p^2 + gcon^T diag(inv_h^2) gcon
+
+    with E_g the involvement of group g's blocks, S_g its row ``sums``.
+    """
+
+    z: np.ndarray       # the point
+    power_slack: float
+    inv_h: np.ndarray   # (m,) inverse rate slacks
+    gcon: np.ndarray    # (m, dim) rate constraint gradients
+    cores: np.ndarray   # (n_blocks, n^2, n^2) C(Q_i^-1), the PSD barriers' curvature
+    sums: np.ndarray    # (groups, n^4) log-det curvature S_g, flattened
 
 
 class _BarrierSolver:
@@ -247,10 +281,25 @@ class _BarrierSolver:
     feasibility search); otherwise the weight is divided by its spectral
     norm ``scale`` so the duality-gap target nu/t is meaningful.
 
-    ``grad_hess(z, t)`` returns ``(grad, hess)``: the gradient of the
-    barrier value (``barrier``) and its *negated* Hessian, which is positive
-    definite, so the Newton step (``newton_step``) solves
-    ``hess @ step = grad``.  ``center`` evaluates ``_terms`` once per point:
+    ``grad_hess(z, t)`` returns the gradient of the barrier value
+    (``barrier``) and its *negated* Hessian, which is positive definite, in
+    parts (``_Curvature``); the Newton step (``newton_step``) solves
+    ``hess @ step = grad`` with them, on one of two paths fixed by the
+    solver's shape (``eliminate``).  The dense path assembles ``hess``
+    (``hessian``) and factors it with one Cholesky call.  From N_t = 4,
+    outside epigraph mode, the step is a block elimination instead (Boyd &
+    Vandenberghe, Convex Optimization, App. C.4): ``hess`` is the block
+    diagonal D of the PSD barriers' cores C(Q_i^-1) plus U W U^T, with U =
+    [E_g, gP/p, gcon^T diag(1/h)] (E_g the 0/1 involvement of group g's
+    blocks, kron I_(n^2)) and W = diag(S_g, 1, I), and Woodbury's identity
+    in the form that never inverts W (S_g, a sum of cores of rank at most
+    N_r^2 each, can be singular) leaves one LU solve of width
+    groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, with D^-1 = blockdiag
+    C(Q_i) needing no factor.  An eliminated step whose decrement is not
+    consistent (ELIMINATION_RTOL) or whose system is singular falls back
+    to the dense path; ``path_steps`` counts the systems each path solved
+    (eliminated, dense, and ``center``'s regularized LU after a failed
+    Cholesky).  ``center`` evaluates ``_terms`` once per point:
     the terms of the point the line search accepts go on to ``grad_hess``.
     Its Armijo test compares the gain 0.25 * size * decrement with the change
     of the barrier value, summed from the ratios of the two points' terms
@@ -262,9 +311,9 @@ class _BarrierSolver:
     ``inner_convex_solve`` reports it as the KKT certificate, computing the
     decrement at the returned point itself where the final stage stopped
     short of its test (inf if that Newton system is not positive definite).
-    ``center`` assembles, regularizes and factors the Newton system in place
-    in ``work``, one block the solver allocates once, so a Newton step
-    allocates no (dim, dim) array.
+    The dense path assembles, regularizes and factors the Newton system in
+    place in ``work``, one block the solver allocates once, so a Newton
+    step allocates no (dim, dim) array.
 
     Every constraint is affine in z, so ``_terms`` evaluates a point with
     one matrix product per kind of block and one Cholesky call: it tests
@@ -352,6 +401,19 @@ class _BarrierSolver:
         involved = self.mask[rows.argmax(axis=1)]
         self.group_blocks = (involved[:, :, None] * involved[:, None, :]).reshape(
             len(rows), -1).T.copy()
+        # the Newton path, fixed by the shape (see newton_step): block
+        # elimination from N_t = 4, outside epigraph mode.  One SCA row at
+        # K = 10 (scripts/newton_ladder.py, one BLAS thread, 2 shared vCPUs),
+        # microseconds per Newton step dense / eliminated: N_t = 2 (dim 44)
+        # 121 / 157, N_t = 3 (dim 99) 198 / 207, N_t = 4 (dim 176) 461 / 332,
+        # N_t = 6 (dim 396) 2443 / 1350
+        self.eliminate = not epigraph and n >= 4
+        # the group columns E_g of the elimination's U: the 0/1 involvement
+        # of each group's blocks, kron I_(n^2)
+        self.group_cols = np.kron(involved.T, np.eye(self.bd))
+        # Newton systems solved, by path: eliminated, dense Cholesky, and
+        # center's regularized LU after a failed Cholesky
+        self.path_steps = np.zeros(3, dtype=int)
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -443,11 +505,11 @@ class _BarrierSolver:
         ev = self._terms(z)
         return None if ev is None else self._value(z, t, ev)
 
-    def grad_hess(self, z: np.ndarray, t: float, ev=None):
-        """(gradient, negated Hessian) at z; ``ev`` is ``_terms(z)`` if known.
+    def grad_hess(self, z: np.ndarray, t: float, ev=None) -> tuple[np.ndarray, _Curvature]:
+        """(gradient, negated Hessian in parts) at z; ``ev`` is ``_terms(z)`` if known.
 
-        The Hessian is written into ``work[0]``, with ``work[1]`` as scratch,
-        so the next call overwrites it.
+        ``hessian`` assembles the parts into the dense matrix and
+        ``newton_step`` solves with them.
         """
         if ev is None:
             ev = self._terms(z)
@@ -455,8 +517,6 @@ class _BarrierSolver:
             raise SolverError("barrier evaluated at an infeasible point")
         power_slack, h, chol, _ = ev
         bd, nb, m = self.bd, self.n_blocks, self.m
-        # power barrier (affine constraint): its curvature starts the Hessian
-        hess = np.divide(self.gP_outer, power_slack ** 2, out=self.work[0])
 
         # the PSD block barriers' Q^-1 and the log-det curvature M_k = G_k^H G_k
         # of the whitened channels G_k = L_k^-1 H_k, S_k = L_k L_k^H: one stack
@@ -469,10 +529,6 @@ class _BarrierSolver:
 
         grad = t * self.c
         grad[:self.qdim] += vecs[:nb].ravel()
-        # block-diagonal PSD cores, added through a view of the diagonal blocks;
-        # splitting the axes of a slice keeps it a view of hess
-        blocks = hess[:self.qdim, :self.qdim].reshape(nb, bd, nb, bd)
-        np.einsum("kakb->kab", blocks)[...] += cores[:nb]
         grad += self.gP / power_slack
 
         inv_h = 1.0 / h
@@ -482,27 +538,90 @@ class _BarrierSolver:
         gcon[:, :self.qdim].reshape(m, nb, bd)[...] += (
             self.mask[:, :, None] * (vecs[nb:] / LN2)[:, None, :])
         grad += inv_h @ gcon
-        # log-det curvature: each group's sum on every pair of its blocks
+        # log-det curvature: each group's sum of its rows' cores
         sums = (self.group_rows * inv_h) @ cores[nb:].reshape(m, bd * bd)
-        blocks += (self.group_blocks @ sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
-        hess += np.matmul(gcon.T, (inv_h ** 2)[:, None] * gcon, out=self.work[1])
-        return grad, hess
+        return grad, _Curvature(z, power_slack, inv_h, gcon, cores[:nb], sums)
 
-    def newton_step(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-        """Solve (hess + 1e-12 I) step = grad by a Cholesky factor in ``work[2]``.
+    def hessian(self, curv: _Curvature) -> np.ndarray:
+        """The dense negated Hessian, written into ``work[0]`` with ``work[1]``
+        as scratch, so the next call overwrites it."""
+        bd, nb = self.bd, self.n_blocks
+        # power barrier (affine constraint): its curvature starts the Hessian
+        hess = np.divide(self.gP_outer, curv.power_slack ** 2, out=self.work[0])
+        # block-diagonal PSD cores, added through a view of the diagonal blocks;
+        # splitting the axes of a slice keeps it a view of hess
+        blocks = hess[:self.qdim, :self.qdim].reshape(nb, bd, nb, bd)
+        np.einsum("kakb->kab", blocks)[...] += curv.cores
+        # log-det curvature: each group's sum on every pair of its blocks
+        blocks += (self.group_blocks @ curv.sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
+        hess += np.matmul(curv.gcon.T, (curv.inv_h ** 2)[:, None] * curv.gcon,
+                          out=self.work[1])
+        return hess
+
+    def newton_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray:
+        """Solve hess @ step = grad, by block elimination where the solver
+        eliminates, else (or when elimination fails) by a Cholesky factor of
+        hess + 1e-12 I in ``work[2]``; ``path_steps`` counts the path taken.
 
         Raises LinAlgError when that matrix is not numerically positive
         definite, or has a non-finite entry: the factor's diagonal shows
         one, so the inputs are not scanned.  A non-finite ``grad`` shows in
         the step.
         """
+        if self.eliminate:
+            step = self._eliminated_step(grad, curv)
+            if step is not None:
+                self.path_steps[0] += 1
+                return step
         # hess is symmetric, so the Fortran-ordered transpose of the
         # C-ordered workspace is the same matrix, factored in place
-        reg = np.add(hess, self.ridge, out=self.work[2]).T
+        reg = np.add(self.hessian(curv), self.ridge, out=self.work[2]).T
         chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
         if info != 0 or not np.isfinite(chol.diagonal()).all():
             raise np.linalg.LinAlgError("Newton system is not positive definite")
+        self.path_steps[1] += 1
         return sla.lapack.dpotrs(chol, grad, lower=True)[0]
+
+    def _eliminated_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray | None:
+        """hess^-1 grad with hess = D + U W U^T (Woodbury, never inverting W):
+
+            D^-1 g - D^-1 U (I + W U^T D^-1 U)^-1 W U^T D^-1 g
+
+        D^-1 = blockdiag C(Q_i), since C(X)^-1 = C(X^-1); U = [E_g, gP/p,
+        gcon^T diag(1/h)] and W = diag(S_g, 1, I).  None when the
+        capacitance matrix is singular, or when the step's decrement
+        grad @ step is not positive or misses step^T hess step, a sum of PSD
+        quadratic forms, by more than ELIMINATION_RTOL relative (a
+        non-finite step fails that test too).
+        """
+        nb, bd = self.n_blocks, self.bd
+        U = np.concatenate([self.group_cols, self.gP[:, None] / curv.power_slack,
+                            curv.gcon.T * curv.inv_h, grad[:, None]], axis=1)
+        width = U.shape[1] - 1
+        # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
+        DU = (_psd_cores(self.unpack(curv.z), self.basis)
+              @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
+        # (Fortran-ordered, as dgesv takes it without a copy)
+        cap = (DU.T @ U[:, :width]).T
+        # W on the left: S_g on each group's rows, identity on the rest
+        groups = len(curv.sums)
+        S = curv.sums.reshape(groups, bd, bd)
+        cap[:groups * bd] = (S @ cap[:groups * bd].reshape(groups, bd, width + 1)).reshape(
+            groups * bd, width + 1)
+        np.einsum("ii->i", cap[:, :width])[...] += 1.0
+        _, _, x, info = sla.lapack.dgesv(cap[:, :width], cap[:, width], overwrite_a=True)
+        if info != 0:
+            return None
+        step = DU[:, width] - DU[:, :width] @ x
+        # step^T hess step = step^T D step + v^T W v, v = U^T step
+        v = U[:, :width].T @ step
+        blocks, v_g = step.reshape(nb, bd), v[:groups * bd].reshape(groups, bd)
+        quad = (np.einsum("ia,iab,ib->", blocks, curv.cores, blocks)
+                + np.einsum("ga,gab,gb->", v_g, S, v_g) + v[groups * bd:] @ v[groups * bd:])
+        decrement = grad @ step
+        if decrement > 0 and abs(quad - decrement) <= ELIMINATION_RTOL * decrement:
+            return step
+        return None
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
                max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
@@ -514,10 +633,11 @@ class _BarrierSolver:
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
-            grad, hess = self.grad_hess(z, t, ev)
+            grad, curv = self.grad_hess(z, t, ev)
             try:
-                step = self.newton_step(grad, hess)
+                step = self.newton_step(grad, curv)
             except np.linalg.LinAlgError:
+                hess = self.hessian(curv)
                 if not np.isfinite(hess).all():
                     return z, None
                 try:
@@ -526,6 +646,7 @@ class _BarrierSolver:
                 except np.linalg.LinAlgError:
                     # hopeless conditioning: keep the last strictly feasible point
                     return z, None
+                self.path_steps[2] += 1
             if not np.all(np.isfinite(step)):
                 return z, None
             decrement = float(grad @ step)
@@ -607,9 +728,9 @@ def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: flo
     z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
-        grad, hess = solver.grad_hess(z, t_used)
+        grad, curv = solver.grad_hess(z, t_used)
         try:
-            decrement = float(grad @ solver.newton_step(grad, hess))
+            decrement = float(grad @ solver.newton_step(grad, curv))
         except np.linalg.LinAlgError:
             # a singular Newton system at a stalled point: no certificate
             decrement = math.inf
@@ -628,8 +749,14 @@ def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: flo
 # ---------------------------------------------------------------------------
 
 def recover_beamformers(Q: np.ndarray, L: int) -> BeamformerSet:
-    """Best rank-L beamformers from the Gram stack by eigen-truncation."""
-    w, V = np.linalg.eigh(0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
+    """Best rank-L beamformers from the Gram stack by eigen-truncation.
+
+    Q must be exactly Hermitian, block by block, as the stacks of
+    ``_BarrierSolver.unpack`` and ``uniform_gram`` are, and with them every
+    stack ``sca_optimize`` and the harness hand in: ``eigh`` reads only the
+    lower triangle.
+    """
+    w, V = np.linalg.eigh(Q)
     order = np.argsort(w, axis=-1)[:, ::-1][:, :L]
     vals = np.clip(np.take_along_axis(w, order, axis=-1), 0.0, None)
     return BeamformerSet(W=np.take_along_axis(V, order[:, None, :], axis=-1)
@@ -767,6 +894,8 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     for i in range(50):
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
         Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0)
+        trace.kkt_residual_max = max(trace.kkt_residual_max, info["kkt_residual"])
+        trace.gap_bound_max = max(trace.gap_bound_max, info["gap_bound"])
         obj_new = info["objective"]
         if obj_new < obj_prev:
             # solver tolerance could not improve on the anchor; stop at the anchor

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from isacsim import beamforming as bf, harness, metrics
 from isacsim.beamforming import (_BarrierSolver, feasibility_init, inner_convex_solve,
@@ -36,7 +37,8 @@ def test_grad_hess_matches_central_differences(n, epigraph):
     solver, z, _ = solver_at(n, epigraph)
     t = 10.0
     assert len(solver.group_rows) == 2
-    grad, hess = solver.grad_hess(z, t)
+    grad, curv = solver.grad_hess(z, t)
+    hess = solver.hessian(curv)
     # the Hessian lives in the solver's workspace, which the calls below overwrite
     assert np.shares_memory(hess, solver.work)
     hess = hess.copy()
@@ -132,7 +134,8 @@ def test_kernels_match_einsum_definitions(n):
     # above, equal to and below n
     for epigraph in (False, True):
         solver, z, surrogate = solver_at(n, epigraph)
-        grad, hess = solver.grad_hess(z, 10.0)
+        grad, curv = solver.grad_hess(z, 10.0)
+        hess = solver.hessian(curv)
         grad_ref, hess_ref = grad_hess_ref(solver, surrogate, z, 10.0)
         assert rel_err(grad, grad_ref) <= 1e-10
         assert rel_err(hess, hess_ref) <= 1e-10
@@ -152,16 +155,16 @@ def test_unpack_is_exactly_hermitian(n):
             assert_same_bits(Q, 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))))
 
 
-def random_solver(rng, n, n_r, epigraph, offset=-50.0):
-    """A solver on a random K = 3 surrogate, b = [1, 1, 0], noise 0.7, every
-    offset ``offset`` (far below the slacks by default), and a random
-    strictly feasible point at half the power budget: (solver, surrogate,
-    Grams, point)."""
+def random_solver(rng, n, n_r, epigraph, offset=-50.0, b=(1, 1, 0)):
+    """A solver on a random K = 3 surrogate, b = [1, 1, 0] by default, noise
+    0.7, every offset ``offset`` (far below the slacks by default), and a
+    random strictly feasible point at half the power budget: (solver,
+    surrogate, Grams, point)."""
     K = 3
     H = rng.standard_normal((K, n_r, n)) + 1j * rng.standard_normal((K, n_r, n))
     G = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
     T = np.einsum("kij,klj->kil", G, G.conj()) / (10 * n)
-    surrogate = bf.RateSurrogate(b=np.array([1, 1, 0]), H=H, T=T, offset=np.full(K, offset),
+    surrogate = bf.RateSurrogate(b=np.array(b), H=H, T=T, offset=np.full(K, offset),
                                  sigma2=0.7)
     A = rng.standard_normal((K + 1, n, n)) + 1j * rng.standard_normal((K + 1, n, n))
     Q = np.einsum("kij,klj->kil", A, A.conj()) / n + 0.1 * np.eye(n)
@@ -239,6 +242,86 @@ def test_evaluation_outside_the_domain_is_none(epigraph):
         assert (tight._terms(z) is not None) == feasible
 
 
+@pytest.mark.parametrize("b, groups", [((1, 1, 0), 2), ((1, 1, 1), 1)])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_eliminated_step_equals_the_dense_solve(n, b, groups):
+    """The block-eliminated Newton step against np.linalg.solve of the dense
+    negated Hessian on random solver states, with both involvement groups
+    and with one, at the cold weight max(1, 1/P_T) and at the final weight
+    nu/gap, gap 1e-6 P_T: the step within 1e-11 and its decrement
+    grad @ step within 1e-12, relative (measured: 1.0e-13 and 3.5e-14)."""
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        solver, _, _, z = random_solver(rng, n, 2, False, b=b)
+        assert solver.eliminate == (n >= 4) and len(solver.group_rows) == groups
+        for t in (max(1.0, 1.0 / solver.P_T), solver.nu / (1e-6 * solver.P_T)):
+            grad, curv = solver.grad_hess(z, t)
+            dense = np.linalg.solve(solver.hessian(curv), grad)
+            step = solver._eliminated_step(grad, curv)
+            assert rel_err(step, dense) <= 1e-11
+            assert grad @ step == pytest.approx(grad @ dense, rel=1e-12, abs=0)
+
+
+def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch):
+    """Near the boundary Woodbury's subtraction loses the step's stiff
+    components, and the decrement test sends such steps to the dense path.
+    Along an N_t = 4 SCA row at P_T = 1 (many of its steps fall back) every
+    eliminated step that is kept has a positive decrement within 1e-4,
+    relative, of the dense Cholesky solve's (measured: 2.5e-5; where they
+    differed most, a 40-digit solve of the same matrix put the eliminated
+    decrement 6.4e-6 off and the dense one 3.2e-5)."""
+    cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=4, L=2, R_th=1.0)
+    kept, dropped = [], [0]
+    eliminated_step = _BarrierSolver._eliminated_step
+
+    def checked(self, grad, curv):
+        step = eliminated_step(self, grad, curv)
+        if step is None:
+            dropped[0] += 1
+            return None
+        dense = sla.cho_solve(sla.cho_factor(self.hessian(curv) + self.ridge), grad)
+        kept.append((grad @ step, grad @ dense))
+        return step
+
+    monkeypatch.setattr(_BarrierSolver, "_eliminated_step", checked)
+    bf.sca_optimize(np.array([1, 1, 0]), cfg, channels, consts)
+    assert len(kept) > 100 and dropped[0] > 100
+    for decrement, dense in kept:
+        assert decrement > 0
+        assert decrement == pytest.approx(dense, rel=1e-4, abs=0)
+
+
+def test_newton_paths_are_counted(monkeypatch):
+    """path_steps counts the eliminated, dense and regularized-LU systems.
+    A failed dgesv and a non-finite step each fall back to the dense path
+    (bit for bit the dense solver's step), and a failed Cholesky to center's
+    regularized LU."""
+    rng = np.random.default_rng(4)
+    solver, surrogate, _, z = random_solver(rng, 4, 2, False)
+    dense_solver = anchored_solver(solver.weight, surrogate, solver.P_T)
+    grad, curv = solver.grad_hess(z, 10.0)
+    solver.newton_step(grad, curv)
+    assert solver.eliminate and solver.path_steps.tolist() == [1, 0, 0]
+    dense_solver.eliminate = False
+    expected = dense_solver.newton_step(grad, curv)
+    assert dense_solver.path_steps.tolist() == [0, 1, 0]
+    # a singular capacitance system: dgesv reports info > 0
+    monkeypatch.setattr(bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
+    assert_same_bits(solver.newton_step(grad, curv), expected)
+    assert solver.path_steps.tolist() == [1, 1, 0]
+    monkeypatch.undo()
+    # a non-finite step: the dense path's step is non-finite too
+    poisoned = grad.copy()
+    poisoned[3] = np.nan
+    assert np.isnan(solver.newton_step(poisoned, curv)).any()
+    assert solver.path_steps.tolist() == [1, 2, 0]
+    # a failed Cholesky: center takes the regularized LU step
+    monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
+    solver.eliminate = False
+    solver.center(z, 10.0, max_newton=1)
+    assert solver.path_steps.tolist() == [1, 2, 1]
+
+
 def certificate_scene():
     """The scene of test_beamforming's KKT certificate test: K = 3, all selected."""
     cfg, _, channels, consts = make_scene(K=3, seed=7)
@@ -267,8 +350,8 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     assert (decrement is None) == (max_newton == 1)
     # the same solve of hess + 1e-12 I as center's: at the one-step point its
     # condition number is about 2e15, where an LU solve differs by 6e-4
-    grad, hess = solver.grad_hess(z, t)
-    fresh = abs(grad @ solver.newton_step(grad, hess))
+    grad, curv = solver.grad_hess(z, t)
+    fresh = abs(grad @ solver.newton_step(grad, curv))
     assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
 
@@ -276,13 +359,11 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
     """A final stage that stops short at a point whose Newton system is
     singular reports an infinite residual instead of raising."""
     weight, surrogate, P_T, anchor = certificate_scene()
-    grad_hess = _BarrierSolver.grad_hess
 
-    def singular(self, *args, **kwargs):
-        grad, _ = grad_hess(self, *args, **kwargs)
-        return grad, -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
+    def singular(self, curv):
+        return -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
 
-    monkeypatch.setattr(_BarrierSolver, "grad_hess", singular)
+    monkeypatch.setattr(_BarrierSolver, "hessian", singular)
     monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
     grams, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
                                      1e-6 * P_T)
@@ -297,14 +378,14 @@ def test_non_finite_newton_system_keeps_the_start(monkeypatch, entry, value):
     the point it started from, with no decrement: the Cholesky factor's
     diagonal shows it, and center returns before the regularized fallback."""
     solver, z, _ = solver_at(2, False)
-    grad_hess = _BarrierSolver.grad_hess
+    hessian = _BarrierSolver.hessian
 
-    def poisoned(self, *args, **kwargs):
-        grad, hess = grad_hess(self, *args, **kwargs)
+    def poisoned(self, curv):
+        hess = hessian(self, curv)
         hess[entry] = hess[entry[::-1]] = value
-        return grad, hess
+        return hess
 
-    monkeypatch.setattr(_BarrierSolver, "grad_hess", poisoned)
+    monkeypatch.setattr(_BarrierSolver, "hessian", poisoned)
     end, decrement = solver.center(z.copy(), 10.0)
     assert decrement is None
     np.testing.assert_array_equal(end, z)
@@ -320,7 +401,7 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
     z, decrement = solver.center(z, t)
     assert decrement is not None
     # move off the center to a decrement of about 1e-7
-    _, hess = solver.grad_hess(z, t)
+    hess = solver.hessian(solver.grad_hess(z, t)[1])
     v = np.random.default_rng(0).standard_normal(solver.dim)
     start = z + np.sqrt(1e-7 / (v @ hess @ v)) * v
     value = _BarrierSolver._value
@@ -526,6 +607,32 @@ def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
     assert iterations == [describe(Q) for _, Q in trace.iterates]
     # the last iterate is the Gram stack the beamformers come from (L = N_t)
     assert_same_bits(W.W, bf.recover_beamformers(trace.iterates[-1][1], cfg.L).W)
+
+
+def test_sca_trace_keeps_the_worst_certificates(monkeypatch):
+    """The trace's kkt_residual_max and gap_bound_max are the maxima of the
+    certificates inner_convex_solve returned, over every surrogate solve;
+    the closed form (R_th <= 0) solves none and keeps 0."""
+    cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.25)
+    b = np.array([1, 1, 0, 0])
+    infos = []
+    solve = bf.inner_convex_solve
+
+    def recording(*args, **kwargs):
+        Q, info = solve(*args, **kwargs)
+        infos.append(info)
+        return Q, info
+
+    monkeypatch.setattr(bf, "inner_convex_solve", recording)
+    _, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5)
+    assert len(infos) >= 3
+    assert trace.kkt_residual_max == max(info["kkt_residual"] for info in infos)
+    assert trace.gap_bound_max == max(info["gap_bound"] for info in infos)
+    assert 0 < trace.kkt_residual_max <= 2e-9
+    infos.clear()
+    cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.0)
+    _, trace = bf.sca_optimize(b, cfg, channels, consts)
+    assert not infos and trace.kkt_residual_max == trace.gap_bound_max == 0.0
 
 
 def test_phase_one_builds_one_solver(monkeypatch):

@@ -126,6 +126,25 @@ class TestRecovery:
         np.testing.assert_allclose(W[0] @ W[0].conj().T, np.diag([3.0, 0.0]),
                                    atol=1e-12)
 
+    def test_hermitian_inputs_need_no_symmetrization(self):
+        """The stacks the package hands in are exactly Hermitian: the
+        barrier solver's unpack, uniform_gram, and an SCA row's last
+        iterate.  On each the beamformers' bytes equal those of the
+        symmetrized stack, which recover_beamformers no longer forms."""
+        rng = np.random.default_rng(8)
+        cfg, _, channels, consts = make_scene(K=3, seed=5, N_t=4, L=2, R_th=0.25)
+        b = np.array([1, 1, 0])
+        solver = bf._BarrierSolver(np.eye(4), b, channels.H_comm, cfg.sigma2, cfg.P_T)
+        _, trace = sca_optimize(b, cfg, channels, consts)
+        stacks = [solver.unpack(rng.standard_normal(solver.dim)) for _ in range(5)]
+        stacks += [uniform_gram(cfg), trace.iterates[-1][1]]
+        for Q in stacks:
+            symmetrized = 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1))))
+            assert Q.tobytes() == symmetrized.tobytes()
+            for L in (1, 2, 4):
+                assert (recover_beamformers(Q, L).W.tobytes()
+                        == recover_beamformers(symmetrized, L).W.tobytes())
+
     def test_stack_matches_one_block_at_a_time(self):
         # the stacked eigendecomposition against eigh of each Hermitian block
         rng = np.random.default_rng(3)

@@ -41,7 +41,7 @@ SCA_GOLDEN = {
     "tradeoff": "665a92e9c8221f06",
     "selection_compare": "2ac8c9fce972a66b",
     "pulses": "d451108d51298501",
-    "selection_nt4": "60ce965f5ba4a36c",
+    "selection_nt4": "a3b2102ad7e7259d",
 }
 
 
