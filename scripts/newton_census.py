@@ -109,7 +109,7 @@ class Counter:
     def line(self, name: str, rows: int, errors: int) -> str:
         uncapped = [used for used, budget in self.calls if budget == self.default]
         capped = [(used, budget) for used, budget in self.calls if budget < self.default]
-        paths = sum(solver.path_steps for solver in self.solvers)
+        paths = np.sum([solver.path_steps for solver in self.solvers], axis=0, dtype=int)
         return (f"{name:<14} {rows:>4} {errors:>6} {self.solves / rows:>8.2f} "
                 f"{len(self.solvers) / rows:>12.2f} {len(self.calls) / rows:>11.2f} "
                 f"{self.grad_hess / rows:>14.1f} "

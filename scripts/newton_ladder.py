@@ -74,8 +74,8 @@ def run_row(inputs, eliminate: bool) -> dict:
     finally:
         for name, value in saved.items():
             setattr(solver_cls, name, value)
-    paths = sum((s.path_steps for s, _ in solvers if hasattr(s, "path_steps")),
-                np.zeros(3, dtype=int))
+    paths = np.sum([s.path_steps for s, _ in solvers if hasattr(s, "path_steps")] or [[0, 0, 0]],
+                   axis=0)
     return {"steps": spent[1], "paths": paths.tolist(), "own": solvers[0][1],
             "step_us": 1e6 * spent[0] / max(spent[1], 1), "row_ms": 1e3 * wall}
 

@@ -413,7 +413,7 @@ class _BarrierSolver:
         self.group_cols = np.kron(involved.T, np.eye(self.bd))
         # Newton systems solved, by path: eliminated, dense Cholesky, and
         # center's regularized LU after a failed Cholesky
-        self.path_steps = np.zeros(3, dtype=int)
+        self.path_steps = [0, 0, 0]
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At

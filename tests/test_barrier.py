@@ -301,25 +301,25 @@ def test_newton_paths_are_counted(monkeypatch):
     dense_solver = anchored_solver(solver.weight, surrogate, solver.P_T)
     grad, curv = solver.grad_hess(z, 10.0)
     solver.newton_step(grad, curv)
-    assert solver.eliminate and solver.path_steps.tolist() == [1, 0, 0]
+    assert solver.eliminate and solver.path_steps == [1, 0, 0]
     dense_solver.eliminate = False
     expected = dense_solver.newton_step(grad, curv)
-    assert dense_solver.path_steps.tolist() == [0, 1, 0]
+    assert dense_solver.path_steps == [0, 1, 0]
     # a singular capacitance system: dgesv reports info > 0
     monkeypatch.setattr(bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
     assert_same_bits(solver.newton_step(grad, curv), expected)
-    assert solver.path_steps.tolist() == [1, 1, 0]
+    assert solver.path_steps == [1, 1, 0]
     monkeypatch.undo()
     # a non-finite step: the dense path's step is non-finite too
     poisoned = grad.copy()
     poisoned[3] = np.nan
     assert np.isnan(solver.newton_step(poisoned, curv)).any()
-    assert solver.path_steps.tolist() == [1, 2, 0]
+    assert solver.path_steps == [1, 2, 0]
     # a failed Cholesky: center takes the regularized LU step
     monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
     solver.eliminate = False
     solver.center(z, 10.0, max_newton=1)
-    assert solver.path_steps.tolist() == [1, 2, 1]
+    assert solver.path_steps == [1, 2, 1]
 
 
 def certificate_scene():
