@@ -284,22 +284,17 @@ class _BarrierSolver:
     ``grad_hess(z, t)`` returns the gradient of the barrier value
     (``barrier``) and its *negated* Hessian, which is positive definite, in
     parts (``_Curvature``); the Newton step (``newton_step``) solves
-    ``hess @ step = grad`` with them, on one of two paths fixed by the
-    solver's shape (``eliminate``).  The dense path assembles ``hess``
-    (``hessian``) and factors it with one Cholesky call.  From N_t = 4,
-    outside epigraph mode, the step is a block elimination instead (Boyd &
-    Vandenberghe, Convex Optimization, App. C.4): ``hess`` is the block
-    diagonal D of the PSD barriers' cores C(Q_i^-1) plus U W U^T, with U =
-    [E_g, gP/p, gcon^T diag(1/h)] (E_g the 0/1 involvement of group g's
-    blocks, kron I_(n^2)) and W = diag(S_g, 1, I), and Woodbury's identity
-    in the form that never inverts W (S_g, a sum of cores of rank at most
-    N_r^2 each, can be singular) leaves one LU solve of width
-    groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, with D^-1 = blockdiag
-    C(Q_i) needing no factor.  An eliminated step whose decrement is not
-    consistent (ELIMINATION_RTOL) or whose system is singular falls back
-    to the dense path; ``path_steps`` counts the systems each path solved
-    (eliminated, dense, and ``center``'s regularized LU after a failed
-    Cholesky).  ``center`` evaluates ``_terms`` once per point:
+    ``hess @ step = grad`` on one of two paths fixed by the solver's shape
+    (``eliminate``).  The dense path assembles ``hess`` (``hessian``) and
+    factors it with one Cholesky call.  From N_t = 4, outside epigraph
+    mode, a block elimination (``_eliminated_step``, Boyd & Vandenberghe,
+    Convex Optimization, App. C.4) leaves one LU solve of width
+    groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to the
+    dense path when its step fails a consistency test; ``path_steps``
+    counts the systems each path solved (eliminated, dense, and
+    ``center``'s regularized LU after a failed Cholesky).
+
+    ``center`` evaluates ``_terms`` once per point:
     the terms of the point the line search accepts go on to ``grad_hess``.
     Its Armijo test compares the gain 0.25 * size * decrement with the change
     of the barrier value, summed from the ratios of the two points' terms
@@ -408,8 +403,7 @@ class _BarrierSolver:
         # 121 / 157, N_t = 3 (dim 99) 198 / 207, N_t = 4 (dim 176) 461 / 332,
         # N_t = 6 (dim 396) 2443 / 1350
         self.eliminate = not epigraph and n >= 4
-        # the group columns E_g of the elimination's U: the 0/1 involvement
-        # of each group's blocks, kron I_(n^2)
+        # the columns E_g of the elimination's U (see _eliminated_step)
         self.group_cols = np.kron(involved.T, np.eye(self.bd))
         # Newton systems solved, by path: eliminated, dense Cholesky, and
         # center's regularized LU after a failed Cholesky
@@ -587,12 +581,16 @@ class _BarrierSolver:
 
             D^-1 g - D^-1 U (I + W U^T D^-1 U)^-1 W U^T D^-1 g
 
-        D^-1 = blockdiag C(Q_i), since C(X)^-1 = C(X^-1); U = [E_g, gP/p,
-        gcon^T diag(1/h)] and W = diag(S_g, 1, I).  None when the
-        capacitance matrix is singular, or when the step's decrement
-        grad @ step is not positive or misses step^T hess step, a sum of PSD
-        quadratic forms, by more than ELIMINATION_RTOL relative (a
-        non-finite step fails that test too).
+        D is the block diagonal of the PSD barriers' cores, and D^-1 =
+        blockdiag C(Q_i) needs no factor, since C(X)^-1 = C(X^-1); U = [E_g,
+        gP/p, gcon^T diag(1/h)] with E_g the 0/1 involvement of group g's
+        blocks kron I_(n^2) (``group_cols``), and W = diag(S_g, 1, I): S_g,
+        a sum of cores of rank at most N_r^2 each, can be singular.
+
+        None when the capacitance matrix is singular, or when the step's
+        decrement grad @ step is not positive or misses step^T hess step, a
+        sum of PSD quadratic forms, by more than ELIMINATION_RTOL relative
+        (a non-finite step fails that test too).
         """
         nb, bd = self.n_blocks, self.bd
         U = np.concatenate([self.group_cols, self.gP[:, None] / curv.power_slack,
