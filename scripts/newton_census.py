@@ -20,6 +20,11 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
   (``_BarrierSolver.path_steps``, summed over the set's solvers): block
   elimination, the dense Cholesky (at N_t >= 4 outside phase 1, a fallback
   from elimination), and the regularized LU after a failed Cholesky
+- ``cold/row``: Newton steps of cold surrogate solves (``inner_convex_solve``
+  without ``warm``, the first of each SCA run) per row
+- ``warm/solve``: Newton steps per warm surrogate solve
+- ``dropped``: the share of warm solves whose final-weight start (their
+  first centering call, under the WARM_FINAL_NEWTON cap) was dropped
 
 The sets:
 
@@ -60,7 +65,11 @@ class Counter:
         self.terms = 0
         self.solves = 0
         self.solvers = []
-        self.calls = []  # (Newton steps used, max_newton) per centering call
+        # (Newton steps used, max_newton, certified) per centering call
+        self.calls = []
+        # Newton steps of cold and warm surrogate solves, warm solves, and
+        # warm solves that dropped their final-weight start
+        self.cold_steps = self.warm_steps = self.warm_solves = self.dropped = 0
         self._saved = [(owner, name, getattr(owner, name))
                        for owner, name in ((bf._BarrierSolver, "grad_hess"),
                                            (bf._BarrierSolver, "_terms"),
@@ -69,6 +78,7 @@ class Counter:
                                            (bf, "inner_convex_solve"))]
         grad_hess, terms, center, build, solve = (value for _, _, value in self._saved)
         signature = inspect.signature(center)
+        solve_signature = inspect.signature(solve)
         self.default = signature.parameters["max_newton"].default
         counter = self
 
@@ -85,7 +95,8 @@ class Counter:
             bound.apply_defaults()
             before = counter.grad_hess
             out = center(self, *args, **kwargs)
-            counter.calls.append((counter.grad_hess - before, bound.arguments["max_newton"]))
+            counter.calls.append((counter.grad_hess - before, bound.arguments["max_newton"],
+                                  out[1] is not None))
             return out
 
         def building(self, *args, **kwargs):
@@ -94,7 +105,19 @@ class Counter:
 
         def solving(*args, **kwargs):
             counter.solves += 1
-            return solve(*args, **kwargs)
+            bound = solve_signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            steps, calls = counter.grad_hess, len(counter.calls)
+            out = solve(*args, **kwargs)
+            steps = counter.grad_hess - steps
+            if bound.arguments["warm"]:
+                counter.warm_steps += steps
+                counter.warm_solves += 1
+                _, budget, certified = counter.calls[calls]
+                counter.dropped += budget < counter.default and not certified
+            else:
+                counter.cold_steps += steps
+            return out
 
         bf._BarrierSolver.grad_hess = counting
         bf._BarrierSolver._terms = evaluating
@@ -107,8 +130,9 @@ class Counter:
             setattr(owner, name, value)
 
     def line(self, name: str, rows: int, errors: int) -> str:
-        uncapped = [used for used, budget in self.calls if budget == self.default]
-        capped = [(used, budget) for used, budget in self.calls if budget < self.default]
+        uncapped = [used for used, budget, _ in self.calls if budget == self.default]
+        capped = [(used, budget) for used, budget, _ in self.calls if budget < self.default]
+        warm_solves = max(self.warm_solves, 1)
         paths = np.sum([solver.path_steps for solver in self.solvers], axis=0, dtype=int)
         return (f"{name:<14} {rows:>4} {errors:>6} {self.solves / rows:>8.2f} "
                 f"{len(self.solvers) / rows:>12.2f} {len(self.calls) / rows:>11.2f} "
@@ -117,7 +141,9 @@ class Counter:
                 f"{sum(used == budget for used, budget in capped):>7} "
                 f"{max(uncapped, default=0):>8} {self.terms / rows:>10.1f} "
                 f"{self.terms / max(self.grad_hess, 1):>11.2f} "
-                + " ".join(f"{count:>10}" for count in paths))
+                + " ".join(f"{count:>10}" for count in paths)
+                + f" {self.cold_steps / rows:>8.1f} {self.warm_steps / warm_solves:>10.1f}"
+                  f" {self.dropped / warm_solves:>8.3f}")
 
 
 def run_harness(config: str, experiment: str, trials: int) -> tuple[int, int]:
@@ -162,7 +188,8 @@ def main() -> int:
           f"{'center/row':>11} "
           f"{'grad_hess/row':>14} {'grad_hess':>10} {'at_max_newton':>14} {'at_cap':>7} "
           f"{'longest':>8} {'terms/row':>10} {'terms/step':>11} "
-          f"{'eliminated':>10} {'dense':>10} {'lu':>10}")
+          f"{'eliminated':>10} {'dense':>10} {'lu':>10} {'cold/row':>8} {'warm/solve':>10} "
+          f"{'dropped':>8}")
     for name in args.sets:
         counter = Counter()
         try:

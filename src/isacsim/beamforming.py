@@ -269,6 +269,19 @@ class _Curvature(NamedTuple):
     sums: np.ndarray    # (groups, n^4) log-det curvature S_g, flattened
 
 
+@dataclass(frozen=True, eq=False)
+class RungCenter:
+    """A barrier center one rung below the final weight of a row's surrogate
+    solves, in its solver's coordinates.  ``sca_optimize`` carries the last
+    one from solve to solve; it equals another by its bits, so solve
+    diagnostics that hold it compare as values."""
+
+    z: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RungCenter) and self.z.tobytes() == other.z.tobytes()
+
+
 class _BarrierSolver:
     """Damped-Newton path following for the lifted subproblem.
 
@@ -668,29 +681,39 @@ class _BarrierSolver:
                 return z, None
         return z, None
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0,
-              warm: bool = False) -> tuple[np.ndarray, float, float | None]:
+    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False,
+              rung: RungCenter | None = None
+              ) -> tuple[np.ndarray, float, float | None, RungCenter | None]:
         """Path following along t0 mu^k, mu = BARRIER_MU, up to the first weight
         with nu/t <= gap_tol, in at most MAX_STAGES stages.
 
-        Returns (z, t, decrement) of the final centering call (see ``center``).
-        ``warm`` says z0 is the center of a nearby problem at the final weight
-        t0 mu^2: unless t0 mu is already final, the path then starts from z0
-        at t0 mu^2, and failing that at t0 mu.  Each start is kept only if its
-        centering call certifies: at t0 mu^2 from a first decrement of at most
-        WARM_FINAL_DECREMENT within WARM_FINAL_NEWTON steps, at t0 mu from a
-        first decrement of at most WARM_DECREMENT.  When neither is kept the
-        path starts over from z0 at t0.
+        Returns (z, t, decrement, rung): z, t and decrement of the final
+        centering call (see ``center``), and the last center this path
+        certified one rung below the final weight, or the ``rung`` passed
+        in when it certified none.  ``warm`` says z0 is the center of a
+        nearby problem at the final weight t0 mu^2: unless t0 mu is already
+        final, the path then starts from z0 at t0 mu^2, and failing that at
+        t0 mu, from ``rung`` where it is strictly feasible and else (or when
+        that start is not kept) from z0.  Each start is kept only if its
+        centering call certifies: at t0 mu^2 from a first decrement of at
+        most WARM_FINAL_DECREMENT within WARM_FINAL_NEWTON steps, at t0 mu
+        from a first decrement of at most WARM_DECREMENT.  When none is kept
+        the path starts over from z0 at t0.
         """
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
         t, z, decrement, mu = t0, z0, None, BARRIER_MU
         if warm and self.nu / (t0 * mu) > gap_tol:
-            for t_start, guard in ((t0 * mu * mu, {"max_first": WARM_FINAL_DECREMENT,
-                                                    "max_newton": WARM_FINAL_NEWTON}),
-                                   (t0 * mu, {"max_first": WARM_DECREMENT})):
+            final_guard = {"max_first": WARM_FINAL_DECREMENT, "max_newton": WARM_FINAL_NEWTON}
+            starts = [(t0 * mu * mu, z0, final_guard)]
+            # the anchor lies next to the constraints active at the last
+            # center; a center one rung down lies off them
+            if rung is not None and self._terms(rung.z) is not None:
+                starts.append((t0 * mu, rung.z, {"max_first": WARM_DECREMENT}))
+            starts.append((t0 * mu, z0, {"max_first": WARM_DECREMENT}))
+            for t_start, z_from, guard in starts:
                 tol = 1e-9 if self.nu / t_start <= gap_tol else 1e-6
-                z_start, decrement = self.center(z0, t_start, tol=tol, **guard)
+                z_start, decrement = self.center(z_from, t_start, tol=tol, **guard)
                 if decrement is not None:
                     t, z = t_start, z_start
                     break
@@ -700,30 +723,49 @@ class _BarrierSolver:
             if decrement is None:
                 z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
             if final:
-                return z, t, decrement
+                return z, t, decrement, rung
+            if decrement is not None and self.nu / (t * mu) <= gap_tol:
+                rung = RungCenter(z)
             t *= mu
             decrement = None
         raise SolverError("barrier path following exhausted its stage budget")
 
 
 def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: float,
-                       warm: bool = False) -> tuple[np.ndarray, dict]:
+                       warm: bool = False, rung: RungCenter | None = None
+                       ) -> tuple[np.ndarray, dict]:
     """Solve the SCA subproblem the solver is anchored at to duality gap <= gap_tol.
 
     ``Q_start`` must be strictly feasible (Slater point) for the rate
-    surrogates and the power budget.  The barrier path starts at weight
-    max(1, 1/P_T); with ``warm``, Q_start is the center of the previous
+    surrogates and the power budget (InfeasibleStartError otherwise).  A
+    cold solve climbs the barrier path from weight max(1, 1/P_T), starting
+    at theta Q_start, the maximizer of the PSD and power barriers on the ray
+    through Q_start (theta = n_q P_T / ((n_q + 1) sum_i Tr Q_i),
+    n_q = (K+1) N_t), when that point is strictly feasible, else at
+    Q_start.  With ``warm``, Q_start is the center of the previous
     surrogate at the final weight, and a warm ``_BarrierSolver.solve`` from
     t0 = nu/gap_tol/mu^2 centers it straight at the final weight t0 mu^2,
-    else from t0 mu, else climbs the full path from t0.  Returns the Gram
+    else centers ``rung`` (the last center one rung below the final weight,
+    when strictly feasible) or Q_start at t0 mu, else climbs the full path
+    from t0.  Every way the final weight is the same.  Returns the Gram
     stack and a diagnostics dict with the objective, a stationarity
     residual of the final barrier center (KKT certificate; inf when its
-    Newton system is not positive definite), and the duality-gap bound of
-    the final weight.
+    Newton system is not positive definite), the duality-gap bound of the
+    final weight, and the rung center to pass to the row's next solve.
     """
     z0 = solver.pack(Q_start)
-    t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2 if warm else 1.0 / solver.P_T)
-    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm)
+    if warm:
+        t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2)
+    else:
+        t0 = max(1.0, 1.0 / solver.P_T)
+        # Q_start may sit next to the power budget (uniform_gram leaves
+        # 1e-9 P_T), where centering the first weight takes many steps; an
+        # infeasible Q_start is not moved, so solve rejects it
+        n_q = solver.n_blocks * solver.n
+        theta = n_q * solver.P_T / ((n_q + 1) * -float(solver.gP @ z0))
+        if solver._terms(z0) is not None and solver._terms(theta * z0) is not None:
+            z0 = theta * z0
+    z, t_used, decrement, rung = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm, rung=rung)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
         grad, curv = solver.grad_hess(z, t_used)
@@ -738,6 +780,7 @@ def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: flo
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * solver.scale,
+        "rung": rung,
     }
     return Q, info
 
@@ -762,7 +805,12 @@ def recover_beamformers(Q: np.ndarray, L: int) -> BeamformerSet:
 
 
 def uniform_gram(cfg: ScenarioConfig) -> np.ndarray:
-    """Uniform-power strictly interior starting point, a (K+1, N_t, N_t) Gram stack."""
+    """Uniform power 1e-9 P_T inside the power budget, a (K+1, N_t, N_t) Gram stack.
+
+    The selection's fixed beamformers W_bar are recovered from it, so its
+    values stay; a cold surrogate solve from it first moves to the analytic
+    center of the PSD and power barriers on its ray (``inner_convex_solve``).
+    """
     scale = cfg.P_T / ((cfg.K + 1) * cfg.N_t) * (1.0 - 1e-9)
     return np.stack([scale * np.eye(cfg.N_t, dtype=complex) for _ in range(cfg.K + 1)])
 
@@ -773,8 +821,9 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
     Phase 1: starting from uniform power, repeatedly maximize the minimum
     linearized rate slack (an epigraph program on one barrier solver, built
     once the uniform start fails and re-anchored each round) until every
-    exact slack is strictly positive, in at most 25 rounds; a round that
-    gains at most 1e-10 on the last one ends the search.
+    exact slack is strictly positive, in at most 25 rounds.  The search
+    ends early when the last round's gain, repeated in every round left,
+    cannot lift the slack past the margin.
     """
     b = np.asarray(b)
     Q = uniform_gram(cfg)
@@ -783,19 +832,19 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
     if slack > margin:
         return Q
     solver = _BarrierSolver(None, b, channels.H_comm, cfg.sigma2, cfg.P_T)
-    best_slack = -np.inf
-    for _ in range(25):
+    for rounds_left in range(24, -1, -1):
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
         # the surrogates are tight at the anchor: their minimum is this slack
         z0 = solver.pack(Q, s=slack - 1.0)
-        z, _, _ = solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))
-        Q = solver.unpack(z)
+        Q = solver.unpack(solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))[0])
+        last = slack
         slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if slack > margin:
             return Q
-        if slack <= best_slack + 1e-10:
+        # the gains shrink from round to round as the slack converges, so
+        # the last one, repeated, bounds what the rounds left can add
+        if slack + (slack - last) * rounds_left <= margin:
             break
-        best_slack = slack
     raise InfeasibleStartError(
         f"rate threshold {cfg.R_th} bit/s/Hz unreachable within the power budget")
 
@@ -883,15 +932,18 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight, often nearly central for the next surrogate:
     # a warm solve on the path t0 mu^k, t0 = nu/gap/mu^2, centers the anchor
-    # straight at the final weight t0 mu^2, or failing that at t0 mu, when
-    # Newton's first decrement there is small, and climbs the full path
+    # straight at the final weight t0 mu^2, or failing that centers the last
+    # rung center any solve of the row found (rung), or the anchor, at t0 mu,
+    # when Newton's first decrement there is small, and climbs the full path
     # otherwise (Boyd & Vandenberghe, Convex Optimization, secs. 9.6 and
     # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
     # the same to the bit.
     solver = _BarrierSolver(weight, b, channels.H_comm, cfg.sigma2, cfg.P_T)
+    rung = None
     for i in range(50):
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
-        Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0)
+        Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0, rung=rung)
+        rung = info["rung"]
         trace.kkt_residual_max = max(trace.kkt_residual_max, info["kkt_residual"])
         trace.gap_bound_max = max(trace.gap_bound_max, info["gap_bound"])
         obj_new = info["objective"]

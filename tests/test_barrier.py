@@ -1,5 +1,6 @@
 """The log-barrier solver's derivatives and kernels, and the SCA rows they drive."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +358,8 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
 
 def test_certificate_of_a_singular_newton_system(monkeypatch):
     """A final stage that stops short at a point whose Newton system is
-    singular reports an infinite residual instead of raising."""
+    singular reports an infinite residual instead of raising; the point is
+    the cold start theta Q_start, theta = n_q P_T / ((n_q + 1) sum_i Tr Q_i)."""
     weight, surrogate, P_T, anchor = certificate_scene()
 
     def singular(self, curv):
@@ -368,7 +370,36 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
     grams, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
                                      1e-6 * P_T)
     assert info["kkt_residual"] == np.inf
-    np.testing.assert_allclose(grams, anchor, rtol=0, atol=1e-15 * P_T)
+    n_q = anchor.shape[0] * anchor.shape[1]
+    theta = n_q * P_T / ((n_q + 1) * np.trace(anchor, axis1=1, axis2=2).sum().real)
+    np.testing.assert_allclose(grams, theta * anchor, rtol=0, atol=1e-15 * P_T)
+
+
+@pytest.mark.parametrize("tightened", [False, True])
+def test_cold_solve_starts_on_the_analytic_center_ray(monkeypatch, tightened):
+    """A cold solve starts at theta Q_start, the maximizer of the PSD and
+    power barriers on the ray through Q_start, or at Q_start itself when a
+    tightened surrogate makes theta Q_start infeasible; either way it ends
+    on the final stage of the ladder from Q_start."""
+    weight, surrogate, P_T, anchor = certificate_scene()
+    n_q = anchor.shape[0] * anchor.shape[1]
+    theta = n_q * P_T / ((n_q + 1) * np.trace(anchor, axis1=1, axis2=2).sum().real)
+    if tightened:
+        # one row's slack stays positive at the anchor and turns negative at theta Q
+        drop = surrogate.slack(anchor) - surrogate.slack(theta * anchor)
+        k = int(np.argmax(drop))
+        assert drop[k] > 0
+        offset = surrogate.offset.copy()
+        offset[k] += surrogate.slack(anchor)[k] - 0.5 * drop[k]
+        surrogate = dataclasses.replace(surrogate, offset=offset)
+    gap = 1e-6 * P_T
+    ladder = cold_solve(weight, surrogate, P_T, anchor, gap, t0=max(1.0, 1.0 / P_T))
+    starts = count_calls(monkeypatch, _BarrierSolver, "solve", lambda self, z0, *a, **k: z0)
+    solver = anchored_solver(weight, surrogate, P_T)
+    _, info = inner_convex_solve(solver, anchor, gap)
+    expected = anchor if tightened else theta * anchor
+    np.testing.assert_allclose(solver.unpack(starts[0]), expected, rtol=0, atol=1e-15 * P_T)
+    assert_same_final_stage(weight, ladder, info)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (3, 1)])
@@ -432,12 +463,13 @@ def surrogate_pair(iterations):
     return weight, surrogate, P_T, anchor, 1e-6 * P_T
 
 
-def cold_solve(weight, surrogate, P_T, anchor, gap):
-    """The full ladder from the anchor at a warm solve's t0 = nu/gap/30^2:
-    (Hermitian Grams, gap bound, t0)."""
+def cold_solve(weight, surrogate, P_T, anchor, gap, t0=None):
+    """The full ladder from the anchor at t0, by default a warm solve's
+    nu/gap/30^2: (Hermitian Grams, gap bound, t0)."""
     solver = anchored_solver(weight, surrogate, P_T)
-    t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
-    z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
+    if t0 is None:
+        t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
+    z, t, _, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
 
@@ -524,6 +556,30 @@ def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
     assert [t for t, _, _ in calls[2:]] == [1.0, 30.0, 900.0]
     np.testing.assert_array_equal(warm_grams, cold_Q)
     assert warm["gap_bound"] == cold_gap
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_warm_solve_centers_the_rung_below_from_the_remembered_center(monkeypatch, feasible):
+    # four SCA steps in the final-weight start is dropped (test above); the
+    # rung below then starts from the rung center the previous solve found,
+    # or from the anchor when that point is not strictly feasible, and the
+    # center it finds there is the rung the solve hands on
+    weight, surrogate, P_T, anchor, gap = surrogate_pair(4)
+    prev_weight, prev_surrogate, _, prev_anchor, _ = surrogate_pair(3)
+    _, prev = inner_convex_solve(anchored_solver(prev_weight, prev_surrogate, P_T), prev_anchor,
+                                 gap)
+    rung = prev["rung"] if feasible else bf.RungCenter(2.0 * prev["rung"].z)
+    solver = anchored_solver(weight, surrogate, P_T)
+    assert (solver._terms(rung.z) is not None) == feasible
+    cold = cold_solve(weight, surrogate, P_T, anchor, gap)
+    _, calls = record_centering(monkeypatch)
+    starts = count_calls(monkeypatch, _BarrierSolver, "center", lambda self, z, *a, **k: z)
+    _, warm = inner_convex_solve(solver, anchor, gap, warm=True, rung=rung)
+    assert [(t / cold[2], d is None) for t, _, _, d in calls] == [(900.0, True), (30.0, False),
+                                                                  (900.0, False)]
+    assert_same_bits(starts[1], rung.z if feasible else solver.pack(anchor))
+    assert_same_bits(warm["rung"].z, starts[2])
+    assert_same_final_stage(weight, cold, warm)
 
 
 def assert_same_bits(a, b):
@@ -636,7 +692,8 @@ def test_sca_trace_keeps_the_worst_certificates(monkeypatch):
 
 
 def test_phase_one_builds_one_solver(monkeypatch):
-    # an unreachable threshold: phase 1 runs all 25 rounds on one solver
+    # an unreachable threshold: the minimum rate reaches 0.9999749 in four
+    # rounds, and the fifth gains 1e-8, too little for the 20 rounds left
     cfg, _, channels, _ = make_scene(K=4, seed=0, R_th=1.0)
     built = count_calls(monkeypatch, _BarrierSolver, "__init__",
                         lambda self, weight, *args: weight is None)
@@ -645,7 +702,17 @@ def test_phase_one_builds_one_solver(monkeypatch):
     with pytest.raises(bf.InfeasibleStartError):
         feasibility_init(np.array([1, 1, 0, 0]), cfg, channels)
     # one rate evaluation of the uniform start, then one per round
-    assert built == [True] and len(solves) == 25 and len(rate_calls) == 26
+    assert built == [True] and len(solves) == 5 and len(rate_calls) == 6
+
+
+def test_phase_one_reaches_a_threshold_over_several_rounds(monkeypatch):
+    # the minimum slack climbs -0.357, -0.136, -0.0157, -7.0e-5 and +3.6e-5
+    cfg, _, channels, _ = make_scene(K=4, seed=3, R_th=0.9999)
+    b = np.array([1, 1, 0, 0])
+    solves = count_calls(monkeypatch, _BarrierSolver, "solve")
+    Q = feasibility_init(b, cfg, channels)
+    assert len(solves) == 4
+    assert metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min() > cfg.R_th
 
 
 # make_scene scenes (K, seed, R_th), first K//2 receivers selected, on which a
@@ -731,10 +798,25 @@ def test_nt4_selection_rows_within_pinned_bound():
 
 def test_tradeoff_rows_newton_work(monkeypatch):
     """The pinned rows center every barrier stage within its Newton budget, at
-    most 340 Newton steps (grad_hess calls) per row; a null-step stall spent
-    200 steps in one centering call."""
+    most 260 Newton steps (grad_hess calls) per row (243.2 when written; 300.5
+    from the boundary starts); a null-step stall spent 200 steps in one
+    centering call."""
     steps, calls = record_centering(monkeypatch)
     rows = seed7_rows("sec6a", "tradeoff", 2)
     assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
     assert all(used < budget for _, budget, used, _ in calls)
-    assert steps[0] <= 340 * len(rows)
+    assert steps[0] <= 260 * len(rows)
+
+
+def test_nt4_selection_rows_newton_work(monkeypatch):
+    """The pinned N_t = 4 rows take at most 240 Newton steps per row, and at
+    most 10 of their Newton systems fall back from block elimination to the
+    dense path (221.0 and 6 when written; from the boundary starts 252.8, and
+    57 of 1,011 systems fell back)."""
+    steps, calls = record_centering(monkeypatch)
+    solvers = count_calls(monkeypatch, _BarrierSolver, "__init__", lambda self, *args: self)
+    rows = seed7_rows(str(NT4_CONFIG), "selection_compare", 1)
+    assert len(rows) == len(PINNED_NT4) and not any(r.get("error") for r in rows)
+    assert all(used < budget for _, budget, used, _ in calls)
+    assert steps[0] <= 240 * len(rows)
+    assert sum(solver.path_steps[1] for solver in solvers if solver.eliminate) <= 10

@@ -95,6 +95,22 @@ class TestInnerSolve:
             inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor,
                                1e-6 * cfg.P_T)
 
+    def test_start_over_the_power_budget_raises(self):
+        # a cold solve moves a feasible start along its ray, never an
+        # infeasible one onto a feasible point of that ray
+        cfg, layout, channels, consts = make_scene(K=3, seed=7)
+        b = np.ones(3)
+        weight = bf.build_objective_weight(b, consts, channels, cfg)
+        over = 2.0 * uniform_gram(cfg)
+        surrogate = sca_linearize(b, over, channels.H_comm, cfg.sigma2, cfg.R_th)
+        solver = anchored_solver(weight, surrogate, cfg.P_T)
+        n_q = (cfg.K + 1) * cfg.N_t
+        theta = n_q * cfg.P_T / ((n_q + 1) * np.trace(over, axis1=1, axis2=2).sum().real)
+        assert solver._terms(solver.pack(over)) is None
+        assert solver._terms(solver.pack(theta * over)) is not None
+        with pytest.raises(InfeasibleStartError):
+            inner_convex_solve(solver, over, 1e-6 * cfg.P_T)
+
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         weight = bf.build_objective_weight(np.array([1, 1, 1]), consts, channels, cfg)

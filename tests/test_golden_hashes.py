@@ -38,10 +38,10 @@ def test_compare_flags_undefined_deltas_and_row_mismatches():
 
 # sha256 prefixes of the default CSV bytes of the four SCA runs at jobs=1
 SCA_GOLDEN = {
-    "tradeoff": "665a92e9c8221f06",
-    "selection_compare": "2ac8c9fce972a66b",
-    "pulses": "d451108d51298501",
-    "selection_nt4": "a3b2102ad7e7259d",
+    "tradeoff": "2eba23a1f5d0c140",
+    "selection_compare": "e03f11baf1501243",
+    "pulses": "fc1bd8e41368cb79",
+    "selection_nt4": "5da0951f33552045",
 }
 
 
