@@ -565,9 +565,8 @@ def test_warm_solve_centers_the_rung_below_from_the_remembered_center(monkeypatc
     # or from the anchor when that point is not strictly feasible, and the
     # center it finds there is the rung the solve hands on
     weight, surrogate, P_T, anchor, gap = surrogate_pair(4)
-    prev_weight, prev_surrogate, _, prev_anchor, _ = surrogate_pair(3)
-    _, prev = inner_convex_solve(anchored_solver(prev_weight, prev_surrogate, P_T), prev_anchor,
-                                 gap)
+    _, prev_surrogate, _, prev_anchor, _ = surrogate_pair(3)
+    _, prev = inner_convex_solve(anchored_solver(weight, prev_surrogate, P_T), prev_anchor, gap)
     rung = prev["rung"] if feasible else bf.RungCenter(2.0 * prev["rung"].z)
     solver = anchored_solver(weight, surrogate, P_T)
     assert (solver._terms(rung.z) is not None) == feasible
