@@ -219,11 +219,10 @@ def build_objective_weight(b, consts: FimConstants, channels: ChannelSet,
 # ratio of consecutive barrier weights on the path, and the most stages a path takes
 BARRIER_MU = 30.0
 MAX_STAGES = 80
-# A warm barrier solve (see _BarrierSolver.solve) centers its anchor first at
-# the final weight, then at the rung below it, and keeps the first start that
-# certifies.  On small scenes with tight rates Newton's damped phase can crawl
-# along a nearly active rate constraint for hundreds of steps, so each start
-# gives up when its first Newton decrement exceeds its guard.
+# The guards of a warm barrier solve's starts (see _BarrierSolver.solve).  On
+# small scenes with tight rates Newton's damped phase can crawl along a nearly
+# active rate constraint for hundreds of steps, so each start gives up when
+# its first Newton decrement exceeds its guard.
 # The rung below: a guard of 1e5 there let Newton crawl to max_newton.
 WARM_DECREMENT = 1e4
 # The final weight: 1e4 keeps too few starts (342 vs 305 steps per tradeoff row).
@@ -267,19 +266,6 @@ class _Curvature(NamedTuple):
     gcon: np.ndarray    # (m, dim) rate constraint gradients
     cores: np.ndarray   # (n_blocks, n^2, n^2) C(Q_i^-1), the PSD barriers' curvature
     sums: np.ndarray    # (groups, n^4) log-det curvature S_g, flattened
-
-
-@dataclass(frozen=True, eq=False)
-class RungCenter:
-    """A barrier center one rung below the final weight of a row's surrogate
-    solves, in its solver's coordinates.  ``sca_optimize`` carries the last
-    one from solve to solve; it equals another by its bits, so solve
-    diagnostics that hold it compare as values."""
-
-    z: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RungCenter) and self.z.tobytes() == other.z.tobytes()
 
 
 class _BarrierSolver:
@@ -421,6 +407,9 @@ class _BarrierSolver:
         # Newton systems solved, by path: eliminated, dense Cholesky, and
         # center's regularized LU after a failed Cholesky
         self.path_steps = [0, 0, 0]
+        # the last center a solve certified one rung below its final weight
+        # (see solve); reanchor leaves it
+        self.rung: np.ndarray | None = None
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -681,91 +670,90 @@ class _BarrierSolver:
                 return z, None
         return z, None
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False,
-              rung: RungCenter | None = None
-              ) -> tuple[np.ndarray, float, float | None, RungCenter | None]:
-        """Path following along t0 mu^k, mu = BARRIER_MU, up to the first weight
-        with nu/t <= gap_tol, in at most MAX_STAGES stages.
+    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
+              ) -> tuple[np.ndarray, float, float | None]:
+        """Path following (Boyd & Vandenberghe, Convex Optimization, sec. 11.3)
+        to duality gap nu/t <= gap_tol; returns z, t and decrement of the
+        final centering call (see ``center``).
 
-        Returns (z, t, decrement, rung): z, t and decrement of the final
-        centering call (see ``center``), and the last center this path
-        certified one rung below the final weight, or the ``rung`` passed
-        in when it certified none.  ``warm`` says z0 is the center of a
-        nearby problem at the final weight t0 mu^2: unless t0 mu is already
-        final, the path then starts from z0 at t0 mu^2, and failing that at
-        t0 mu, from ``rung`` where it is strictly feasible and else (or when
-        that start is not kept) from z0.  Each start is kept only if its
-        centering call certifies: at t0 mu^2 from a first decrement of at
-        most WARM_FINAL_DECREMENT within WARM_FINAL_NEWTON steps, at t0 mu
-        from a first decrement of at most WARM_DECREMENT.  When none is kept
-        the path starts over from z0 at t0.
+        The weights are listed before any centering call, each BARRIER_MU
+        times the last.  A cold path starts at t0 and ends on the first
+        weight with nu/t <= gap_tol; one needing more than MAX_STAGES weights
+        raises SolverError.  ``warm`` says z0 is the center of a nearby
+        problem at its final weight (sec. 9.6): the path is then exactly
+        t1, t1 mu, t1 mu^2 with t1 = nu/gap_tol/mu^2 (``t0`` is not read), and
+        the first start of these that certifies is kept:
+
+        1. z0 at the final weight, from a first Newton decrement of at most
+           WARM_FINAL_DECREMENT within WARM_FINAL_NEWTON steps;
+        2. the rung below, from a first decrement of at most WARM_DECREMENT,
+           starting at ``rung`` where it is strictly feasible (the anchor lies
+           next to the constraints active at the last center, a center one
+           rung down lies off them), else at z0;
+        3. the whole path from z0.
+
+        Every center certified one rung below the final weight becomes
+        ``rung``, which the solver keeps for the row's next warm solve.
         """
+        if not gap_tol > 0:
+            raise ValueError("duality gap tolerance must be > 0")
         if self._terms(z0) is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
-        t, z, decrement, mu = t0, z0, None, BARRIER_MU
-        if warm and self.nu / (t0 * mu) > gap_tol:
-            final_guard = {"max_first": WARM_FINAL_DECREMENT, "max_newton": WARM_FINAL_NEWTON}
-            starts = [(t0 * mu * mu, z0, final_guard)]
-            # the anchor lies next to the constraints active at the last
-            # center; a center one rung down lies off them
-            if rung is not None and self._terms(rung.z) is not None:
-                starts.append((t0 * mu, rung.z, {"max_first": WARM_DECREMENT}))
-            starts.append((t0 * mu, z0, {"max_first": WARM_DECREMENT}))
-            for t_start, z_from, guard in starts:
-                tol = 1e-9 if self.nu / t_start <= gap_tol else 1e-6
-                z_start, decrement = self.center(z_from, t_start, tol=tol, **guard)
+        ladder = [self.nu / gap_tol / BARRIER_MU ** 2 if warm else t0]
+        while (len(ladder) < 3) if warm else (self.nu / ladder[-1] > gap_tol):
+            if len(ladder) == MAX_STAGES:
+                raise SolverError("barrier path needs more than MAX_STAGES weights")
+            ladder.append(ladder[-1] * BARRIER_MU)
+        last = len(ladder) - 1
+        tols = [1e-6] * last + [1e-9]
+        first, z, decrement = 0, z0, None
+        if warm:
+            rung = z0 if self.rung is None or self._terms(self.rung) is None else self.rung
+            starts = ((2, z0, {"max_first": WARM_FINAL_DECREMENT,
+                               "max_newton": WARM_FINAL_NEWTON}),
+                      (1, rung, {"max_first": WARM_DECREMENT}))
+            for i, z_from, guard in starts:
+                z_start, decrement = self.center(z_from, ladder[i], tol=tols[i], **guard)
                 if decrement is not None:
-                    t, z = t_start, z_start
+                    first, z = i, z_start
                     break
-        # a decrement that is not None says z is already centered at t
-        for _ in range(MAX_STAGES):
-            final = self.nu / t <= gap_tol
-            if decrement is None:
-                z, decrement = self.center(z, t, tol=1e-9 if final else 1e-6)
-            if final:
-                return z, t, decrement, rung
-            if decrement is not None and self.nu / (t * mu) <= gap_tol:
-                rung = RungCenter(z)
-            t *= mu
-            decrement = None
-        raise SolverError("barrier path following exhausted its stage budget")
+        # a decrement that is not None says z is already centered at ladder[first]
+        for i in range(first, last + 1):
+            if i > first or decrement is None:
+                z, decrement = self.center(z, ladder[i], tol=tols[i])
+            if i == last - 1 and decrement is not None:
+                self.rung = z
+        return z, ladder[last], decrement
 
 
 def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: float,
-                       warm: bool = False, rung: RungCenter | None = None
-                       ) -> tuple[np.ndarray, dict]:
+                       warm: bool = False) -> tuple[np.ndarray, dict]:
     """Solve the SCA subproblem the solver is anchored at to duality gap <= gap_tol.
 
     ``Q_start`` must be strictly feasible (Slater point) for the rate
-    surrogates and the power budget (InfeasibleStartError otherwise).  A
-    cold solve climbs the barrier path from weight max(1, 1/P_T), starting
-    at theta Q_start, the maximizer of the PSD and power barriers on the ray
-    through Q_start (theta = n_q P_T / ((n_q + 1) sum_i Tr Q_i),
-    n_q = (K+1) N_t), when that point is strictly feasible, else at
-    Q_start.  With ``warm``, Q_start is the center of the previous
-    surrogate at the final weight, and a warm ``_BarrierSolver.solve`` from
-    t0 = nu/gap_tol/mu^2 centers it straight at the final weight t0 mu^2,
-    else centers ``rung`` (the last center one rung below the final weight,
-    when strictly feasible) or Q_start at t0 mu, else climbs the full path
-    from t0.  Every way the final weight is the same.  Returns the Gram
-    stack and a diagnostics dict with the objective, a stationarity
-    residual of the final barrier center (KKT certificate; inf when its
-    Newton system is not positive definite), the duality-gap bound of the
-    final weight, and the rung center to pass to the row's next solve.
+    surrogates and the power budget (InfeasibleStartError otherwise).  With
+    ``warm`` it is the center of the previous surrogate at the final weight,
+    and ``_BarrierSolver.solve`` chooses the barrier path.  A cold solve's
+    path starts at weight max(1, 1/P_T) and at theta Q_start, the maximizer
+    of the PSD and power barriers on the ray through Q_start (theta = n_q
+    P_T / ((n_q + 1) sum_i Tr Q_i), n_q = (K+1) N_t), when that point is
+    strictly feasible, else at Q_start.  Returns the Gram stack and a
+    diagnostics dict with the objective, a stationarity residual of the
+    final barrier center (KKT certificate; inf when its Newton system is
+    not positive definite) and the duality-gap bound of the final weight.
     """
     z0 = solver.pack(Q_start)
-    if warm:
-        t0 = max(1.0, solver.nu / gap_tol / BARRIER_MU ** 2)
-    else:
-        t0 = max(1.0, 1.0 / solver.P_T)
-        # Q_start may sit next to the power budget (uniform_gram leaves
-        # 1e-9 P_T), where centering the first weight takes many steps; an
-        # infeasible Q_start is not moved, so solve rejects it
+    # Q_start may sit next to the power budget (uniform_gram leaves 1e-9 P_T),
+    # where centering the first weight takes many steps; an infeasible
+    # Q_start is not moved, so solve rejects it, and a feasible one has a
+    # positive trace
+    if not warm and solver._terms(z0) is not None:
         n_q = solver.n_blocks * solver.n
         theta = n_q * solver.P_T / ((n_q + 1) * -float(solver.gP @ z0))
-        if solver._terms(z0) is not None and solver._terms(theta * z0) is not None:
+        if solver._terms(theta * z0) is not None:
             z0 = theta * z0
-    z, t_used, decrement, rung = solver.solve(z0, gap_tol=gap_tol, t0=t0, warm=warm, rung=rung)
+    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=max(1.0, 1.0 / solver.P_T),
+                                        warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
         grad, curv = solver.grad_hess(z, t_used)
@@ -780,7 +768,6 @@ def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: flo
         # affine-invariant stationarity certificate: the Newton decrement at z
         "kkt_residual": abs(decrement),
         "gap_bound": solver.nu / t_used * solver.scale,
-        "rung": rung,
     }
     return Q, info
 
@@ -930,20 +917,11 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     obj_prev = float(np.trace(weight @ Q.sum(axis=0)).real)
     gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
-    # the final barrier weight, often nearly central for the next surrogate:
-    # a warm solve on the path t0 mu^k, t0 = nu/gap/mu^2, centers the anchor
-    # straight at the final weight t0 mu^2, or failing that centers the last
-    # rung center any solve of the row found (rung), or the anchor, at t0 mu,
-    # when Newton's first decrement there is small, and climbs the full path
-    # otherwise (Boyd & Vandenberghe, Convex Optimization, secs. 9.6 and
-    # 11.3).  Every way the final weight, the first rung with nu/t <= gap, is
-    # the same to the bit.
+    # the final barrier weight: a warm start (see _BarrierSolver.solve)
     solver = _BarrierSolver(weight, b, channels.H_comm, cfg.sigma2, cfg.P_T)
-    rung = None
     for i in range(50):
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
-        Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0, rung=rung)
-        rung = info["rung"]
+        Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0)
         trace.kkt_residual_max = max(trace.kkt_residual_max, info["kkt_residual"])
         trace.gap_bound_max = max(trace.gap_bound_max, info["gap_bound"])
         obj_new = info["objective"]

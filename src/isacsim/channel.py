@@ -65,14 +65,13 @@ def sample_rician(eta, alpha, los: np.ndarray, rng) -> np.ndarray:
         return np.sqrt(eta * alpha / (1.0 + alpha)) * los + np.sqrt(eta / (1.0 + alpha)) * nlos
     eta = np.asarray(eta)[..., None, None]
     alpha = np.asarray(alpha)[..., None, None]
-    if np.any(eta <= 0):
+    if not np.all(eta > 0):
         raise ValueError("path loss eta must be > 0")
-    if np.any(alpha < 0):
+    if not np.all(alpha >= 0):
         raise ValueError("Rician factor must be >= 0")
-    single = isinstance(rng, np.random.Generator)
-    gens, shape = ((rng,), los.shape) if single else (rng, los.shape[1:])
-    nlos = np.reshape([g.standard_normal(shape) + 1j * g.standard_normal(shape)
-                       for g in gens], los.shape) / np.sqrt(2.0)
+    shape = los.shape[1:]
+    nlos = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                     for g in rng]) / np.sqrt(2.0)
     return np.sqrt(eta * alpha / (1.0 + alpha)) * los + np.sqrt(eta / (1.0 + alpha)) * nlos
 
 

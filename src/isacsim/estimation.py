@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, optimize
+from scipy import fft
 
 from . import rng as rngmod
 from .channel import ChannelSet
@@ -47,7 +47,7 @@ class DegenerateTriangleError(ValueError):
 
 
 class NoRootError(RuntimeError):
-    """The bracketed bearing search found no root in (-pi, pi)."""
+    """The Doppler ratio equation has no bearing root in [0, pi]."""
 
 
 @dataclass(frozen=True)
@@ -203,21 +203,19 @@ def matched_filter_error(block: SampledBlock, grid: DelayDopplerGrid, b) -> floa
 # localization inversion
 # ---------------------------------------------------------------------------
 
-def _ratio_residual(theta: float, f_k: float, f_kp: float,
-                    phi_k: float, phi_kp: float) -> float:
-    """Residual of the Doppler ratio equation, linear in cos(theta)."""
-    return (f_k * (math.cos(theta) + math.cos(phi_kp))
-            - f_kp * (math.cos(theta) + math.cos(phi_k)))
-
-
 def invert_doa(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> float:
     """Departure bearing theta from two receivers' Doppler shifts.
 
-    Solves the Doppler ratio equation by bracketed root finding and returns
-    the root in [0, pi]; the mirrored root -theta is equally consistent
-    (only cos(theta) is observable), see ``localize``.  When the two shifts
-    coincide the ratio carries no bearing information and 0 is returned by
-    convention (the symmetric-geometry case).
+    The Doppler ratio equation f_k (cos theta + cos phi_kp) = f_kp (cos
+    theta + cos phi_k) is linear in cos theta; its root in [0, pi] is
+
+        theta = acos((f_kp cos phi_k - f_k cos phi_kp) / (f_k - f_kp))
+
+    and NoRootError is raised when that argument's magnitude exceeds 1.
+    The mirrored root -theta is equally consistent (only cos(theta) is
+    observable), see ``localize``.  When the two shifts coincide the ratio
+    carries no bearing information and 0 is returned by convention (the
+    symmetric-geometry case).
     """
     if f_kp == 0.0:
         raise ValueError("the reference Doppler shift must be nonzero")
@@ -226,18 +224,16 @@ def invert_doa(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> float:
     scale = max(abs(f_k), abs(f_kp))
     if abs(f_k - f_kp) <= 1e-12 * scale:
         return 0.0
-    r0 = _ratio_residual(0.0, f_k, f_kp, phi_k, phi_kp)
-    r_pi = _ratio_residual(math.pi, f_k, f_kp, phi_k, phi_kp)
-    if r0 == 0.0:
-        return 0.0
-    if r_pi == 0.0:
-        return math.pi
-    if r0 * r_pi > 0:
+    # the argument from the equation's residuals at cos theta = 1 and -1:
+    # of opposite signs they give a magnitude of at most 1 after rounding,
+    # and an exact root at theta = 0 or pi (f_k = cos theta + cos phi_k, as
+    # noiseless shifts are) leaves one of them exactly 0
+    r_0 = f_k * (1.0 + math.cos(phi_kp)) - f_kp * (1.0 + math.cos(phi_k))
+    r_pi = f_k * (math.cos(phi_kp) - 1.0) - f_kp * (math.cos(phi_k) - 1.0)
+    cos_theta = (r_0 + r_pi) / (r_pi - r_0)
+    if abs(cos_theta) > 1.0:
         raise NoRootError("Doppler ratio equation has no bearing root in [0, pi]")
-    theta = optimize.brentq(_ratio_residual, 0.0, math.pi,
-                            args=(f_k, f_kp, phi_k, phi_kp),
-                            xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    return float(theta)
+    return math.acos(cos_theta)
 
 
 def doa_candidates(f_k: float, f_kp: float, phi_k: float, phi_kp: float) -> tuple[float, ...]:

@@ -469,7 +469,7 @@ def cold_solve(weight, surrogate, P_T, anchor, gap, t0=None):
     solver = anchored_solver(weight, surrogate, P_T)
     if t0 is None:
         t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
-    z, t, _, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
+    z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
 
@@ -561,23 +561,26 @@ def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
 @pytest.mark.parametrize("feasible", [True, False])
 def test_warm_solve_centers_the_rung_below_from_the_remembered_center(monkeypatch, feasible):
     # four SCA steps in the final-weight start is dropped (test above); the
-    # rung below then starts from the rung center the previous solve found,
-    # or from the anchor when that point is not strictly feasible, and the
-    # center it finds there is the rung the solve hands on
+    # rung below then starts from the rung center the solver keeps from the
+    # previous solve, or from the anchor when that point is not strictly
+    # feasible, and the center it finds there becomes the solver's rung
     weight, surrogate, P_T, anchor, gap = surrogate_pair(4)
     _, prev_surrogate, _, prev_anchor, _ = surrogate_pair(3)
-    _, prev = inner_convex_solve(anchored_solver(weight, prev_surrogate, P_T), prev_anchor, gap)
-    rung = prev["rung"] if feasible else bf.RungCenter(2.0 * prev["rung"].z)
-    solver = anchored_solver(weight, surrogate, P_T)
-    assert (solver._terms(rung.z) is not None) == feasible
+    solver = anchored_solver(weight, prev_surrogate, P_T)
+    inner_convex_solve(solver, prev_anchor, gap)
+    solver.reanchor(surrogate)
+    if not feasible:
+        solver.rung = 2.0 * solver.rung
+    rung = solver.rung
+    assert (solver._terms(rung) is not None) == feasible
     cold = cold_solve(weight, surrogate, P_T, anchor, gap)
     _, calls = record_centering(monkeypatch)
     starts = count_calls(monkeypatch, _BarrierSolver, "center", lambda self, z, *a, **k: z)
-    _, warm = inner_convex_solve(solver, anchor, gap, warm=True, rung=rung)
+    _, warm = inner_convex_solve(solver, anchor, gap, warm=True)
     assert [(t / cold[2], d is None) for t, _, _, d in calls] == [(900.0, True), (30.0, False),
                                                                   (900.0, False)]
-    assert_same_bits(starts[1], rung.z if feasible else solver.pack(anchor))
-    assert_same_bits(warm["rung"].z, starts[2])
+    assert_same_bits(starts[1], rung if feasible else solver.pack(anchor))
+    assert_same_bits(solver.rung, starts[2])
     assert_same_final_stage(weight, cold, warm)
 
 
@@ -609,17 +612,20 @@ def test_reanchored_solver_equals_a_fresh_one(epigraph):
 @pytest.mark.parametrize("warm", [False, True])
 def test_solve_on_a_reanchored_solver_equals_a_fresh_solve(warm):
     """inner_convex_solve with the row's solver, after it solved the previous
-    surrogate, returns the Grams and info of a solve that builds its own."""
+    surrogate, returns the Grams and info, and keeps the rung, of a solve
+    that builds its own and is given the reused solver's rung."""
     weight, first, P_T, first_anchor, gap = surrogate_pair(4)
     _, second, _, anchor, _ = surrogate_pair(5)
     reused = anchored_solver(weight, first, P_T)
     inner_convex_solve(reused, first_anchor, gap)
     reused.reanchor(second)
+    fresh = anchored_solver(weight, second, P_T)
+    fresh.rung = reused.rung
     Q, info = inner_convex_solve(reused, anchor, gap, warm=warm)
-    Q_fresh, info_fresh = inner_convex_solve(anchored_solver(weight, second, P_T), anchor, gap,
-                                             warm=warm)
+    Q_fresh, info_fresh = inner_convex_solve(fresh, anchor, gap, warm=warm)
     assert_same_bits(Q, Q_fresh)
     assert info == info_fresh
+    assert_same_bits(reused.rung, fresh.rung)
 
 
 def count_calls(monkeypatch, owner, name, record=None):
@@ -736,6 +742,32 @@ def test_capped_final_weight_start_does_not_crawl(monkeypatch, K, seed, R_th):
     crb = metrics.crb(b, W, consts, channels, cfg).crb
     assert crb == pytest.approx(metrics.crb(b, W_two_rung, consts, channels, cfg).crb,
                                 rel=1e-8, abs=0)
+
+
+def test_warm_solves_stop_at_their_final_weight(monkeypatch):
+    """No centering call of a warm solve runs above its final weight 900 t0,
+    t0 = nu/gap/30^2, where 900 t0 rounds below nu/gap (nu = 28, gap 1e-6:
+    27999999.999999996); a path that ended on a test of nu/t <= gap climbed
+    one weight past it on every warm solve of this row, which took 3,304
+    Newton steps (2,329 when written, with one BLAS thread)."""
+    cfg, _, channels, consts = make_scene(K=3, seed=3, N_t=6, L=2, R_th=1.0)
+    steps, calls = record_centering(monkeypatch)
+    tops = []
+    solve = bf.inner_convex_solve
+
+    def recording(solver, Q_start, gap_tol, warm=False):
+        before = len(calls)
+        out = solve(solver, Q_start, gap_tol, warm)
+        if warm:
+            final = solver.nu / gap_tol / 30.0 ** 2 * 30.0 * 30.0
+            assert solver.nu / final > gap_tol  # rounded below nu/gap
+            tops.append((max(t for t, *_ in calls[before:]), final))
+        return out
+
+    monkeypatch.setattr(bf, "inner_convex_solve", recording)
+    bf.sca_optimize(np.array([1, 0, 0]), cfg, channels, consts)
+    assert tops and all(top <= final for top, final in tops)
+    assert steps[0] <= 2400
 
 
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before

@@ -111,6 +111,43 @@ class TestInnerSolve:
         with pytest.raises(InfeasibleStartError):
             inner_convex_solve(solver, over, 1e-6 * cfg.P_T)
 
+    def test_zero_gram_start_raises(self):
+        # an all-zero stack has zero trace: no ray through it, and it is not
+        # strictly feasible
+        cfg, layout, channels, consts = make_scene(K=2, seed=6)
+        b = np.ones(2)
+        weight = bf.build_objective_weight(b, consts, channels, cfg)
+        surrogate = sca_linearize(b, uniform_gram(cfg), channels.H_comm, cfg.sigma2, cfg.R_th)
+        with pytest.raises(InfeasibleStartError):
+            inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T),
+                               np.zeros_like(uniform_gram(cfg)), 1e-6 * cfg.P_T)
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_gap_tolerance_must_be_positive(self, gap, warm):
+        cfg, layout, channels, consts = make_scene(K=3, seed=7)
+        b = np.ones(3)
+        weight = bf.build_objective_weight(b, consts, channels, cfg)
+        anchor = uniform_gram(cfg)
+        surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        with pytest.raises(ValueError, match="gap"):
+            inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor, gap,
+                               warm=warm)
+
+    def test_path_past_the_stage_budget_raises_before_centering(self, monkeypatch):
+        # 1e-200 needs about 140 weights from t0 = 1 at mu = 30
+        cfg, layout, channels, consts = make_scene(K=3, seed=7)
+        b = np.ones(3)
+        weight = bf.build_objective_weight(b, consts, channels, cfg)
+        anchor = uniform_gram(cfg)
+        surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
+        centered = []
+        monkeypatch.setattr(bf._BarrierSolver, "center",
+                            lambda self, *args, **kwargs: centered.append(args))
+        with pytest.raises(bf.SolverError, match="MAX_STAGES"):
+            inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor, 1e-200)
+        assert not centered
+
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         weight = bf.build_objective_weight(np.array([1, 1, 1]), consts, channels, cfg)

@@ -95,6 +95,18 @@ class TestSampleRician:
         with pytest.raises(ValueError):
             sample_rician(1.0, -0.1, los, rng)
 
+    @pytest.mark.parametrize("eta, alpha", [(np.nan, 0.5), (1.0, np.nan)])
+    def test_nan_parameters_raise(self, eta, alpha):
+        # NaN fails every comparison: it must not pass as a NaN channel,
+        # neither in a single draw nor in a stacked one
+        los = np.ones((2, 2), dtype=complex)
+        with pytest.raises(ValueError):
+            sample_rician(eta, alpha, los, np.random.default_rng(0))
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        with pytest.raises(ValueError):
+            sample_rician(np.array([1.0, eta, 1.0]), np.array([0.5, alpha, 0.5]),
+                          np.stack([los] * 3), rngs)
+
 
 def build_channels_ref(cfg, layout, seed, trial=0, comm=True):
     """The per-receiver loop: one steering, LoS and Rician call per receiver."""

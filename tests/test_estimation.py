@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isacsim import estimation as est
-from isacsim.estimation import (DegenerateAnglesError, DegenerateInputError,
+from isacsim.estimation import (DegenerateAnglesError, DegenerateInputError, NoRootError,
                                 DegenerateTriangleError, DelayDopplerGrid,
                                 doa_candidates, estimate_position,
                                 invert_distance, invert_doa, localize,
@@ -271,6 +271,21 @@ class TestInvertDoa:
     def test_zero_reference_shift(self):
         with pytest.raises(ValueError):
             invert_doa(10.0, 0.0, 0.1, 0.5)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_endpoint_roots_are_exact(self, theta):
+        # shifts f = cos(theta) + cos(phi) with the root exactly at an
+        # endpoint: rounding must neither move it nor push the cosine the
+        # ratio asks for past 1 in magnitude
+        rng = np.random.default_rng(9)
+        for phi_k, phi_kp in rng.uniform(-math.pi, math.pi, (200, 2)):
+            f_k, f_kp = math.cos(theta) + math.cos(phi_k), math.cos(theta) + math.cos(phi_kp)
+            assert invert_doa(f_k, f_kp, phi_k, phi_kp) == theta
+
+    def test_no_root(self):
+        # the ratio asks for cos(theta) = (2 cos 0.5 - cos 2.0) / (1 - 2) < -1
+        with pytest.raises(NoRootError):
+            invert_doa(1.0, 2.0, 0.5, 2.0)
 
 
 class TestInvertDistance:
