@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import isacsim
 from isacsim import harness
 from isacsim.beamforming import _BarrierSolver
 from isacsim.channel import build_channels
 from isacsim.metrics import fim_constants
 from isacsim.scenario import Layout, ScenarioConfig
+
+# the CLI tests run the package in subprocesses: put the tree this process
+# imported first on their path, so they run the same code, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(isacsim.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")]))
 
 
 def make_cfg(**overrides) -> ScenarioConfig:

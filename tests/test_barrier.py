@@ -468,7 +468,7 @@ def cold_solve(weight, surrogate, P_T, anchor, gap, t0=None):
     nu/gap/30^2: (Hermitian Grams, gap bound, t0)."""
     solver = anchored_solver(weight, surrogate, P_T)
     if t0 is None:
-        t0 = max(1.0, solver.nu / gap / 30.0 ** 2)
+        t0 = solver.nu / gap / 30.0 ** 2
     z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
     Q = solver.unpack(z)
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
