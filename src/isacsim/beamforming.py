@@ -428,6 +428,9 @@ class _BarrierSolver:
         active constraints, and row k's linear part Tr(T_k Q_i) on interferer i."""
         self.offsets = surrogate.offset
         self.h_floor = 1e-14 * (1.0 + np.abs(self.offsets))
+        # center skips a trial point whose rate-slack tangent lies below this
+        # (see center)
+        self.h_skip = self.h_floor - 1e-9 * (1.0 + np.abs(self.offsets))
         t_vecs = _vec_many(surrogate.T, self.basis)
         self.lin[:, :self.qdim] = np.where(self.interf[:, :, None] > 0, t_vecs[:, None, :],
                                            0.0).reshape(self.m, self.qdim)
@@ -623,6 +626,19 @@ class _BarrierSolver:
             return step
         return None
 
+    def _trial_sizes(self, ev, gcon: np.ndarray, step: np.ndarray):
+        """The line search's sizes 1, 1/2, 1/4, ... above 1e-14 from the point
+        with ``_terms`` ev and rate constraint gradients gcon, less every size
+        the tangents show outside the domain (see ``center``)."""
+        power_slack, h = ev[0], ev[1]
+        power_slope, h_slope = float(self.gP @ step), gcon @ step
+        size = 1.0
+        while size > 1e-14:
+            if not (power_slack + size * power_slope < -1e-9 * self.P_T
+                    or (h + size * h_slope < self.h_skip).any()):
+                yield size
+            size *= 0.5
+
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
                max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
         """Damped Newton steps at weight t; returns (z, decrement).
@@ -630,6 +646,23 @@ class _BarrierSolver:
         The decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
         ``max_newton`` did, or when the first decrement exceeded ``max_first``.
+
+        The line search tries the sizes 1, 1/2, 1/4, ... above 1e-14 along the
+        step dz and keeps the first one ``_terms`` accepts that passes the
+        Armijo test.  It skips a size a without evaluating it when the
+        tangents at z put a slack outside the domain (``_trial_sizes``):
+
+            P + a gP.dz < -1e-9 P_T,  or
+            h_k + a gcon_k.dz < h_floor_k - 1e-9 (1 + |offset_k|) for some k,
+
+        with P and h_k the power and rate slacks at z and gP and gcon_k their
+        gradients.  Along the step the power slack is affine and each rate
+        slack, a log-det less a linear term, is concave, so it lies on or
+        below its tangent (Boyd & Vandenberghe, sec. 3.1.3).  The margins
+        exceed the rounding of the slacks ``_terms`` computes, of order
+        1e-16 P_T and 1e-14 (1 + |offset_k|), by five orders, so ``_terms``
+        would reject every skipped size: the accepted size, and every later
+        bit, is the same as with no bound.
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
@@ -654,19 +687,15 @@ class _BarrierSolver:
                 return z, decrement
             if i == 0 and decrement > max_first:
                 return z, None
-            size = 1.0
-            accepted = False
-            while size > 1e-14:
+            for size in self._trial_sizes(ev, curv.gcon, step):
                 cand = z + size * step
                 cand_ev = self._terms(cand)
                 if cand_ev is not None and (
                         (size == 1.0 and decrement <= PURE_NEWTON_DECREMENT)
                         or self._value(cand, t, cand_ev, (z, ev)) >= 0.25 * size * decrement):
                     z, ev = cand, cand_ev
-                    accepted = True
                     break
-                size *= 0.5
-            if not accepted:
+            else:
                 return z, None
         return z, None
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings, strategies as st
 
 from isacsim import beamforming as bf, harness, metrics
 from isacsim.beamforming import (_BarrierSolver, feasibility_init, inner_convex_solve,
@@ -241,6 +242,60 @@ def test_evaluation_outside_the_domain_is_none(epigraph):
                                    offset=offset, sigma2=surrogate.sigma2)
         tight = anchored_solver(None if epigraph else np.eye(n), shifted, solver.P_T)
         assert (tight._terms(z) is not None) == feasible
+
+
+def line_search_sizes(solver, z, step, ev, gcon):
+    """Every size of center's line search, each with whether _trial_sizes keeps it."""
+    kept = set(solver._trial_sizes(ev, gcon, step))
+    sizes = []
+    size = 1.0
+    while size > 1e-14:
+        sizes.append((size, size in kept))
+        size *= 0.5
+    return sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4]), epigraph=st.booleans(), final=st.booleans(),
+       offset=st.floats(-50.0, 0.0), reach=st.integers(0, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_line_search_skips_only_sizes_outside_the_domain(n, epigraph, final, offset, reach,
+                                                         seed):
+    """_terms rejects every size the line search's tangent bound skips: random
+    solver states at N_t = 2 and 4, both modes, at the cold weight
+    max(1, 1/P_T) and the final weight nu/gap (gap 1e-6 P_T), along the
+    Newton step scaled by 2^reach."""
+    rng = np.random.default_rng(seed)
+    solver, _, _, z = random_solver(rng, n, 2, epigraph, offset=offset)
+    ev = solver._terms(z)
+    assume(ev is not None)
+    t = solver.nu / (1e-6 * solver.P_T) if final else max(1.0, 1.0 / solver.P_T)
+    grad, curv = solver.grad_hess(z, t, ev)
+    step = 2.0 ** reach * solver.newton_step(grad, curv)
+    for size, kept in line_search_sizes(solver, z, step, ev, curv.gcon):
+        assert kept or solver._terms(z + size * step) is None
+
+
+@pytest.mark.parametrize("epigraph", [False, True])
+def test_line_search_skips_sizes_past_either_tangent(epigraph):
+    """The bound skips on each kind of tangent.  Along 4 z from half the power
+    budget the power tangent P_T/2 - 2 a P_T crosses -1e-9 P_T past a = 1/4,
+    so sizes 1 and 1/2 are skipped.  Along a direction that keeps the trace
+    and drops row 0's slack h_0 at rate 2 h_0, the power tangent is flat and
+    size 1 is skipped."""
+    rng = np.random.default_rng(6)
+    solver, _, _, z = random_solver(rng, 4, 2, epigraph)
+    ev = solver._terms(z)
+    gcon = solver.grad_hess(z, 1.0, ev)[1].gcon
+    assert [kept for _, kept in line_search_sizes(solver, z, 4.0 * z, ev, gcon)[:3]] == [
+        False, False, True]
+    down = -gcon[0] + (solver.gP @ gcon[0]) / (solver.gP @ solver.gP) * solver.gP
+    down *= 2.0 * ev[1][0] / -(gcon[0] @ down)
+    assert solver.gP @ down == pytest.approx(0.0, abs=1e-12 * np.abs(down).max())
+    sizes = line_search_sizes(solver, z, down, ev, gcon)
+    assert sizes[0] == (1.0, False)
+    for size, kept in sizes:
+        assert kept or solver._terms(z + size * down) is None
 
 
 @pytest.mark.parametrize("b, groups", [((1, 1, 0), 2), ((1, 1, 1), 1)])
