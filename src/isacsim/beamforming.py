@@ -126,12 +126,22 @@ def _vec_many(Qs: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _psd_cores(Xs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Stack of matrices C[m,a,b] = Tr(X_m E_a X_m E_b) (each PSD for PSD X_m).
 
-    With the flattened basis B (row a = vec E_a), C_m = Re(conj(B) (X_m kron X_m^T) B^T).
+    With W[m,a] = E_a X_m, C[m,a,b] = Re sum_pq W[m,a][p,q] W[m,b][q,p]: one
+    matmul of the basis as an (n^3, n) table with each X_m gives every W, and
+    one batched real matmul of W's interleaved (re, im) rows with the
+    columns (re, -im) of its transpose sums the real parts.  (One 2-D GEMM
+    against the X_m side by side is as fast on one BLAS thread, but large
+    enough for OpenBLAS to split: on two threads an N_t = 6 SCA row then
+    took 23 s, against 5 s.)
     """
     m, n = Xs.shape[:2]
-    flat = basis.reshape(n * n, n * n)
-    kron = (Xs[:, :, None, :, None] * np.transpose(Xs, (0, 2, 1))[:, None, :, None, :])
-    return (flat.conj() @ kron.reshape(m, n * n, n * n) @ flat.T).real
+    bd = n * n
+    W = (basis.reshape(bd * n, n) @ Xs).reshape(m, bd, n, n)
+    cols = np.empty((m, n, n, 2, bd))
+    W_t = W.transpose(0, 3, 2, 1)  # W_t[m, p, q, b] = W[m, b][q, p]
+    cols[..., 0, :] = W_t.real
+    np.negative(W_t.imag, out=cols[..., 1, :])
+    return W.view(float).reshape(m, bd, 2 * bd) @ cols.reshape(m, 2 * bd, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,8 @@ class _Curvature(NamedTuple):
 
         blockdiag(cores) + sum_g E_g S_g E_g^T + gP gP^T / p^2 + gcon^T diag(inv_h^2) gcon
 
-    with E_g the involvement of group g's blocks, S_g its row ``sums``.
+    with E_g the involvement of group g's blocks, S_g its row ``sums``; and,
+    from a solver that eliminates, the inverse of blockdiag(cores).
     """
 
     z: np.ndarray       # the point
@@ -266,6 +277,7 @@ class _Curvature(NamedTuple):
     gcon: np.ndarray    # (m, dim) rate constraint gradients
     cores: np.ndarray   # (n_blocks, n^2, n^2) C(Q_i^-1), the PSD barriers' curvature
     sums: np.ndarray    # (groups, n^4) log-det curvature S_g, flattened
+    q_cores: np.ndarray | None  # (n_blocks, n^2, n^2) C(Q_i) = C(Q_i^-1)^-1, or None
 
 
 class _BarrierSolver:
@@ -402,8 +414,13 @@ class _BarrierSolver:
         # 121 / 157, N_t = 3 (dim 99) 198 / 207, N_t = 4 (dim 176) 461 / 332,
         # N_t = 6 (dim 396) 2443 / 1350
         self.eliminate = not epigraph and n >= 4
-        # the columns E_g of the elimination's U (see _eliminated_step)
-        self.group_cols = np.kron(involved.T, np.eye(self.bd))
+        # the elimination's U = [E_g, gP/p, gcon^T diag(1/h), grad] (see
+        # _eliminated_step), its columns E_g filled once; every solver that
+        # may eliminate has one, since callers may set eliminate themselves
+        if not epigraph:
+            groups = len(rows) * self.bd
+            self.U = np.zeros((self.dim, groups + m + 2))
+            self.U[:, :groups] = np.kron(involved.T, np.eye(self.bd))
         # Newton systems solved, by path: eliminated, dense Cholesky, and
         # center's regularized LU after a failed Cholesky
         self.path_steps = [0, 0, 0]
@@ -520,11 +537,13 @@ class _BarrierSolver:
         # the PSD block barriers' Q^-1 and the log-det curvature M_k = G_k^H G_k
         # of the whitened channels G_k = L_k^-1 H_k, S_k = L_k L_k^H: one stack
         # of Hermitian matrices (conj(A)^T A has exactly conjugate (i, j) and
-        # (j, i) entries), one coordinate and one PSD-core evaluation
+        # (j, i) entries), one coordinate and one PSD-core evaluation, which
+        # also takes the Q_i where the solver eliminates
         A = np.linalg.solve(chol, self.rhs)
         X = np.einsum("kji,kjl->kil", A.conj(), A)
         vecs = _vec_many(X, self.basis)
-        cores = _psd_cores(X, self.basis)
+        cores = _psd_cores(np.concatenate([X, self.unpack(z)]) if self.eliminate else X,
+                           self.basis)
 
         grad = t * self.c
         grad[:self.qdim] += vecs[:nb].ravel()
@@ -538,8 +557,9 @@ class _BarrierSolver:
             self.mask[:, :, None] * (vecs[nb:] / LN2)[:, None, :])
         grad += inv_h @ gcon
         # log-det curvature: each group's sum of its rows' cores
-        sums = (self.group_rows * inv_h) @ cores[nb:].reshape(m, bd * bd)
-        return grad, _Curvature(z, power_slack, inv_h, gcon, cores[:nb], sums)
+        sums = (self.group_rows * inv_h) @ cores[nb:nb + m].reshape(m, bd * bd)
+        return grad, _Curvature(z, power_slack, inv_h, gcon, cores[:nb], sums,
+                                cores[nb + m:] if self.eliminate else None)
 
     def hessian(self, curv: _Curvature) -> np.ndarray:
         """The dense negated Hessian, written into ``work[0]`` with ``work[1]``
@@ -587,27 +607,33 @@ class _BarrierSolver:
             D^-1 g - D^-1 U (I + W U^T D^-1 U)^-1 W U^T D^-1 g
 
         D is the block diagonal of the PSD barriers' cores, and D^-1 =
-        blockdiag C(Q_i) needs no factor, since C(X)^-1 = C(X^-1); U = [E_g,
-        gP/p, gcon^T diag(1/h)] with E_g the 0/1 involvement of group g's
-        blocks kron I_(n^2) (``group_cols``), and W = diag(S_g, 1, I): S_g,
-        a sum of cores of rank at most N_r^2 each, can be singular.
+        blockdiag C(Q_i) needs no factor, since C(X)^-1 = C(X^-1): the
+        curvature carries it (computed here when it came from a solver that
+        does not eliminate).  U = [E_g, gP/p, gcon^T diag(1/h)] with E_g the
+        0/1 involvement of group g's blocks kron I_(n^2), and W = diag(S_g,
+        1, I): S_g, a sum of cores of rank at most N_r^2 each, can be
+        singular.
 
         None when the capacitance matrix is singular, or when the step's
         decrement grad @ step is not positive or misses step^T hess step, a
         sum of PSD quadratic forms, by more than ELIMINATION_RTOL relative
         (a non-finite step fails that test too).
         """
-        nb, bd = self.n_blocks, self.bd
-        U = np.concatenate([self.group_cols, self.gP[:, None] / curv.power_slack,
-                            curv.gcon.T * curv.inv_h, grad[:, None]], axis=1)
+        nb, bd, U = self.n_blocks, self.bd, self.U
+        groups = len(curv.sums)
         width = U.shape[1] - 1
+        # [U g] in the solver's buffer, after the fixed columns E_g
+        U[:, groups * bd] = self.gP / curv.power_slack
+        np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
+        U[:, width] = grad
+        q_cores = curv.q_cores
+        if q_cores is None:
+            q_cores = _psd_cores(self.unpack(curv.z), self.basis)
         # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
-        DU = (_psd_cores(self.unpack(curv.z), self.basis)
-              @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
+        DU = (q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
         # (Fortran-ordered, as dgesv takes it without a copy)
         cap = (DU.T @ U[:, :width]).T
         # W on the left: S_g on each group's rows, identity on the rest
-        groups = len(curv.sums)
         S = curv.sums.reshape(groups, bd, bd)
         cap[:groups * bd] = (S @ cap[:groups * bd].reshape(groups, bd, width + 1)).reshape(
             groups * bd, width + 1)

@@ -115,7 +115,7 @@ def grad_hess_ref(solver, surrogate, z, t):
     return grad, hess
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_kernels_match_einsum_definitions(n):
     rng = np.random.default_rng(n)
     basis = bf._hermitian_basis(n)
@@ -131,9 +131,10 @@ def test_kernels_match_einsum_definitions(n):
     np.testing.assert_allclose(solver.unpack(z),
                                unpack_ref(z.reshape(solver.n_blocks, n * n), basis),
                                rtol=1e-12, atol=1e-12)
-    # grad_hess's one stacked _vec_many/_psd_cores call on [Q^-1; M] and its
-    # group sums against every row's terms added one by one, with N_r = 2
-    # above, equal to and below n
+    # grad_hess's one stacked _vec_many/_psd_cores call on [Q^-1; M], and on
+    # [Q^-1; M; Q] where the solver eliminates, and its group sums against
+    # every row's terms added one by one, with N_r = 2 above, equal to and
+    # below n
     for epigraph in (False, True):
         solver, z, surrogate = solver_at(n, epigraph)
         grad, curv = solver.grad_hess(z, 10.0)
@@ -141,6 +142,21 @@ def test_kernels_match_einsum_definitions(n):
         grad_ref, hess_ref = grad_hess_ref(solver, surrogate, z, 10.0)
         assert rel_err(grad, grad_ref) <= 1e-10
         assert rel_err(hess, hess_ref) <= 1e-10
+        assert solver.eliminate == (n >= 4 and not epigraph)
+        if not solver.eliminate:
+            assert curv.q_cores is None
+            continue
+        Q = unpack_ref(z.reshape(solver.n_blocks, n * n), basis)
+        assert rel_err(curv.q_cores, psd_cores_ref(Q, basis)) <= 1e-12
+        # the dense fallback's Hessian is the one a solver that does not
+        # eliminate assembles, to the bit
+        hess = hess.copy()
+        dense = solver_at(n, epigraph)[0]
+        dense.eliminate = False
+        dense_grad, dense_curv = dense.grad_hess(z, 10.0)
+        assert dense_curv.q_cores is None
+        assert_same_bits(dense_grad, grad)
+        assert_same_bits(dense.hessian(dense_curv), hess)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

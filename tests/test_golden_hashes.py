@@ -38,10 +38,10 @@ def test_compare_flags_undefined_deltas_and_row_mismatches():
 
 # sha256 prefixes of the default CSV bytes of the four SCA runs at jobs=1
 SCA_GOLDEN = {
-    "tradeoff": "2eba23a1f5d0c140",
+    "tradeoff": "42dccf9033b35c2e",
     "selection_compare": "e03f11baf1501243",
-    "pulses": "fc1bd8e41368cb79",
-    "selection_nt4": "5da0951f33552045",
+    "pulses": "9998d5a17704ed82",
+    "selection_nt4": "d55b9e999c76d3ff",
 }
 
 
