@@ -304,12 +304,18 @@ def localize(layout: Layout, k: int, kp: int, f_k: float, f_kp: float,
     then amplifies rounding error (|denominator| / (c tau) < 1e-6), and the
     other receiver's fix is used alone.  If one inversion fails outright (on
     that line the delay fixes no distance), the other fix is scored by its
-    distance from the failed receiver's bearing line.
+    distance from the failed receiver's bearing line.  A pair with no
+    candidate fix raises DegenerateTriangleError, a Doppler ratio with no
+    bearing root (NoRootError) included.
     """
     phis = {k: phi_k, kp: phi_kp}
     best: PositionEstimate | None = None
     last_err: Exception | None = None
-    for theta in doa_candidates(f_k, f_kp, phi_k, phi_kp):
+    try:
+        thetas = doa_candidates(f_k, f_kp, phi_k, phi_kp)
+    except NoRootError as exc:
+        thetas, last_err = (), exc
+    for theta in thetas:
         fixes = {}
         for r, tau in ((kp, tau_kp), (k, tau_k)):   # k last: both failing reports k's error
             try:

@@ -65,6 +65,16 @@ def anchored_solver(weight, surrogate, P_T):
     return solver
 
 
+@pytest.fixture(autouse=True)
+def one_blas_thread():
+    """Every test runs on one OpenBLAS thread, as ``harness.run_experiment``
+    runs its rows: a threaded OpenBLAS rounds some products differently, so
+    the Newton path of a row, and the step counts tests bound, would depend
+    on the host's thread count."""
+    with harness._one_blas_thread():
+        yield
+
+
 @pytest.fixture(scope="session")
 def sec6a():
     cfg, layout, base = harness.load_config("sec6a")

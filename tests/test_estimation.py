@@ -380,6 +380,29 @@ class TestLocalize:
                        geom.phi[0], geom.phi[1])
         assert res.theta_hat == pytest.approx(geom.theta, abs=1e-9)
 
+    def test_pair_without_a_bearing_root(self):
+        # relativistic shifts of a target on the velocity axis (theta = 0):
+        # the ratio equation, exact for the approx shifts, asks for a cosine
+        # an O(v/c) or rounding distance past 1 for about half of the pairs,
+        # and those end in DegenerateTriangleError, not NoRootError
+        cfg = make_cfg(K=2)
+        rng = np.random.default_rng(3)
+        rootless = 0
+        for _ in range(40):
+            lay = Layout(p_b=np.zeros(2), p_0=np.array([rng.uniform(10, 80), 0.0]),
+                         p=rng.uniform(-80, 80, (2, 2)))
+            geom = geometry_summary(lay, cfg)
+            assert geom.theta == 0.0
+            f = [true_doppler(0.0, geom.phi[k], cfg.v, cfg.f0, "exact") for k in range(2)]
+            tau = [true_delay(geom.d_b0, geom.d_0k[k]) for k in range(2)]
+            try:
+                doa_candidates(f[0], f[1], geom.phi[0], geom.phi[1])
+            except NoRootError:
+                rootless += 1
+                with pytest.raises(DegenerateTriangleError, match="no bearing root"):
+                    localize(lay, 0, 1, f[0], f[1], tau[0], tau[1], geom.phi[0], geom.phi[1])
+        assert rootless >= 5
+
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_receiver_on_the_tr_target_line(self, order):
         # receiver 1 sits beyond the target on the TR -> target ray: at the true
