@@ -303,9 +303,12 @@ class _BarrierSolver:
     groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to the
     dense path when its step fails a consistency test; ``path_steps``
     counts the systems each path solved (eliminated, dense, and
-    ``center``'s regularized LU after a failed Cholesky).
+    ``center``'s regularized LU after a failed Cholesky).  Per Newton step
+    the elimination takes 225 us against the dense path's 365 at N_t = 4,
+    and 780 against 1,776 at N_t = 6 (the ladder in ``__init__``).
 
-    ``center`` evaluates ``_terms`` once per point:
+    ``center`` evaluates ``_terms`` at most once per point, and not at all
+    at a line-search size the slacks' tangents put outside the domain:
     the terms of the point the line search accepts go on to ``grad_hess``.
     Its Armijo test compares the gain 0.25 * size * decrement with the change
     of the barrier value, summed from the ratios of the two points' terms
@@ -411,8 +414,10 @@ class _BarrierSolver:
         # elimination from N_t = 4, outside epigraph mode.  One SCA row at
         # K = 10 (scripts/newton_ladder.py, one BLAS thread, 2 shared vCPUs),
         # microseconds per Newton step dense / eliminated: N_t = 2 (dim 44)
-        # 121 / 157, N_t = 3 (dim 99) 198 / 207, N_t = 4 (dim 176) 461 / 332,
-        # N_t = 6 (dim 396) 2443 / 1350
+        # 90 / 104, N_t = 3 (dim 99) 172 / 155, N_t = 4 (dim 176) 365 / 225,
+        # N_t = 6 (dim 396) 1776 / 780.  Elimination wins by about 10% at
+        # N_t = 3, within the spread of repeated runs on that host, and the
+        # cut-over stays at 4.
         self.eliminate = not epigraph and n >= 4
         # the elimination's U = [E_g, gP/p, gcon^T diag(1/h), grad] (see
         # _eliminated_step), its columns E_g filled once; every solver that
