@@ -689,11 +689,12 @@ class _BarrierSolver:
         with P and h_k the power and rate slacks at z and gP and gcon_k their
         gradients.  Along the step the power slack is affine and each rate
         slack, a log-det less a linear term, is concave, so it lies on or
-        below its tangent (Boyd & Vandenberghe, sec. 3.1.3).  The margins
-        exceed the rounding of the slacks ``_terms`` computes, of order
-        1e-16 P_T and 1e-14 (1 + |offset_k|), by five orders, so ``_terms``
-        would reject every skipped size: the accepted size, and every later
-        bit, is the same as with no bound.
+        below its tangent (Boyd & Vandenberghe, sec. 3.1.3).  Each margin is
+        1e-9 of the scale its slack is computed at (the traces summed into
+        the power slack reach P_T; a rate slack cancels log-dets and offsets
+        of order |offset_k|), far above its rounding, so ``_terms`` would
+        reject every skipped size: the accepted size, and every bit after
+        it, is the same as with no bound.
         """
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
