@@ -30,13 +30,17 @@ L = N_t the recovery is exact.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from . import metrics
@@ -64,6 +68,29 @@ class BeamformerSet:
 
 
 @dataclass
+class SolverWork:
+    """What one barrier solver did, counted as it runs (``_BarrierSolver.work``).
+
+    ``grad_hess`` and ``terms`` count the evaluations of ``grad_hess`` and
+    ``_terms``; ``eliminated``, ``dense`` and ``lu`` the Newton systems
+    solved on each path (block elimination, the dense Cholesky, and
+    ``center``'s regularized LU after a failed Cholesky).  ``centers`` holds
+    one (t, max_newton, Newton steps, decrement) entry per ``center`` call,
+    the decrement as ``center`` returns it, and ``solves`` one (warm, Newton
+    steps) entry per ``solve`` that returns: a surrogate solve, or a phase-1
+    round.  A Newton step is a ``grad_hess`` call.
+    """
+
+    grad_hess: int = 0
+    terms: int = 0
+    eliminated: int = 0
+    dense: int = 0
+    lu: int = 0
+    centers: list[tuple[float, int, int, float | None]] = field(default_factory=list)
+    solves: list[tuple[bool, int]] = field(default_factory=list)
+
+
+@dataclass
 class ScaTrace:
     """Record of one SCA run: (objective, Gram stack) of each accepted iterate.
     ``iterations`` adds the CRB and the maximum exact-constraint violation,
@@ -71,7 +98,8 @@ class ScaTrace:
     ``kkt_residual_max`` and ``gap_bound_max`` are the worst final
     certificates of the run's surrogate solves (``inner_convex_solve``'s
     ``kkt_residual`` and ``gap_bound``), the rejected last one included;
-    0 when no solve ran."""
+    0 when no solve ran.  ``work`` is the row solver's record (empty when
+    no solver ran; a phase-1 search keeps its own)."""
 
     violation: Callable[[np.ndarray], float]
     iterates: list[tuple[float, np.ndarray]] = field(default_factory=list)
@@ -79,6 +107,7 @@ class ScaTrace:
     notes: list[str] = field(default_factory=list)
     kkt_residual_max: float = 0.0
     gap_bound_max: float = 0.0
+    work: SolverWork = field(default_factory=SolverWork)
 
     @cached_property
     def iterations(self) -> list[tuple[float, float, float]]:
@@ -260,10 +289,18 @@ PURE_NEWTON_DECREMENT = 1e-6
 # certificate.  With the test the kept steps' decrements lay within 1e-6 of
 # the dense ones on those rows, and 57 of 1,011 systems went dense.
 ELIMINATION_RTOL = 1e-6
+# The Newton path is fixed by the solver's shape (see _BarrierSolver.newton_step):
+# block elimination from this N_t on, outside epigraph mode.  One SCA row at
+# K = 10 (scripts/newton_ladder.py, one BLAS thread, 2 shared vCPUs),
+# microseconds per Newton step dense / eliminated: N_t = 2 (dim 44) 90 / 104,
+# N_t = 3 (dim 99) 172 / 155, N_t = 4 (dim 176) 365 / 225, N_t = 6 (dim 396)
+# 1776 / 780.  Elimination wins by about 10% at N_t = 3, within the spread of
+# repeated runs on that host, and the cut-over stays at 4.
+ELIMINATE_FROM_NT = 4
 
 
 class _Curvature(NamedTuple):
-    """The negated barrier Hessian at z in parts (see ``_BarrierSolver.hessian``):
+    """The negated barrier Hessian at a point in parts (see ``_BarrierSolver.hessian``):
 
         blockdiag(cores) + sum_g E_g S_g E_g^T + gP gP^T / p^2 + gcon^T diag(inv_h^2) gcon
 
@@ -271,7 +308,6 @@ class _Curvature(NamedTuple):
     from a solver that eliminates, the inverse of blockdiag(cores).
     """
 
-    z: np.ndarray       # the point
     power_slack: float
     inv_h: np.ndarray   # (m,) inverse rate slacks
     gcon: np.ndarray    # (m, dim) rate constraint gradients
@@ -297,15 +333,18 @@ class _BarrierSolver:
     parts (``_Curvature``); the Newton step (``newton_step``) solves
     ``hess @ step = grad`` on one of two paths fixed by the solver's shape
     (``eliminate``).  The dense path assembles ``hess`` (``hessian``) and
-    factors it with one Cholesky call.  From N_t = 4, outside epigraph
-    mode, a block elimination (``_eliminated_step``, Boyd & Vandenberghe,
-    Convex Optimization, App. C.4) leaves one LU solve of width
-    groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to the
-    dense path when its step fails a consistency test; ``path_steps``
-    counts the systems each path solved (eliminated, dense, and
-    ``center``'s regularized LU after a failed Cholesky).  Per Newton step
+    factors it with one Cholesky call.  From N_t = ELIMINATE_FROM_NT (4),
+    outside epigraph mode, a block elimination (``_eliminated_step``, Boyd
+    & Vandenberghe, Convex Optimization, App. C.4) leaves one LU solve of
+    width groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to
+    the dense path when its step fails a consistency test.  Per Newton step
     the elimination takes 225 us against the dense path's 365 at N_t = 4,
-    and 780 against 1,776 at N_t = 6 (the ladder in ``__init__``).
+    and 780 against 1,776 at N_t = 6 (the ladder at ELIMINATE_FROM_NT).
+
+    The solver counts its own work in ``work`` (``SolverWork``): the
+    ``grad_hess`` and ``_terms`` evaluations, the Newton systems each path
+    solved (eliminated, dense, and ``center``'s regularized LU after a
+    failed Cholesky), and one entry per ``center`` and ``solve`` call.
 
     ``center`` evaluates ``_terms`` at most once per point, and not at all
     at a line-search size the slacks' tangents put outside the domain:
@@ -321,8 +360,8 @@ class _BarrierSolver:
     decrement at the returned point itself where the final stage stopped
     short of its test (inf if that Newton system is not positive definite).
     The dense path assembles, regularizes and factors the Newton system in
-    place in ``work``, one block the solver allocates once, so a Newton
-    step allocates no (dim, dim) array.
+    place in ``workspace``, one block the solver allocates once, so a
+    Newton step allocates no (dim, dim) array.
 
     Every constraint is affine in z, so ``_terms`` evaluates a point with
     one matrix product per kind of block and one Cholesky call: it tests
@@ -410,25 +449,15 @@ class _BarrierSolver:
         involved = self.mask[rows.argmax(axis=1)]
         self.group_blocks = (involved[:, :, None] * involved[:, None, :]).reshape(
             len(rows), -1).T.copy()
-        # the Newton path, fixed by the shape (see newton_step): block
-        # elimination from N_t = 4, outside epigraph mode.  One SCA row at
-        # K = 10 (scripts/newton_ladder.py, one BLAS thread, 2 shared vCPUs),
-        # microseconds per Newton step dense / eliminated: N_t = 2 (dim 44)
-        # 90 / 104, N_t = 3 (dim 99) 172 / 155, N_t = 4 (dim 176) 365 / 225,
-        # N_t = 6 (dim 396) 1776 / 780.  Elimination wins by about 10% at
-        # N_t = 3, within the spread of repeated runs on that host, and the
-        # cut-over stays at 4.
-        self.eliminate = not epigraph and n >= 4
+        # the Newton path, fixed by the shape (see ELIMINATE_FROM_NT)
+        self.eliminate = not epigraph and n >= ELIMINATE_FROM_NT
         # the elimination's U = [E_g, gP/p, gcon^T diag(1/h), grad] (see
-        # _eliminated_step), its columns E_g filled once; every solver that
-        # may eliminate has one, since callers may set eliminate themselves
-        if not epigraph:
+        # _eliminated_step), its columns E_g filled once
+        if self.eliminate:
             groups = len(rows) * self.bd
             self.U = np.zeros((self.dim, groups + m + 2))
             self.U[:, :groups] = np.kron(involved.T, np.eye(self.bd))
-        # Newton systems solved, by path: eliminated, dense Cholesky, and
-        # center's regularized LU after a failed Cholesky
-        self.path_steps = [0, 0, 0]
+        self.work = SolverWork()
         # the last center a solve certified one rung below its final weight
         # (see solve); reanchor leaves it
         self.rung: np.ndarray | None = None
@@ -442,7 +471,7 @@ class _BarrierSolver:
         block = np.empty((5, self.dim, self.dim))
         self.gP_outer = np.outer(self.gP, self.gP, out=block[0])
         self.ridge = np.multiply(1e-12, np.eye(self.dim), out=block[1])
-        self.work = block[2:]
+        self.workspace = block[2:]
 
     def reanchor(self, surrogate: RateSurrogate) -> None:
         """Take a surrogate of the row (same b, H and sigma^2) before each solve:
@@ -488,6 +517,7 @@ class _BarrierSolver:
         Returns (power slack, rate slacks h, the stack's Cholesky factor,
         the diagonals of its Q blocks).
         """
+        self.work.terms += 1
         power_slack = self.P_T + float(self.gP @ z)
         if power_slack <= 0:
             return None
@@ -532,6 +562,7 @@ class _BarrierSolver:
         ``hessian`` assembles the parts into the dense matrix and
         ``newton_step`` solves with them.
         """
+        self.work.grad_hess += 1
         if ev is None:
             ev = self._terms(z)
         if ev is None:
@@ -563,15 +594,15 @@ class _BarrierSolver:
         grad += inv_h @ gcon
         # log-det curvature: each group's sum of its rows' cores
         sums = (self.group_rows * inv_h) @ cores[nb:nb + m].reshape(m, bd * bd)
-        return grad, _Curvature(z, power_slack, inv_h, gcon, cores[:nb], sums,
+        return grad, _Curvature(power_slack, inv_h, gcon, cores[:nb], sums,
                                 cores[nb + m:] if self.eliminate else None)
 
     def hessian(self, curv: _Curvature) -> np.ndarray:
-        """The dense negated Hessian, written into ``work[0]`` with ``work[1]``
-        as scratch, so the next call overwrites it."""
+        """The dense negated Hessian, written into ``workspace[0]`` with
+        ``workspace[1]`` as scratch, so the next call overwrites it."""
         bd, nb = self.bd, self.n_blocks
         # power barrier (affine constraint): its curvature starts the Hessian
-        hess = np.divide(self.gP_outer, curv.power_slack ** 2, out=self.work[0])
+        hess = np.divide(self.gP_outer, curv.power_slack ** 2, out=self.workspace[0])
         # block-diagonal PSD cores, added through a view of the diagonal blocks;
         # splitting the axes of a slice keeps it a view of hess
         blocks = hess[:self.qdim, :self.qdim].reshape(nb, bd, nb, bd)
@@ -579,13 +610,13 @@ class _BarrierSolver:
         # log-det curvature: each group's sum on every pair of its blocks
         blocks += (self.group_blocks @ curv.sums).reshape(nb, nb, bd, bd).transpose(0, 2, 1, 3)
         hess += np.matmul(curv.gcon.T, (curv.inv_h ** 2)[:, None] * curv.gcon,
-                          out=self.work[1])
+                          out=self.workspace[1])
         return hess
 
     def newton_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray:
         """Solve hess @ step = grad, by block elimination where the solver
         eliminates, else (or when elimination fails) by a Cholesky factor of
-        hess + 1e-12 I in ``work[2]``; ``path_steps`` counts the path taken.
+        hess + 1e-12 I in ``workspace[2]``; ``work`` counts the path taken.
 
         Raises LinAlgError when that matrix is not numerically positive
         definite, or has a non-finite entry: the factor's diagonal shows
@@ -595,15 +626,15 @@ class _BarrierSolver:
         if self.eliminate:
             step = self._eliminated_step(grad, curv)
             if step is not None:
-                self.path_steps[0] += 1
+                self.work.eliminated += 1
                 return step
         # hess is symmetric, so the Fortran-ordered transpose of the
         # C-ordered workspace is the same matrix, factored in place
-        reg = np.add(self.hessian(curv), self.ridge, out=self.work[2]).T
+        reg = np.add(self.hessian(curv), self.ridge, out=self.workspace[2]).T
         chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
         if info != 0 or not np.isfinite(chol.diagonal()).all():
             raise np.linalg.LinAlgError("Newton system is not positive definite")
-        self.path_steps[1] += 1
+        self.work.dense += 1
         return sla.lapack.dpotrs(chol, grad, lower=True)[0]
 
     def _eliminated_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray | None:
@@ -613,11 +644,10 @@ class _BarrierSolver:
 
         D is the block diagonal of the PSD barriers' cores, and D^-1 =
         blockdiag C(Q_i) needs no factor, since C(X)^-1 = C(X^-1): the
-        curvature carries it (computed here when it came from a solver that
-        does not eliminate).  U = [E_g, gP/p, gcon^T diag(1/h)] with E_g the
-        0/1 involvement of group g's blocks kron I_(n^2), and W = diag(S_g,
-        1, I): S_g, a sum of cores of rank at most N_r^2 each, can be
-        singular.
+        curvature of an eliminating solver carries it.  U = [E_g, gP/p,
+        gcon^T diag(1/h)] with E_g the 0/1 involvement of group g's blocks
+        kron I_(n^2), and W = diag(S_g, 1, I): S_g, a sum of cores of rank at
+        most N_r^2 each, can be singular.
 
         None when the capacitance matrix is singular, or when the step's
         decrement grad @ step is not positive or misses step^T hess step, a
@@ -631,11 +661,8 @@ class _BarrierSolver:
         U[:, groups * bd] = self.gP / curv.power_slack
         np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
         U[:, width] = grad
-        q_cores = curv.q_cores
-        if q_cores is None:
-            q_cores = _psd_cores(self.unpack(curv.z), self.basis)
         # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
-        DU = (q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
+        DU = (curv.q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
         # (Fortran-ordered, as dgesv takes it without a copy)
         cap = (DU.T @ U[:, :width]).T
         # W on the left: S_g on each group's rows, identity on the rest
@@ -672,7 +699,8 @@ class _BarrierSolver:
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
                max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
-        """Damped Newton steps at weight t; returns (z, decrement).
+        """Damped Newton steps at weight t; returns (z, decrement), and adds
+        (t, max_newton, Newton steps, decrement) to ``work.centers``.
 
         The decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
@@ -696,6 +724,8 @@ class _BarrierSolver:
         reject every skipped size: the accepted size, and every bit after
         it, is the same as with no bound.
         """
+        work = self.work
+        steps_before, certified = work.grad_hess, None
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
             grad, curv = self.grad_hess(z, t, ev)
@@ -704,21 +734,22 @@ class _BarrierSolver:
             except np.linalg.LinAlgError:
                 hess = self.hessian(curv)
                 if not np.isfinite(hess).all():
-                    return z, None
+                    break
                 try:
                     reg = 1e-8 * max(1.0, np.max(np.abs(np.diag(hess))))
                     step = np.linalg.solve(hess + reg * np.eye(self.dim), grad)
                 except np.linalg.LinAlgError:
                     # hopeless conditioning: keep the last strictly feasible point
-                    return z, None
-                self.path_steps[2] += 1
+                    break
+                work.lu += 1
             if not np.all(np.isfinite(step)):
-                return z, None
+                break
             decrement = float(grad @ step)
             if decrement <= 2.0 * tol:
-                return z, decrement
+                certified = decrement
+                break
             if i == 0 and decrement > max_first:
-                return z, None
+                break
             for size in self._trial_sizes(ev, curv.gcon, step):
                 cand = z + size * step
                 cand_ev = self._terms(cand)
@@ -728,8 +759,9 @@ class _BarrierSolver:
                     z, ev = cand, cand_ev
                     break
             else:
-                return z, None
-        return z, None
+                break
+        work.centers.append((t, max_newton, work.grad_hess - steps_before, certified))
+        return z, certified
 
     def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
               ) -> tuple[np.ndarray, float, float | None]:
@@ -754,7 +786,8 @@ class _BarrierSolver:
         3. the whole path from z0.
 
         Every center certified one rung below the final weight becomes
-        ``rung``, which the solver keeps for the row's next warm solve.
+        ``rung``, which the solver keeps for the row's next warm solve.  A
+        solve that returns adds (warm, Newton steps) to ``work.solves``.
         """
         if not gap_tol > 0:
             raise ValueError("duality gap tolerance must be > 0")
@@ -768,6 +801,7 @@ class _BarrierSolver:
         last = len(ladder) - 1
         tols = [1e-6] * last + [1e-9]
         first, z, decrement = 0, z0, None
+        steps_before = self.work.grad_hess
         if warm:
             rung = z0 if self.rung is None or self._terms(self.rung) is None else self.rung
             starts = ((2, z0, {"max_first": WARM_FINAL_DECREMENT,
@@ -784,6 +818,7 @@ class _BarrierSolver:
                 z, decrement = self.center(z, ladder[i], tol=tols[i])
             if i == last - 1 and decrement is not None:
                 self.rung = z
+        self.work.solves.append((warm, self.work.grad_hess - steps_before))
         return z, ladder[last], decrement
 
 
@@ -931,6 +966,56 @@ def _rescale_for_rates(W: np.ndarray, b, channels: ChannelSet, cfg: ScenarioConf
         notes.append(f"rescaled interferers of receiver {k} by {lo:.6f} after rank truncation")
 
 
+# the OpenBLAS builds bundled with the NumPy and SciPy wheels: (module, library
+# glob relative to the module's site directory, suffix of the symbol names)
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every bundled OpenBLAS found.
+
+    Looked up on first use, not at import; a NumPy or SciPy built against
+    another BLAS contributes none.
+    """
+    controls = []
+    for module, pattern, suffix in _OPENBLAS:
+        for path in sorted(Path(module.__file__).parents[1].glob(pattern)):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore
+    the caller's thread counts.
+
+    A threaded OpenBLAS splits some products differently with the thread
+    count, so the last digits of a row, and the CSV bytes, would depend on
+    it; and forked workers that each run several BLAS threads oversubscribe
+    the cores.  Workers forked inside the body inherit the one thread.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+@_one_blas_thread()
 def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConstants,
                  init: np.ndarray | None = None, tol: float = 1e-6, inner_gap: float | None = None,
                  objective_weight: np.ndarray | None = None) -> tuple[BeamformerSet, ScaTrace]:
@@ -952,6 +1037,11 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     ``objective_weight`` overrides the sensing weight built from b; the
     mono-static proxy uses it to optimize for a virtual receiver while the
     rate constraints stay on the real ones (whose b entries are then 0).
+
+    The call runs on one BLAS thread (``_one_blas_thread``), whatever the
+    caller's setting, which is restored on return: the result does not
+    depend on the thread count.  The trace's ``work`` is the row solver's
+    record.
     """
     b = np.asarray(b)
     if objective_weight is None and b.sum() < 1:
@@ -980,6 +1070,7 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight: a warm start (see _BarrierSolver.solve)
     solver = _BarrierSolver(weight, b, channels.H_comm, cfg.sigma2, cfg.P_T)
+    trace.work = solver.work
     for i in range(50):
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
         Q_new, info = inner_convex_solve(solver, Q, gap_tol=gap, warm=i > 0)

@@ -25,18 +25,14 @@ communication traffic.  It is a qualitative comparison baseline.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import resources
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import beamforming, estimation, metrics, rng as rngmod, selection
 from .channel import ChannelSet, build_channels
@@ -461,55 +457,6 @@ def _execute_item(spec: ExperimentSpec, layout: Layout | None, base, row, timing
             "wall_time_ms": elapsed if timing else 0.0, **payload}
 
 
-# the OpenBLAS builds bundled with the NumPy and SciPy wheels: (module, library
-# glob relative to the module's site directory, suffix of the symbol names)
-_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every bundled OpenBLAS found.
-
-    Looked up on first use, not at import; a NumPy or SciPy built against
-    another BLAS contributes none.
-    """
-    controls = []
-    for module, pattern, suffix in _OPENBLAS:
-        for path in sorted(Path(module.__file__).parents[1].glob(pattern)):
-            lib = ctypes.CDLL(str(path))
-            try:
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with every bundled OpenBLAS on one thread, then restore
-    the caller's thread counts.
-
-    A threaded OpenBLAS splits some products differently with the thread
-    count, so the last digits of a row, and the CSV bytes, would depend on
-    it; and forked workers that each run several BLAS threads oversubscribe
-    the cores.  Workers forked inside the body inherit the one thread.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
-
-
 def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
                    layout: Layout | None = None,
                    base=None, timing: bool = False, jobs: int = 1) -> list[dict]:
@@ -527,7 +474,7 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
     if base is None:  # read only when placements are drawn per trial
         base = _parse_raw({})[2]
     rows = _rows(spec, cfg)
-    with _one_blas_thread():
+    with beamforming._one_blas_thread():
         if jobs <= 1 or len(rows) < 2:
             return [_execute_item(spec, layout, base, row, timing) for row in rows]
         return _run_parallel(spec, layout, base, rows, timing, jobs)
@@ -536,7 +483,8 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
 def _run_parallel(spec, layout, base, rows, timing: bool, jobs: int) -> list[dict]:
     """Fork workers over rows; rows come back in canonical order.
 
-    Forked workers inherit the caller's one BLAS thread (``_one_blas_thread``).
+    Forked workers inherit the caller's one BLAS thread
+    (``beamforming._one_blas_thread``).
     A worker that dies hard (a signal, the OOM killer) breaks the pool: every
     row not finished by then becomes an error row instead of a hang.
     """

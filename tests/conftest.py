@@ -10,7 +10,7 @@ import pytest
 
 import isacsim
 from isacsim import harness
-from isacsim.beamforming import _BarrierSolver
+from isacsim.beamforming import _BarrierSolver, _one_blas_thread
 from isacsim.channel import build_channels
 from isacsim.metrics import fim_constants
 from isacsim.scenario import Layout, ScenarioConfig
@@ -68,10 +68,11 @@ def anchored_solver(weight, surrogate, P_T):
 @pytest.fixture(autouse=True)
 def one_blas_thread():
     """Every test runs on one OpenBLAS thread, as ``harness.run_experiment``
-    runs its rows: a threaded OpenBLAS rounds some products differently, so
-    the Newton path of a row, and the step counts tests bound, would depend
-    on the host's thread count."""
-    with harness._one_blas_thread():
+    and ``beamforming.sca_optimize`` run their rows: a threaded OpenBLAS
+    rounds some products differently, so the Newton path of a solve a test
+    runs on its own, and the step counts tests bound, would depend on the
+    host's thread count."""
+    with _one_blas_thread():
         yield
 
 

@@ -1,6 +1,7 @@
 """The log-barrier solver's derivatives and kernels, and the SCA rows they drive."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_grad_hess_matches_central_differences(n, epigraph):
     grad, curv = solver.grad_hess(z, t)
     hess = solver.hessian(curv)
     # the Hessian lives in the solver's workspace, which the calls below overwrite
-    assert np.shares_memory(hess, solver.work)
+    assert np.shares_memory(hess, solver.workspace)
     hess = hess.copy()
     step = 1e-6 * np.max(np.abs(z))
     fd_grad = np.empty(solver.dim)
@@ -115,8 +116,16 @@ def grad_hess_ref(solver, surrogate, z, t):
     return grad, hess
 
 
+def built_dense(monkeypatch, build, *args):
+    """``build(*args)`` with the elimination's cut-over past every N_t, so
+    the solver it builds takes the dense path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
+        return build(*args)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_kernels_match_einsum_definitions(n):
+def test_kernels_match_einsum_definitions(monkeypatch, n):
     rng = np.random.default_rng(n)
     basis = bf._hermitian_basis(n)
     Xs = random_hermitian(rng, 5, n)
@@ -151,8 +160,8 @@ def test_kernels_match_einsum_definitions(n):
         # the dense fallback's Hessian is the one a solver that does not
         # eliminate assembles, to the bit
         hess = hess.copy()
-        dense = solver_at(n, epigraph)[0]
-        dense.eliminate = False
+        dense = built_dense(monkeypatch, solver_at, n, epigraph)[0]
+        assert not dense.eliminate
         dense_grad, dense_curv = dense.grad_hess(z, 10.0)
         assert dense_curv.q_cores is None
         assert_same_bits(dense_grad, grad)
@@ -316,16 +325,18 @@ def test_line_search_skips_sizes_past_either_tangent(epigraph):
 
 @pytest.mark.parametrize("b, groups", [((1, 1, 0), 2), ((1, 1, 1), 1)])
 @pytest.mark.parametrize("n", [3, 4, 6])
-def test_eliminated_step_equals_the_dense_solve(n, b, groups):
+def test_eliminated_step_equals_the_dense_solve(monkeypatch, n, b, groups):
     """The block-eliminated Newton step against np.linalg.solve of the dense
     negated Hessian on random solver states, with both involvement groups
     and with one, at the cold weight max(1, 1/P_T) and at the final weight
     nu/gap, gap 1e-6 P_T: the step within 1e-11 and its decrement
-    grad @ step within 1e-12, relative (measured: 9.1e-14 and 3.5e-14)."""
+    grad @ step within 1e-12, relative (measured: 9.1e-14 and 3.5e-14).
+    At N_t = 3 the cut-over is moved down so the solver eliminates."""
+    monkeypatch.setattr(bf, "ELIMINATE_FROM_NT", 3)
     rng = np.random.default_rng(n)
     for _ in range(3):
         solver, _, _, z = random_solver(rng, n, 2, False, b=b)
-        assert solver.eliminate == (n >= 4) and len(solver.group_rows) == groups
+        assert solver.eliminate and len(solver.group_rows) == groups
         for t in (max(1.0, 1.0 / solver.P_T), solver.nu / (1e-6 * solver.P_T)):
             grad, curv = solver.grad_hess(z, t)
             dense = np.linalg.solve(solver.hessian(curv), grad)
@@ -363,35 +374,41 @@ def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch)
         assert decrement == pytest.approx(dense, rel=1e-4, abs=0)
 
 
+def newton_paths(solver):
+    """The Newton systems the solver's record counts: (eliminated, dense, LU)."""
+    return solver.work.eliminated, solver.work.dense, solver.work.lu
+
+
 def test_newton_paths_are_counted(monkeypatch):
-    """path_steps counts the eliminated, dense and regularized-LU systems.
-    A failed dgesv and a non-finite step each fall back to the dense path
-    (bit for bit the dense solver's step), and a failed Cholesky to center's
-    regularized LU."""
+    """The solver's record counts the eliminated, dense and regularized-LU
+    systems.  A failed dgesv and a non-finite step each fall back to the
+    dense path (bit for bit the dense solver's step), and a failed dgesv
+    with a failed Cholesky to center's regularized LU."""
     rng = np.random.default_rng(4)
     solver, surrogate, _, z = random_solver(rng, 4, 2, False)
-    dense_solver = anchored_solver(solver.weight, surrogate, solver.P_T)
+    dense_solver = built_dense(monkeypatch, anchored_solver, solver.weight, surrogate,
+                               solver.P_T)
     grad, curv = solver.grad_hess(z, 10.0)
     solver.newton_step(grad, curv)
-    assert solver.eliminate and solver.path_steps == [1, 0, 0]
-    dense_solver.eliminate = False
+    assert solver.eliminate and newton_paths(solver) == (1, 0, 0)
     expected = dense_solver.newton_step(grad, curv)
-    assert dense_solver.path_steps == [0, 1, 0]
+    assert not dense_solver.eliminate and newton_paths(dense_solver) == (0, 1, 0)
     # a singular capacitance system: dgesv reports info > 0
-    monkeypatch.setattr(bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
+    singular = (bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
+    monkeypatch.setattr(*singular)
     assert_same_bits(solver.newton_step(grad, curv), expected)
-    assert solver.path_steps == [1, 1, 0]
+    assert newton_paths(solver) == (1, 1, 0)
     monkeypatch.undo()
     # a non-finite step: the dense path's step is non-finite too
     poisoned = grad.copy()
     poisoned[3] = np.nan
     assert np.isnan(solver.newton_step(poisoned, curv)).any()
-    assert solver.path_steps == [1, 2, 0]
-    # a failed Cholesky: center takes the regularized LU step
+    assert newton_paths(solver) == (1, 2, 0)
+    # a failed elimination and a failed Cholesky: center takes the regularized LU step
+    monkeypatch.setattr(*singular)
     monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
-    solver.eliminate = False
     solver.center(z, 10.0, max_newton=1)
-    assert solver.path_steps == [1, 2, 1]
+    assert newton_paths(solver) == (1, 2, 1)
 
 
 def certificate_scene():
@@ -512,10 +529,10 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
         return value(self, z, t, ev) if ref is None else -1.0
 
     monkeypatch.setattr(_BarrierSolver, "_value", losing)
-    steps, _ = record_centering(monkeypatch)
     end, decrement = solver.center(start, t)
+    steps = solver.work.centers[-1][2]
     assert decrement is not None and decrement <= 2e-9
-    assert 1 < steps[0] <= 4
+    assert 1 < steps <= 4
     # above the bound the test still decides: every step is rejected
     monkeypatch.setattr(bf, "PURE_NEWTON_DECREMENT", 1e-8)
     end, decrement = solver.center(start, t)
@@ -545,36 +562,14 @@ def cold_solve(weight, surrogate, P_T, anchor, gap, t0=None):
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
 
 
-def record_centering(monkeypatch):
-    """Count grad_hess calls (Newton steps) in ``steps[0]`` and record each
-    centering call in ``calls`` as (t, max_newton, steps used, decrement)."""
-    steps = [0]
-    calls = []
-    grad_hess, center = _BarrierSolver.grad_hess, _BarrierSolver.center
-
-    def counting(self, *args, **kwargs):
-        steps[0] += 1
-        return grad_hess(self, *args, **kwargs)
-
-    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
-        before = steps[0]
-        out = center(self, z, t, tol, max_newton, **kwargs)
-        calls.append((t, max_newton, steps[0] - before, out[1]))
-        return out
-
-    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
-    monkeypatch.setattr(_BarrierSolver, "center", recording)
-    return steps, calls
-
-
-def warm_and_cold(monkeypatch, iterations):
+def warm_and_cold(iterations):
     """The cold ladder's (Grams, gap bound, t0), the warm solve's (Grams, info),
     and the warm solve's centering calls as (t / t0, decrement, Newton steps)."""
     weight, surrogate, P_T, anchor, gap = surrogate_pair(iterations)
     cold = cold_solve(weight, surrogate, P_T, anchor, gap)
-    _, calls = record_centering(monkeypatch)
-    warm = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor, gap, warm=True)
-    return weight, cold, warm, [(t / cold[2], d, used) for t, _, used, d in calls]
+    solver = anchored_solver(weight, surrogate, P_T)
+    warm = inner_convex_solve(solver, anchor, gap, warm=True)
+    return weight, cold, warm, [(t / cold[2], d, used) for t, _, used, d in solver.work.centers]
 
 
 def assert_same_final_stage(weight, cold, warm):
@@ -587,21 +582,21 @@ def assert_same_final_stage(weight, cold, warm):
     assert warm["kkt_residual"] <= 2e-9
 
 
-def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one(monkeypatch):
+def test_warm_solve_skips_the_first_weight_and_keeps_the_final_one():
     # after five SCA steps the anchor is nearly central at the final weight
     # t0 30^2: one centering call there certifies, well within the cap
-    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 5)
+    weight, cold, (_, warm), calls = warm_and_cold(5)
     assert len(calls) == 1
     t, decrement, steps = calls[0]
     assert t == 900.0 and decrement is not None and steps < bf.WARM_FINAL_NEWTON
     assert_same_final_stage(weight, cold, warm)
 
 
-def test_warm_solve_drops_the_final_weight_for_the_rung_below(monkeypatch):
+def test_warm_solve_drops_the_final_weight_for_the_rung_below():
     # four SCA steps in, the first decrement at the final weight is past
     # WARM_FINAL_DECREMENT: the attempt stops there, and the rung below
     # restarts from the anchor and certifies
-    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 4)
+    weight, cold, (_, warm), calls = warm_and_cold(4)
     assert [(t, d is None) for t, d, _ in calls] == [(900.0, True), (30.0, False),
                                                      (900.0, False)]
     assert calls[0][2] == 1
@@ -612,17 +607,17 @@ def test_warm_solve_falls_back_when_the_cap_cuts_the_final_weight(monkeypatch):
     # the five-step anchor passes the final weight's decrement guard; a cap
     # below the steps it needs cuts the attempt, and the rung below takes over
     monkeypatch.setattr(bf, "WARM_FINAL_NEWTON", 3)
-    weight, cold, (_, warm), calls = warm_and_cold(monkeypatch, 5)
+    weight, cold, (_, warm), calls = warm_and_cold(5)
     assert [(t, d is None, n) for t, d, n in calls[:1]] == [(900.0, True, 3)]
     assert [(t, d is None) for t, d, _ in calls[1:]] == [(30.0, False), (900.0, False)]
     assert_same_final_stage(weight, cold, warm)
 
 
-def test_warm_solve_falls_back_to_the_full_path(monkeypatch):
+def test_warm_solve_falls_back_to_the_full_path():
     # one SCA step in, the anchor is far from the next surrogate's path: both
     # warm starts are abandoned at their first Newton decrement, and the full
     # ladder from the anchor gives the cold solve's Grams to the bit
-    _, (cold_Q, cold_gap, _), (warm_grams, warm), calls = warm_and_cold(monkeypatch, 1)
+    _, (cold_Q, cold_gap, _), (warm_grams, warm), calls = warm_and_cold(1)
     assert [(t, d is None, n) for t, d, n in calls[:2]] == [(900.0, True, 1), (30.0, True, 1)]
     assert [t for t, _, _ in calls[2:]] == [1.0, 30.0, 900.0]
     np.testing.assert_array_equal(warm_grams, cold_Q)
@@ -645,9 +640,10 @@ def test_warm_solve_centers_the_rung_below_from_the_remembered_center(monkeypatc
     rung = solver.rung
     assert (solver._terms(rung) is not None) == feasible
     cold = cold_solve(weight, surrogate, P_T, anchor, gap)
-    _, calls = record_centering(monkeypatch)
+    before = len(solver.work.centers)
     starts = count_calls(monkeypatch, _BarrierSolver, "center", lambda self, z, *a, **k: z)
     _, warm = inner_convex_solve(solver, anchor, gap, warm=True)
+    calls = solver.work.centers[before:]
     assert [(t / cold[2], d is None) for t, _, _, d in calls] == [(900.0, True), (30.0, False),
                                                                   (900.0, False)]
     assert_same_bits(starts[1], rung if feasible else solver.pack(anchor))
@@ -673,10 +669,13 @@ def test_reanchored_solver_equals_a_fresh_one(epigraph):
     assert reused.lin.tobytes() != fresh.lin.tobytes()
     reused.reanchor(second)
     # lin, gcon_fixed, offsets and h_floor, and the tables that do not depend
-    # on the surrogate; work is uninitialized scratch
+    # on the surrogate; workspace is uninitialized scratch, and neither
+    # solver has a Newton step in its record
     assert vars(reused).keys() == vars(fresh).keys()
     for name, value in vars(fresh).items():
-        if name != "work":
+        if name == "work":
+            assert reused.work == value == bf.SolverWork()
+        elif name != "workspace":
             assert_same_bits(getattr(reused, name), value)
 
 
@@ -713,17 +712,68 @@ def count_calls(monkeypatch, owner, name, record=None):
     return calls
 
 
+def built_solvers(monkeypatch):
+    """The list every barrier solver built from here on is appended to, in
+    order; each solver's ``work`` records what it did."""
+    return count_calls(monkeypatch, _BarrierSolver, "__init__", lambda self, *a, **k: self)
+
+
+def newton_work(solvers):
+    """The solvers' Newton steps (grad_hess calls) and their centering calls,
+    each (t, max_newton, Newton steps, decrement), from their records."""
+    return (sum(solver.work.grad_hess for solver in solvers),
+            [call for solver in solvers for call in solver.work.centers])
+
+
+def test_record_equals_a_wrapper_count(monkeypatch):
+    """The solvers' records against a count by wrappers of grad_hess, _terms
+    and center, on an SCA row whose phase 1 builds a solver too: the same
+    evaluations of each, and the same (t, max_newton, Newton steps,
+    decrement) per centering call.  (The tree's only counting wrapper of
+    these methods: everything else reads the records.)"""
+    cfg, _, channels, consts = make_scene(K=4, seed=3, R_th=0.9999)
+    solvers = built_solvers(monkeypatch)
+    counts = {"grad_hess": 0, "terms": 0}
+    calls = []
+    grad_hess, terms = _BarrierSolver.grad_hess, _BarrierSolver._terms
+    center = _BarrierSolver.center
+
+    def counting(self, *args, **kwargs):
+        counts["grad_hess"] += 1
+        return grad_hess(self, *args, **kwargs)
+
+    def evaluating(self, *args, **kwargs):
+        counts["terms"] += 1
+        return terms(self, *args, **kwargs)
+
+    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
+        before = counts["grad_hess"]
+        out = center(self, z, t, tol, max_newton, **kwargs)
+        calls.append((t, max_newton, counts["grad_hess"] - before, out[1]))
+        return out
+
+    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
+    monkeypatch.setattr(_BarrierSolver, "_terms", evaluating)
+    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    _, trace = bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
+    assert [solver.epigraph for solver in solvers] == [True, False]
+    assert trace.work is solvers[1].work and len(trace.work.solves) >= 3
+    assert counts == {"grad_hess": newton_work(solvers)[0],
+                      "terms": sum(solver.work.terms for solver in solvers)}
+    assert calls == newton_work(solvers)[1]
+    assert counts["grad_hess"] > 100 and len(calls) > 10
+
+
 def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
     cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.25)
     b = np.array([1, 1, 0, 0])
     init = feasibility_init(b, cfg, channels)
     rate = metrics.rate
-    built = count_calls(monkeypatch, _BarrierSolver, "__init__",
-                        lambda self, weight, *args: weight is None)
-    solves = count_calls(monkeypatch, bf, "inner_convex_solve")
+    solvers = built_solvers(monkeypatch)
     rate_calls = count_calls(monkeypatch, metrics, "rate")
     W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5, init=init)
-    assert len(solves) >= 3 and built == [False] and not rate_calls
+    assert [solver.epigraph for solver in solvers] == [False] and not rate_calls
+    assert trace.work is solvers[0].work and len(trace.work.solves) >= 3
     iterations = trace.iterations
     assert len(rate_calls) == len(trace.iterates) and trace.iterations is iterations
     weight = bf.build_objective_weight(b, consts, channels, cfg)
@@ -771,23 +821,22 @@ def test_phase_one_builds_one_solver(monkeypatch):
     # an unreachable threshold: the minimum rate reaches 0.9999749 in four
     # rounds, and the fifth gains 1e-8, too little for the 20 rounds left
     cfg, _, channels, _ = make_scene(K=4, seed=0, R_th=1.0)
-    built = count_calls(monkeypatch, _BarrierSolver, "__init__",
-                        lambda self, weight, *args: weight is None)
-    solves = count_calls(monkeypatch, _BarrierSolver, "solve")
+    solvers = built_solvers(monkeypatch)
     rate_calls = count_calls(monkeypatch, metrics, "rate")
     with pytest.raises(bf.InfeasibleStartError):
         feasibility_init(np.array([1, 1, 0, 0]), cfg, channels)
     # one rate evaluation of the uniform start, then one per round
-    assert built == [True] and len(solves) == 5 and len(rate_calls) == 6
+    assert [solver.epigraph for solver in solvers] == [True]
+    assert len(solvers[0].work.solves) == 5 and len(rate_calls) == 6
 
 
 def test_phase_one_reaches_a_threshold_over_several_rounds(monkeypatch):
     # the minimum slack climbs -0.357, -0.136, -0.0157, -7.0e-5 and +3.6e-5
     cfg, _, channels, _ = make_scene(K=4, seed=3, R_th=0.9999)
     b = np.array([1, 1, 0, 0])
-    solves = count_calls(monkeypatch, _BarrierSolver, "solve")
+    solvers = built_solvers(monkeypatch)
     Q = feasibility_init(b, cfg, channels)
-    assert len(solves) == 4
+    assert [len(solver.work.solves) for solver in solvers] == [4]
     assert metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min() > cfg.R_th
 
 
@@ -802,9 +851,9 @@ def test_capped_final_weight_start_does_not_crawl(monkeypatch, K, seed, R_th):
     cfg, _, channels, consts = make_scene(K=K, seed=seed, R_th=R_th)
     b = np.zeros(K, dtype=int)
     b[:K // 2] = 1
-    _, calls = record_centering(monkeypatch)
+    solvers = built_solvers(monkeypatch)
     W, _ = bf.sca_optimize(b, cfg, channels, consts)
-    budgets = [(used, budget) for _, budget, used, _ in calls]
+    budgets = [(used, budget) for _, budget, used, _ in newton_work(solvers)[1]]
     assert (bf.WARM_FINAL_NEWTON, bf.WARM_FINAL_NEWTON) in budgets  # the cap cut a start
     assert all(used < budget for used, budget in budgets if budget == 200)
     # a cap of 0 drops every final-weight start: the path through t0 mu
@@ -822,23 +871,23 @@ def test_warm_solves_stop_at_their_final_weight(monkeypatch):
     one weight past it on every warm solve of this row, which took 3,304
     Newton steps (2,329 when written, with one BLAS thread)."""
     cfg, _, channels, consts = make_scene(K=3, seed=3, N_t=6, L=2, R_th=1.0)
-    steps, calls = record_centering(monkeypatch)
+    solvers = built_solvers(monkeypatch)
     tops = []
     solve = bf.inner_convex_solve
 
     def recording(solver, Q_start, gap_tol, warm=False):
-        before = len(calls)
+        before = len(solver.work.centers)
         out = solve(solver, Q_start, gap_tol, warm)
         if warm:
             final = solver.nu / gap_tol / 30.0 ** 2 * 30.0 * 30.0
             assert solver.nu / final > gap_tol  # rounded below nu/gap
-            tops.append((max(t for t, *_ in calls[before:]), final))
+            tops.append((max(t for t, *_ in solver.work.centers[before:]), final))
         return out
 
     monkeypatch.setattr(bf, "inner_convex_solve", recording)
     bf.sca_optimize(np.array([1, 0, 0]), cfg, channels, consts)
     assert tops and all(top <= final for top, final in tops)
-    assert steps[0] <= 2400
+    assert newton_work(solvers)[0] <= 2400
 
 
 # tradeoff rows at sec6a, seed 7, 2 trials, default sweep, as computed before
@@ -903,11 +952,12 @@ def test_tradeoff_rows_newton_work(monkeypatch):
     most 260 Newton steps (grad_hess calls) per row (243.2 when written; 300.5
     from the boundary starts); a null-step stall spent 200 steps in one
     centering call."""
-    steps, calls = record_centering(monkeypatch)
+    solvers = built_solvers(monkeypatch)
     rows = seed7_rows("sec6a", "tradeoff", 2)
+    steps, calls = newton_work(solvers)
     assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
     assert all(used < budget for _, budget, used, _ in calls)
-    assert steps[0] <= 260 * len(rows)
+    assert steps <= 260 * len(rows)
 
 
 def test_nt4_selection_rows_newton_work(monkeypatch):
@@ -915,10 +965,10 @@ def test_nt4_selection_rows_newton_work(monkeypatch):
     most 10 of their Newton systems fall back from block elimination to the
     dense path (221.0 and 6 when written; from the boundary starts 252.8, and
     57 of 1,011 systems fell back)."""
-    steps, calls = record_centering(monkeypatch)
-    solvers = count_calls(monkeypatch, _BarrierSolver, "__init__", lambda self, *args: self)
+    solvers = built_solvers(monkeypatch)
     rows = seed7_rows(str(NT4_CONFIG), "selection_compare", 1)
+    steps, calls = newton_work(solvers)
     assert len(rows) == len(PINNED_NT4) and not any(r.get("error") for r in rows)
     assert all(used < budget for _, budget, used, _ in calls)
-    assert steps[0] <= 240 * len(rows)
-    assert sum(solver.path_steps[1] for solver in solvers if solver.eliminate) <= 10
+    assert steps <= 240 * len(rows)
+    assert sum(solver.work.dense for solver in solvers if solver.eliminate) <= 10

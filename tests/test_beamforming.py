@@ -306,6 +306,28 @@ class TestScaOptimize:
         with pytest.raises(ValueError):
             sca_optimize(np.zeros(2, dtype=int), cfg, channels, consts)
 
+    def test_result_does_not_depend_on_the_callers_blas_threads(self):
+        """A row on two OpenBLAS threads gives the beamformers of one thread,
+        bit for bit, and leaves the caller on two.  At N_t = 6 (Newton
+        dimension 144) two threads split some products, and this row's W
+        differed in its last bits when sca_optimize ran on the caller's
+        threads."""
+        controls = bf._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS found")
+        cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=6, L=2, R_th=0.25)
+        b = np.array([1, 0, 0])
+        W_one = sca_optimize(b, cfg, channels, consts)[0].W
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            W_two = sca_optimize(b, cfg, channels, consts)[0].W
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for _, set_threads in controls:
+                set_threads(1)
+        assert W_two.tobytes() == W_one.tobytes()
+
 
 def scalar_crb_of_split(q, b, cfg, channels, consts):
     Q = np.array([[[q_i]] for q_i in q], dtype=complex)

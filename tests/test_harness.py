@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isacsim import harness
+from isacsim import beamforming, harness
 from isacsim.harness import (COLUMNS, ExperimentSpec, dbm_to_watts,
                              default_sweep, draw_layout, load_config,
                              preset_names, rows_to_csv, run_experiment)
@@ -288,7 +288,7 @@ def test_parallel_matches_sequential_on_a_pinned_layout(tmp_path):
 
 
 def test_run_experiment_restores_the_callers_blas_threads():
-    controls = harness._openblas_thread_controls()
+    controls = beamforming._openblas_thread_controls()
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
     saved = [get() for get, _ in controls]
