@@ -37,9 +37,8 @@ The sets:
   first K//2 receivers selected; default arguments.  Rows whose threshold
   phase 1 cannot reach count as errors and their Newton work counts too.
 
-Every count comes from the record each barrier solver keeps of its own work
-(``_BarrierSolver.work``).  A hook on ``_BarrierSolver.__init__`` collects the
-solvers a set builds, so the phase-1 solvers of rows that raise count too.
+Every count is read from the records of the solvers a set builds
+(``_BarrierSolver.work``), collected by a hook on ``_BarrierSolver.__init__``.
 
     PYTHONPATH=src python3 scripts/newton_census.py [--sets tradeoff census]
 """
@@ -47,6 +46,7 @@ solvers a set builds, so the phase-1 solvers of rows that raise count too.
 import argparse
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -67,49 +67,39 @@ COLUMNS = (("rows", 4, "d"), ("errors", 6, "d"), ("sca/row", 8, ".2f"),
 
 def collect(run) -> tuple[list, int, int]:
     """Run a row set; (every barrier solver it built, rows, error rows)."""
-    solvers = []
-    build = bf._BarrierSolver.__init__
+    solvers, build = [], bf._BarrierSolver.__init__
 
     def building(self, *args, **kwargs):
         solvers.append(self)
         build(self, *args, **kwargs)
 
-    bf._BarrierSolver.__init__ = building
-    try:
+    with mock.patch.object(bf._BarrierSolver, "__init__", building):
         rows, errors = run()
-    finally:
-        bf._BarrierSolver.__init__ = build
     return solvers, rows, errors
 
 
 def totals(solvers: list, rows: int, errors: int) -> dict:
     """The census columns of a row set from its solvers' records."""
     works = [solver.work for solver in solvers]
-    grad_hess = sum(work.grad_hess for work in works)
-    terms = sum(work.terms for work in works)
+    sums = {name: sum(getattr(work, name) for work in works)
+            for name in ("grad_hess", "terms", "eliminated", "dense", "lu")}
     centers = [entry for work in works for entry in work.centers]
     # the final-weight start of a warm solve is its one call under a smaller cap
-    capped = [(used, decrement) for _, budget, used, decrement in centers
-              if budget == bf.WARM_FINAL_NEWTON]
-    uncapped = [(used, budget) for _, budget, used, _ in centers
-                if budget != bf.WARM_FINAL_NEWTON]
-    solves = [entry for solver in solvers if not solver.epigraph
-              for entry in solver.work.solves]
+    capped = [entry for entry in centers if entry[1] == bf.WARM_FINAL_NEWTON]
+    uncapped = [entry for entry in centers if entry[1] != bf.WARM_FINAL_NEWTON]
+    solves = [entry for solver in solvers if not solver.epigraph for entry in solver.work.solves]
     warm = [steps for is_warm, steps in solves if is_warm]
-    return {
-        "rows": rows, "errors": errors, "sca/row": len(solves) / rows,
-        "solvers/row": len(solvers) / rows, "center/row": len(centers) / rows,
-        "grad_hess/row": grad_hess / rows, "grad_hess": grad_hess,
-        "at_max_newton": sum(used == budget for used, budget in uncapped),
-        "at_cap": sum(used == bf.WARM_FINAL_NEWTON for used, _ in capped),
-        "longest": max((used for used, _ in uncapped), default=0),
-        "terms/row": terms / rows, "terms/step": terms / max(grad_hess, 1),
-        "eliminated": sum(work.eliminated for work in works),
-        "dense": sum(work.dense for work in works), "lu": sum(work.lu for work in works),
-        "cold/row": sum(steps for is_warm, steps in solves if not is_warm) / rows,
-        "warm/solve": sum(warm) / max(len(warm), 1),
-        "dropped": sum(decrement is None for _, decrement in capped) / max(len(warm), 1),
-    }
+    return {**sums, "rows": rows, "errors": errors, "sca/row": len(solves) / rows,
+            "solvers/row": len(solvers) / rows, "center/row": len(centers) / rows,
+            "grad_hess/row": sums["grad_hess"] / rows,
+            "at_max_newton": sum(used == budget for _, budget, used, _ in uncapped),
+            "at_cap": sum(used == budget for _, budget, used, _ in capped),
+            "longest": max((used for _, _, used, _ in uncapped), default=0),
+            "terms/row": sums["terms"] / rows,
+            "terms/step": sums["terms"] / max(sums["grad_hess"], 1),
+            "cold/row": sum(steps for is_warm, steps in solves if not is_warm) / rows,
+            "warm/solve": sum(warm) / max(len(warm), 1),
+            "dropped": sum(entry[3] is None for entry in capped) / max(len(warm), 1)}
 
 
 def line(name: str, counts: dict) -> str:

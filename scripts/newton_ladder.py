@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from isacsim import beamforming as bf, harness
 
@@ -42,14 +43,10 @@ def row_inputs(n_t: int):
 
 def run_row(inputs, eliminate: bool) -> dict:
     """One timed row with its SCA solver on one path: its counts and times."""
-    cut_over = bf.ELIMINATE_FROM_NT
-    bf.ELIMINATE_FROM_NT = 1 if eliminate else math.inf
-    try:
+    with mock.patch.object(bf, "ELIMINATE_FROM_NT", 1 if eliminate else math.inf):
         start = time.perf_counter()
         _, trace = harness._sca(*inputs)
         wall = time.perf_counter() - start
-    finally:
-        bf.ELIMINATE_FROM_NT = cut_over
     work = trace.work
     return {"steps": work.grad_hess, "paths": [work.eliminated, work.dense, work.lu],
             "step_us": 1e6 * wall / max(work.grad_hess, 1), "row_ms": 1e3 * wall}

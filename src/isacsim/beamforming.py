@@ -69,17 +69,11 @@ class BeamformerSet:
 
 @dataclass
 class SolverWork:
-    """What one barrier solver did, counted as it runs (``_BarrierSolver.work``).
-
-    ``grad_hess`` and ``terms`` count the evaluations of ``grad_hess`` and
-    ``_terms``; ``eliminated``, ``dense`` and ``lu`` the Newton systems
-    solved on each path (block elimination, the dense Cholesky, and
-    ``center``'s regularized LU after a failed Cholesky).  ``centers`` holds
-    one (t, max_newton, Newton steps, decrement) entry per ``center`` call,
-    the decrement as ``center`` returns it, and ``solves`` one (warm, Newton
-    steps) entry per ``solve`` that returns: a surrogate solve, or a phase-1
-    round.  A Newton step is a ``grad_hess`` call.
-    """
+    """What one barrier solver did (``_BarrierSolver.work``): its ``grad_hess``
+    calls (Newton steps) and ``_terms`` calls, the Newton systems solved on
+    each path (elimination, dense Cholesky, ``center``'s regularized LU), one
+    (t, max_newton, Newton steps, decrement) entry per ``center`` call, and
+    one (warm, Newton steps) entry per ``solve`` that returns."""
 
     grad_hess: int = 0
     terms: int = 0
@@ -98,8 +92,7 @@ class ScaTrace:
     ``kkt_residual_max`` and ``gap_bound_max`` are the worst final
     certificates of the run's surrogate solves (``inner_convex_solve``'s
     ``kkt_residual`` and ``gap_bound``), the rejected last one included;
-    0 when no solve ran.  ``work`` is the row solver's record (empty when
-    no solver ran; a phase-1 search keeps its own)."""
+    0 when no solve ran.  ``work`` is the row solver's record, if any."""
 
     violation: Callable[[np.ndarray], float]
     iterates: list[tuple[float, np.ndarray]] = field(default_factory=list)
@@ -289,13 +282,13 @@ PURE_NEWTON_DECREMENT = 1e-6
 # certificate.  With the test the kept steps' decrements lay within 1e-6 of
 # the dense ones on those rows, and 57 of 1,011 systems went dense.
 ELIMINATION_RTOL = 1e-6
-# The Newton path is fixed by the solver's shape (see _BarrierSolver.newton_step):
-# block elimination from this N_t on, outside epigraph mode.  One SCA row at
-# K = 10 (scripts/newton_ladder.py, one BLAS thread, 2 shared vCPUs),
-# microseconds per Newton step dense / eliminated: N_t = 2 (dim 44) 90 / 104,
-# N_t = 3 (dim 99) 172 / 155, N_t = 4 (dim 176) 365 / 225, N_t = 6 (dim 396)
-# 1776 / 780.  Elimination wins by about 10% at N_t = 3, within the spread of
-# repeated runs on that host, and the cut-over stays at 4.
+# The Newton path is fixed by the solver's shape (see _BarrierSolver.newton_step),
+# read when a solver is built: block elimination from this N_t on, outside
+# epigraph mode.  One SCA row at K = 10 (scripts/newton_ladder.py, one BLAS
+# thread, 2 shared vCPUs), row wall time per Newton step in microseconds,
+# dense / eliminated: N_t = 2 (dim 44) 173 / 189, N_t = 3 (dim 99) 261 / 235,
+# N_t = 4 (dim 176) 484 / 314, N_t = 6 (dim 396) 2105 / 920.  Elimination won
+# by 4-10% at N_t = 3 in three runs, within the host's spread: the cut-over stays.
 ELIMINATE_FROM_NT = 4
 
 
@@ -337,14 +330,8 @@ class _BarrierSolver:
     outside epigraph mode, a block elimination (``_eliminated_step``, Boyd
     & Vandenberghe, Convex Optimization, App. C.4) leaves one LU solve of
     width groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to
-    the dense path when its step fails a consistency test.  Per Newton step
-    the elimination takes 225 us against the dense path's 365 at N_t = 4,
-    and 780 against 1,776 at N_t = 6 (the ladder at ELIMINATE_FROM_NT).
-
-    The solver counts its own work in ``work`` (``SolverWork``): the
-    ``grad_hess`` and ``_terms`` evaluations, the Newton systems each path
-    solved (eliminated, dense, and ``center``'s regularized LU after a
-    failed Cholesky), and one entry per ``center`` and ``solve`` call.
+    the dense path when its step fails a consistency test.  The solver
+    counts its own work in ``work`` (``SolverWork``).
 
     ``center`` evaluates ``_terms`` at most once per point, and not at all
     at a line-search size the slacks' tangents put outside the domain:
@@ -699,8 +686,7 @@ class _BarrierSolver:
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
                max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
-        """Damped Newton steps at weight t; returns (z, decrement), and adds
-        (t, max_newton, Newton steps, decrement) to ``work.centers``.
+        """Damped Newton steps at weight t; returns (z, decrement).
 
         The decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
@@ -724,8 +710,7 @@ class _BarrierSolver:
         reject every skipped size: the accepted size, and every bit after
         it, is the same as with no bound.
         """
-        work = self.work
-        steps_before, certified = work.grad_hess, None
+        steps_before, certified = self.work.grad_hess, None
         ev = self._terms(z)  # then carried over from the line search that accepts z
         for i in range(max_newton):
             grad, curv = self.grad_hess(z, t, ev)
@@ -741,7 +726,7 @@ class _BarrierSolver:
                 except np.linalg.LinAlgError:
                     # hopeless conditioning: keep the last strictly feasible point
                     break
-                work.lu += 1
+                self.work.lu += 1
             if not np.all(np.isfinite(step)):
                 break
             decrement = float(grad @ step)
@@ -760,7 +745,7 @@ class _BarrierSolver:
                     break
             else:
                 break
-        work.centers.append((t, max_newton, work.grad_hess - steps_before, certified))
+        self.work.centers.append((t, max_newton, self.work.grad_hess - steps_before, certified))
         return z, certified
 
     def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
@@ -786,8 +771,7 @@ class _BarrierSolver:
         3. the whole path from z0.
 
         Every center certified one rung below the final weight becomes
-        ``rung``, which the solver keeps for the row's next warm solve.  A
-        solve that returns adds (warm, Newton steps) to ``work.solves``.
+        ``rung``, which the solver keeps for the row's next warm solve.
         """
         if not gap_tol > 0:
             raise ValueError("duality gap tolerance must be > 0")
@@ -1038,10 +1022,8 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
     mono-static proxy uses it to optimize for a virtual receiver while the
     rate constraints stay on the real ones (whose b entries are then 0).
 
-    The call runs on one BLAS thread (``_one_blas_thread``), whatever the
-    caller's setting, which is restored on return: the result does not
-    depend on the thread count.  The trace's ``work`` is the row solver's
-    record.
+    The call runs on one BLAS thread (``_one_blas_thread``) and restores the
+    caller's setting, so the result does not depend on the thread count.
     """
     b = np.asarray(b)
     if objective_weight is None and b.sum() < 1:

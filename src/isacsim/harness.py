@@ -483,8 +483,7 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig,
 def _run_parallel(spec, layout, base, rows, timing: bool, jobs: int) -> list[dict]:
     """Fork workers over rows; rows come back in canonical order.
 
-    Forked workers inherit the caller's one BLAS thread
-    (``beamforming._one_blas_thread``).
+    Forked workers inherit the caller's one BLAS thread (see ``run_experiment``).
     A worker that dies hard (a signal, the OOM killer) breaks the pool: every
     row not finished by then becomes an error row instead of a hang.
     """

@@ -10,7 +10,7 @@ import pytest
 
 import isacsim
 from isacsim import harness
-from isacsim.beamforming import _BarrierSolver, _one_blas_thread
+from isacsim.beamforming import _BarrierSolver, _one_blas_thread, _openblas_thread_controls
 from isacsim.channel import build_channels
 from isacsim.metrics import fim_constants
 from isacsim.scenario import Layout, ScenarioConfig
@@ -68,20 +68,26 @@ def anchored_solver(weight, surrogate, P_T):
 @pytest.fixture(autouse=True)
 def one_blas_thread():
     """Every test runs on one OpenBLAS thread, as ``harness.run_experiment``
-    and ``beamforming.sca_optimize`` run their rows: a threaded OpenBLAS
-    rounds some products differently, so the Newton path of a solve a test
-    runs on its own, and the step counts tests bound, would depend on the
-    host's thread count."""
+    and ``sca_optimize`` run: a threaded OpenBLAS rounds some products
+    differently, so the Newton path of a solve a test runs on its own would
+    depend on the host's thread count."""
     with _one_blas_thread():
         yield
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every bundled OpenBLAS on two threads for the test (``one_blas_thread``
+    restores the caller's counts after it); yields their (get, set) controls."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS found")
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
 
 
 @pytest.fixture(scope="session")
 def sec6a():
     cfg, layout, base = harness.load_config("sec6a")
     return cfg, layout, base
-
-
-@pytest.fixture()
-def small_scene():
-    return make_scene(K=4, seed=3)

@@ -116,14 +116,6 @@ def grad_hess_ref(solver, surrogate, z, t):
     return grad, hess
 
 
-def built_dense(monkeypatch, build, *args):
-    """``build(*args)`` with the elimination's cut-over past every N_t, so
-    the solver it builds takes the dense path."""
-    with monkeypatch.context() as patch:
-        patch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
-        return build(*args)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_kernels_match_einsum_definitions(monkeypatch, n):
     rng = np.random.default_rng(n)
@@ -160,8 +152,9 @@ def test_kernels_match_einsum_definitions(monkeypatch, n):
         # the dense fallback's Hessian is the one a solver that does not
         # eliminate assembles, to the bit
         hess = hess.copy()
-        dense = built_dense(monkeypatch, solver_at, n, epigraph)[0]
-        assert not dense.eliminate
+        with monkeypatch.context() as patch:  # a cut-over past every N_t
+            patch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
+            dense = solver_at(n, epigraph)[0]
         dense_grad, dense_curv = dense.grad_hess(z, 10.0)
         assert dense_curv.q_cores is None
         assert_same_bits(dense_grad, grad)
@@ -386,8 +379,8 @@ def test_newton_paths_are_counted(monkeypatch):
     with a failed Cholesky to center's regularized LU."""
     rng = np.random.default_rng(4)
     solver, surrogate, _, z = random_solver(rng, 4, 2, False)
-    dense_solver = built_dense(monkeypatch, anchored_solver, solver.weight, surrogate,
-                               solver.P_T)
+    monkeypatch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
+    dense_solver = anchored_solver(solver.weight, surrogate, solver.P_T)
     grad, curv = solver.grad_hess(z, 10.0)
     solver.newton_step(grad, curv)
     assert solver.eliminate and newton_paths(solver) == (1, 0, 0)
@@ -530,9 +523,8 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
 
     monkeypatch.setattr(_BarrierSolver, "_value", losing)
     end, decrement = solver.center(start, t)
-    steps = solver.work.centers[-1][2]
     assert decrement is not None and decrement <= 2e-9
-    assert 1 < steps <= 4
+    assert 1 < solver.work.centers[-1][2] <= 4  # Newton steps
     # above the bound the test still decides: every step is rejected
     monkeypatch.setattr(bf, "PURE_NEWTON_DECREMENT", 1e-8)
     end, decrement = solver.center(start, t)
@@ -726,42 +718,27 @@ def newton_work(solvers):
 
 
 def test_record_equals_a_wrapper_count(monkeypatch):
-    """The solvers' records against a count by wrappers of grad_hess, _terms
-    and center, on an SCA row whose phase 1 builds a solver too: the same
-    evaluations of each, and the same (t, max_newton, Newton steps,
-    decrement) per centering call.  (The tree's only counting wrapper of
-    these methods: everything else reads the records.)"""
+    """The records of an SCA row's solvers, phase 1's included, against the
+    tree's only counting wrappers of grad_hess, _terms and center: the same
+    calls of each, and the same (t, max_newton, Newton steps, decrement) per
+    centering call."""
     cfg, _, channels, consts = make_scene(K=4, seed=3, R_th=0.9999)
     solvers = built_solvers(monkeypatch)
-    counts = {"grad_hess": 0, "terms": 0}
-    calls = []
-    grad_hess, terms = _BarrierSolver.grad_hess, _BarrierSolver._terms
-    center = _BarrierSolver.center
-
-    def counting(self, *args, **kwargs):
-        counts["grad_hess"] += 1
-        return grad_hess(self, *args, **kwargs)
-
-    def evaluating(self, *args, **kwargs):
-        counts["terms"] += 1
-        return terms(self, *args, **kwargs)
+    steps = count_calls(monkeypatch, _BarrierSolver, "grad_hess")
+    terms = count_calls(monkeypatch, _BarrierSolver, "_terms")
+    calls, center = [], _BarrierSolver.center
 
     def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
-        before = counts["grad_hess"]
+        before = len(steps)
         out = center(self, z, t, tol, max_newton, **kwargs)
-        calls.append((t, max_newton, counts["grad_hess"] - before, out[1]))
+        calls.append((t, max_newton, len(steps) - before, out[1]))
         return out
 
-    monkeypatch.setattr(_BarrierSolver, "grad_hess", counting)
-    monkeypatch.setattr(_BarrierSolver, "_terms", evaluating)
     monkeypatch.setattr(_BarrierSolver, "center", recording)
-    _, trace = bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
-    assert [solver.epigraph for solver in solvers] == [True, False]
-    assert trace.work is solvers[1].work and len(trace.work.solves) >= 3
-    assert counts == {"grad_hess": newton_work(solvers)[0],
-                      "terms": sum(solver.work.terms for solver in solvers)}
-    assert calls == newton_work(solvers)[1]
-    assert counts["grad_hess"] > 100 and len(calls) > 10
+    bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
+    assert [solver.epigraph for solver in solvers] == [True, False] and len(calls) > 10
+    assert (len(steps), calls) == newton_work(solvers)
+    assert len(terms) == sum(solver.work.terms for solver in solvers)
 
 
 def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
@@ -872,21 +849,14 @@ def test_warm_solves_stop_at_their_final_weight(monkeypatch):
     Newton steps (2,329 when written, with one BLAS thread)."""
     cfg, _, channels, consts = make_scene(K=3, seed=3, N_t=6, L=2, R_th=1.0)
     solvers = built_solvers(monkeypatch)
-    tops = []
-    solve = bf.inner_convex_solve
-
-    def recording(solver, Q_start, gap_tol, warm=False):
-        before = len(solver.work.centers)
-        out = solve(solver, Q_start, gap_tol, warm)
-        if warm:
-            final = solver.nu / gap_tol / 30.0 ** 2 * 30.0 * 30.0
-            assert solver.nu / final > gap_tol  # rounded below nu/gap
-            tops.append((max(t for t, *_ in solver.work.centers[before:]), final))
-        return out
-
-    monkeypatch.setattr(bf, "inner_convex_solve", recording)
-    bf.sca_optimize(np.array([1, 0, 0]), cfg, channels, consts)
-    assert tops and all(top <= final for top, final in tops)
+    work = bf.sca_optimize(np.array([1, 0, 0]), cfg, channels, consts)[1].work
+    nu, gap = solvers[-1].nu, 1e-6 * cfg.P_T
+    final = nu / gap / 30.0 ** 2 * 30.0 * 30.0
+    assert nu / final > gap  # rounded below nu/gap
+    # the warm solves' calls: from the first one under the final-weight cap on
+    budgets = [budget for _, budget, _, _ in work.centers]
+    warm = work.centers[budgets.index(bf.WARM_FINAL_NEWTON):]
+    assert any(is_warm for is_warm, _ in work.solves) and all(t <= final for t, *_ in warm)
     assert newton_work(solvers)[0] <= 2400
 
 

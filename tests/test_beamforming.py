@@ -134,19 +134,17 @@ class TestInnerSolve:
             inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor, gap,
                                warm=warm)
 
-    def test_path_past_the_stage_budget_raises_before_centering(self, monkeypatch):
+    def test_path_past_the_stage_budget_raises_before_centering(self):
         # 1e-200 needs about 140 weights from t0 = 1 at mu = 30
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
         b = np.ones(3)
         weight = bf.build_objective_weight(b, consts, channels, cfg)
         anchor = uniform_gram(cfg)
         surrogate = sca_linearize(b, anchor, channels.H_comm, cfg.sigma2, cfg.R_th)
-        centered = []
-        monkeypatch.setattr(bf._BarrierSolver, "center",
-                            lambda self, *args, **kwargs: centered.append(args))
+        solver = anchored_solver(weight, surrogate, cfg.P_T)
         with pytest.raises(bf.SolverError, match="MAX_STAGES"):
-            inner_convex_solve(anchored_solver(weight, surrogate, cfg.P_T), anchor, 1e-200)
-        assert not centered
+            inner_convex_solve(solver, anchor, 1e-200)
+        assert not solver.work.centers and not solver.work.grad_hess
 
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
@@ -306,27 +304,18 @@ class TestScaOptimize:
         with pytest.raises(ValueError):
             sca_optimize(np.zeros(2, dtype=int), cfg, channels, consts)
 
-    def test_result_does_not_depend_on_the_callers_blas_threads(self):
-        """A row on two OpenBLAS threads gives the beamformers of one thread,
-        bit for bit, and leaves the caller on two.  At N_t = 6 (Newton
-        dimension 144) two threads split some products, and this row's W
-        differed in its last bits when sca_optimize ran on the caller's
-        threads."""
-        controls = bf._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no bundled OpenBLAS found")
+    def test_result_does_not_depend_on_the_callers_blas_threads(self, two_blas_threads):
+        """On two OpenBLAS threads a row gives the beamformers of one thread,
+        bit for bit, and leaves the caller on two.  At N_t = 6 two threads
+        split some products: this row's W differed in its last bits when
+        sca_optimize ran on the caller's threads."""
         cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=6, L=2, R_th=0.25)
         b = np.array([1, 0, 0])
-        W_one = sca_optimize(b, cfg, channels, consts)[0].W
-        try:
-            for _, set_threads in controls:
-                set_threads(2)
-            W_two = sca_optimize(b, cfg, channels, consts)[0].W
-            assert [get() for get, _ in controls] == [2] * len(controls)
-        finally:
-            for _, set_threads in controls:
-                set_threads(1)
-        assert W_two.tobytes() == W_one.tobytes()
+        W_two = sca_optimize(b, cfg, channels, consts)[0].W
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
+        for _, set_threads in two_blas_threads:
+            set_threads(1)
+        assert W_two.tobytes() == sca_optimize(b, cfg, channels, consts)[0].W.tobytes()
 
 
 def scalar_crb_of_split(q, b, cfg, channels, consts):

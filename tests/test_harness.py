@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isacsim import beamforming, harness
+from isacsim import harness
 from isacsim.harness import (COLUMNS, ExperimentSpec, dbm_to_watts,
                              default_sweep, draw_layout, load_config,
                              preset_names, rows_to_csv, run_experiment)
@@ -287,23 +287,13 @@ def test_parallel_matches_sequential_on_a_pinned_layout(tmp_path):
     assert rows == run_experiment(spec, cfg, layout, base=base, jobs=2)
 
 
-def test_run_experiment_restores_the_callers_blas_threads():
-    controls = beamforming._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no bundled OpenBLAS found")
-    saved = [get() for get, _ in controls]
+def test_run_experiment_restores_the_callers_blas_threads(two_blas_threads):
     cfg, layout, base = load_config("sec6a")
     spec = ExperimentSpec(name="roundtrip", sweep=default_sweep("roundtrip", cfg), trials=2,
                           seed=3)
-    try:
-        for _, set_threads in controls:
-            set_threads(2)
-        for jobs in (1, 2):
-            run_experiment(spec, cfg, layout, base=base, jobs=jobs)
-            assert [get() for get, _ in controls] == [2] * len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
+    for jobs in (1, 2):
+        run_experiment(spec, cfg, layout, base=base, jobs=jobs)
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
 
 
 def test_nt4_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
