@@ -8,18 +8,26 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
 - ``solvers/row``: barrier solvers built (``_BarrierSolver.__init__`` calls)
   per row: one per SCA run, and one per phase-1 search
 - ``center/row``: centering calls (``_BarrierSolver.center``) per row
-- ``grad_hess/row`` and ``grad_hess``: Newton steps (plus the few KKT
-  certificates computed outside ``center``) per row and in total
+- ``steps/row`` and ``steps``: Newton steps (``SolverWork.steps``: the
+  ``grad_hess`` calls, the few KKT certificates computed outside ``center``
+  included, plus the steps on a reused system) per row and in total
+- ``reused``: Newton steps ``center`` took on the system of the last
+  ``grad_hess`` call, at the point where it starts (stage changes, and warm
+  starts that fall back to the anchor), without a ``grad_hess`` call
 - ``terms/row`` and ``terms/step``: barrier evaluations
   (``_BarrierSolver._terms`` calls: every line-search trial point, one per
-  centering call and solve start) per row and per ``grad_hess`` call
+  centering call that reuses no system and solve start) per row and per
+  Newton step
 - ``at_max_newton``: centering calls under the default Newton budget that
   used all of it; ``at_cap``: calls under a smaller cap that used all of it
 - ``longest``: the most Newton steps one call under the default budget took
 - ``eliminated``, ``dense`` and ``lu``: Newton systems solved by each path,
   summed over the set's solvers: block elimination, the dense Cholesky (at
   N_t >= 4 outside phase 1, a fallback from elimination), and the
-  regularized LU after a failed Cholesky
+  regularized LU after a failed Cholesky; every Newton step solves one
+  system on one path, a reused step's included
+- ``uncertified``: solves (surrogate solves and phase-1 rounds) whose final
+  weight stopped short of its decrement test
 - ``cold/row``: Newton steps of cold surrogate solves (without ``warm``, the
   first of each SCA run) per row
 - ``warm/solve``: Newton steps per warm surrogate solve
@@ -58,11 +66,12 @@ from conftest import make_scene  # noqa: E402
 
 # (column, width, format)
 COLUMNS = (("rows", 4, "d"), ("errors", 6, "d"), ("sca/row", 8, ".2f"),
-           ("solvers/row", 12, ".2f"), ("center/row", 11, ".2f"), ("grad_hess/row", 14, ".1f"),
-           ("grad_hess", 10, "d"), ("at_max_newton", 14, "d"), ("at_cap", 7, "d"),
-           ("longest", 8, "d"), ("terms/row", 10, ".1f"), ("terms/step", 11, ".2f"),
-           ("eliminated", 10, "d"), ("dense", 10, "d"), ("lu", 10, "d"),
-           ("cold/row", 8, ".1f"), ("warm/solve", 10, ".1f"), ("dropped", 8, ".3f"))
+           ("solvers/row", 12, ".2f"), ("center/row", 11, ".2f"), ("steps/row", 10, ".1f"),
+           ("steps", 6, "d"), ("reused", 6, "d"), ("at_max_newton", 14, "d"),
+           ("at_cap", 7, "d"), ("longest", 8, "d"), ("terms/row", 10, ".1f"),
+           ("terms/step", 11, ".2f"), ("eliminated", 10, "d"), ("dense", 6, "d"),
+           ("lu", 3, "d"), ("uncertified", 11, "d"), ("cold/row", 8, ".1f"),
+           ("warm/solve", 10, ".1f"), ("dropped", 8, ".3f"))
 
 
 def collect(run) -> tuple[list, int, int]:
@@ -82,7 +91,7 @@ def totals(solvers: list, rows: int, errors: int) -> dict:
     """The census columns of a row set from its solvers' records."""
     works = [solver.work for solver in solvers]
     sums = {name: sum(getattr(work, name) for work in works)
-            for name in ("grad_hess", "terms", "eliminated", "dense", "lu")}
+            for name in ("steps", "reused", "terms", "eliminated", "dense", "lu", "uncertified")}
     centers = [entry for work in works for entry in work.centers]
     # the final-weight start of a warm solve is its one call under a smaller cap
     capped = [entry for entry in centers if entry[1] == bf.WARM_FINAL_NEWTON]
@@ -91,12 +100,12 @@ def totals(solvers: list, rows: int, errors: int) -> dict:
     warm = [steps for is_warm, steps in solves if is_warm]
     return {**sums, "rows": rows, "errors": errors, "sca/row": len(solves) / rows,
             "solvers/row": len(solvers) / rows, "center/row": len(centers) / rows,
-            "grad_hess/row": sums["grad_hess"] / rows,
+            "steps/row": sums["steps"] / rows,
             "at_max_newton": sum(used == budget for _, budget, used, _ in uncapped),
             "at_cap": sum(used == budget for _, budget, used, _ in capped),
             "longest": max((used for _, _, used, _ in uncapped), default=0),
             "terms/row": sums["terms"] / rows,
-            "terms/step": sums["terms"] / max(sums["grad_hess"], 1),
+            "terms/step": sums["terms"] / max(sums["steps"], 1),
             "cold/row": sum(steps for is_warm, steps in solves if not is_warm) / rows,
             "warm/solve": sum(warm) / max(len(warm), 1),
             "dropped": sum(entry[3] is None for entry in capped) / max(len(warm), 1)}

@@ -11,8 +11,8 @@ built (phase-1 solvers stay dense).  The path a solver takes by its own
 rule is marked with ``*``.
 
 Per N_t and path it prints, from the row solver's record (``trace.work``),
-the Newton steps (``grad_hess`` calls) and the systems each path solved
-(eliminated, dense, regularized LU); then the row's wall time per Newton
+the Newton steps (``SolverWork.steps``, reused systems included) and the
+systems each path solved (eliminated, dense, regularized LU); then the row's wall time per Newton
 step in microseconds and the row's wall time in milliseconds, each the best
 of ``--reps`` runs.  Run it with one BLAS thread, as the benchmark does:
 
@@ -48,8 +48,8 @@ def run_row(inputs, eliminate: bool) -> dict:
         _, trace = harness._sca(*inputs)
         wall = time.perf_counter() - start
     work = trace.work
-    return {"steps": work.grad_hess, "paths": [work.eliminated, work.dense, work.lu],
-            "step_us": 1e6 * wall / max(work.grad_hess, 1), "row_ms": 1e3 * wall}
+    return {"steps": work.steps, "paths": [work.eliminated, work.dense, work.lu],
+            "step_us": 1e6 * wall / max(work.steps, 1), "row_ms": 1e3 * wall}
 
 
 def main() -> int:

@@ -70,18 +70,28 @@ class BeamformerSet:
 @dataclass
 class SolverWork:
     """What one barrier solver did (``_BarrierSolver.work``): its ``grad_hess``
-    calls (Newton steps) and ``_terms`` calls, the Newton systems solved on
-    each path (elimination, dense Cholesky, ``center``'s regularized LU), one
-    (t, max_newton, Newton steps, decrement) entry per ``center`` call, and
-    one (warm, Newton steps) entry per ``solve`` that returns."""
+    and ``_terms`` calls; the Newton steps ``center`` took on a reused system
+    (``reused``: the last ``grad_hess`` call's, see ``center``), so that
+    ``steps``, the Newton steps, is ``grad_hess + reused``; the Newton systems
+    solved on each path (elimination, dense Cholesky, ``center``'s
+    regularized LU), a reused step's included; one (t, max_newton, Newton
+    steps, decrement) entry per ``center`` call; one (warm, Newton steps)
+    entry per ``solve`` that returns; and ``uncertified``, the solves whose
+    final weight stopped short of its decrement test."""
 
     grad_hess: int = 0
+    reused: int = 0
     terms: int = 0
     eliminated: int = 0
     dense: int = 0
     lu: int = 0
     centers: list[tuple[float, int, int, float | None]] = field(default_factory=list)
     solves: list[tuple[bool, int]] = field(default_factory=list)
+    uncertified: int = 0
+
+    @property
+    def steps(self) -> int:
+        return self.grad_hess + self.reused
 
 
 @dataclass
@@ -262,6 +272,14 @@ WARM_FINAL_DECREMENT = 1e5
 # The final weight crawls to max_newton within its guard on 3 of 48 small scenes,
 # where a kept start takes at most 23 Newton steps.
 WARM_FINAL_NEWTON = 25
+# Every weight of a barrier path below its final one only hands the next
+# weight a start (Boyd & Vandenberghe, Convex Optimization, sec. 11.3.1:
+# computing x*(t) exactly is not necessary), so its centering call stops at a
+# decrement lambda^2 <= 2 tol = 1/4, lambda <= 1/2; the final weight keeps tol
+# 1e-9 and its certificate.  At tol 1e-6 the three newton_census.py sets took
+# 1,946 / 876 / 14,947 Newton steps, at 1/8 (with the reused systems of
+# center) 1,789 / 770 / 13,171.
+INTERMEDIATE_TOL = 0.125
 # At a decrement this small Newton converges quadratically: the full step
 # gains half the decrement to many digits.  The barrier change the Armijo test
 # reads is far coarser there: each rate slack is a difference of log-dets and
@@ -286,9 +304,9 @@ ELIMINATION_RTOL = 1e-6
 # read when a solver is built: block elimination from this N_t on, outside
 # epigraph mode.  One SCA row at K = 10 (scripts/newton_ladder.py, one BLAS
 # thread, 2 shared vCPUs), row wall time per Newton step in microseconds,
-# dense / eliminated: N_t = 2 (dim 44) 173 / 189, N_t = 3 (dim 99) 261 / 235,
-# N_t = 4 (dim 176) 484 / 314, N_t = 6 (dim 396) 2105 / 920.  Elimination won
-# by 4-10% at N_t = 3 in three runs, within the host's spread: the cut-over stays.
+# dense / eliminated: N_t = 2 (dim 44) 197 / 218, N_t = 3 (dim 99) 316 / 294,
+# N_t = 4 (dim 176) 521 / 363, N_t = 6 (dim 396) 2770 / 1654.  At N_t = 3 two
+# more runs read 377 / 469 and 359 / 291: the runs disagree, so the cut-over stays.
 ELIMINATE_FROM_NT = 4
 
 
@@ -307,6 +325,27 @@ class _Curvature(NamedTuple):
     cores: np.ndarray   # (n_blocks, n^2, n^2) C(Q_i^-1), the PSD barriers' curvature
     sums: np.ndarray    # (groups, n^4) log-det curvature S_g, flattened
     q_cores: np.ndarray | None  # (n_blocks, n^2, n^2) C(Q_i) = C(Q_i^-1)^-1, or None
+
+
+class _Evaluation(NamedTuple):
+    """What a ``grad_hess`` call computed at z that does not depend on the
+    weight t: the objective is linear, so the gradient at t is ``grad + t c``
+    and the curvature is the same at every t."""
+
+    z: np.ndarray
+    ev: tuple           # _terms(z)
+    grad: np.ndarray    # the barrier's gradient, without t c
+    curv: _Curvature
+
+
+class _Factor(NamedTuple):
+    """The factorization the last ``newton_step`` left of the system of ``curv``:
+    the dense Cholesky factor (in the solver's workspace), or the elimination's
+    (capacitance LU, its pivots, D^-1 U)."""
+
+    curv: _Curvature
+    chol: np.ndarray | None
+    cap: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 class _BarrierSolver:
@@ -349,6 +388,14 @@ class _BarrierSolver:
     The dense path assembles, regularizes and factors the Newton system in
     place in ``workspace``, one block the solver allocates once, so a
     Newton step allocates no (dim, dim) array.
+
+    ``solve`` centers each weight below the final one loosely, to a
+    decrement of at most 1/4 (INTERMEDIATE_TOL), and the final one to
+    2e-9.  The solver keeps the weight-free part of its last ``grad_hess``
+    call (``last``: the point, its terms, the barrier gradient and the
+    curvature) and the factorization of the last Newton step (``factor``),
+    so a centering call that starts on that point, as at each weight change,
+    takes its first step without evaluating or factoring anything again.
 
     Every constraint is affine in z, so ``_terms`` evaluates a point with
     one matrix product per kind of block and one Cholesky call: it tests
@@ -448,6 +495,10 @@ class _BarrierSolver:
         # the last center a solve certified one rung below its final weight
         # (see solve); reanchor leaves it
         self.rung: np.ndarray | None = None
+        # the last grad_hess call's evaluation, which reanchor drops, and the
+        # last newton_step's factorization (see center)
+        self.last: _Evaluation | None = None
+        self.factor: _Factor | None = None
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -475,6 +526,7 @@ class _BarrierSolver:
         self.gcon_fixed = -self.lin
         if self.epigraph:
             self.gcon_fixed[:, -1] = -1.0
+        self.last = None
 
     # -- state helpers ----------------------------------------------------
     def pack(self, Q: np.ndarray, s: float = 0.0) -> np.ndarray:
@@ -547,7 +599,8 @@ class _BarrierSolver:
         """(gradient, negated Hessian in parts) at z; ``ev`` is ``_terms(z)`` if known.
 
         ``hessian`` assembles the parts into the dense matrix and
-        ``newton_step`` solves with them.
+        ``newton_step`` solves with them.  The gradient is the barrier's
+        plus t c, added last; the solver keeps the rest as ``last``.
         """
         self.work.grad_hess += 1
         if ev is None:
@@ -568,9 +621,8 @@ class _BarrierSolver:
         cores = _psd_cores(np.concatenate([X, self.unpack(z)]) if self.eliminate else X,
                            self.basis)
 
-        grad = t * self.c
+        grad = self.gP / power_slack
         grad[:self.qdim] += vecs[:nb].ravel()
-        grad += self.gP / power_slack
 
         inv_h = 1.0 / h
         # full constraint gradients: vec(M_k) / ln 2 on every involved block
@@ -581,8 +633,10 @@ class _BarrierSolver:
         grad += inv_h @ gcon
         # log-det curvature: each group's sum of its rows' cores
         sums = (self.group_rows * inv_h) @ cores[nb:nb + m].reshape(m, bd * bd)
-        return grad, _Curvature(power_slack, inv_h, gcon, cores[:nb], sums,
-                                cores[nb + m:] if self.eliminate else None)
+        curv = _Curvature(power_slack, inv_h, gcon, cores[:nb], sums,
+                          cores[nb + m:] if self.eliminate else None)
+        self.last = _Evaluation(z, ev, grad, curv)
+        return grad + t * self.c, curv
 
     def hessian(self, curv: _Curvature) -> np.ndarray:
         """The dense negated Hessian, written into ``workspace[0]`` with
@@ -605,26 +659,38 @@ class _BarrierSolver:
         eliminates, else (or when elimination fails) by a Cholesky factor of
         hess + 1e-12 I in ``workspace[2]``; ``work`` counts the path taken.
 
+        A call on the curvature of the last call solves with the
+        factorization that call left (``factor``): its Cholesky factor, or
+        its capacitance LU, whose step still takes the elimination's test.
+
         Raises LinAlgError when that matrix is not numerically positive
         definite, or has a non-finite entry: the factor's diagonal shows
         one, so the inputs are not scanned.  A non-finite ``grad`` shows in
         the step.
         """
-        if self.eliminate:
-            step = self._eliminated_step(grad, curv)
+        kept, self.factor = self.factor, None
+        if kept is not None and kept.curv is not curv:
+            kept = None
+        if self.eliminate and (kept is None or kept.cap is not None):
+            step = self._eliminated_step(grad, curv, None if kept is None else kept.cap)
             if step is not None:
                 self.work.eliminated += 1
                 return step
-        # hess is symmetric, so the Fortran-ordered transpose of the
-        # C-ordered workspace is the same matrix, factored in place
-        reg = np.add(self.hessian(curv), self.ridge, out=self.workspace[2]).T
-        chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
-        if info != 0 or not np.isfinite(chol.diagonal()).all():
-            raise np.linalg.LinAlgError("Newton system is not positive definite")
+        if kept is not None and kept.chol is not None:
+            chol = kept.chol
+        else:
+            # hess is symmetric, so the Fortran-ordered transpose of the
+            # C-ordered workspace is the same matrix, factored in place
+            reg = np.add(self.hessian(curv), self.ridge, out=self.workspace[2]).T
+            chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
+            if info != 0 or not np.isfinite(chol.diagonal()).all():
+                raise np.linalg.LinAlgError("Newton system is not positive definite")
+        self.factor = _Factor(curv, chol, None)
         self.work.dense += 1
         return sla.lapack.dpotrs(chol, grad, lower=True)[0]
 
-    def _eliminated_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray | None:
+    def _eliminated_step(self, grad: np.ndarray, curv: _Curvature, cap: tuple | None = None
+                         ) -> np.ndarray | None:
         """hess^-1 grad with hess = D + U W U^T (Woodbury, never inverting W):
 
             D^-1 g - D^-1 U (I + W U^T D^-1 U)^-1 W U^T D^-1 g
@@ -634,7 +700,9 @@ class _BarrierSolver:
         curvature of an eliminating solver carries it.  U = [E_g, gP/p,
         gcon^T diag(1/h)] with E_g the 0/1 involvement of group g's blocks
         kron I_(n^2), and W = diag(S_g, 1, I): S_g, a sum of cores of rank at
-        most N_r^2 each, can be singular.
+        most N_r^2 each, can be singular.  ``cap`` is a factorization of
+        curv's capacitance matrix a call with this U left in ``factor``:
+        (LU, pivots, D^-1 U); without it the call factors its own.
 
         None when the capacitance matrix is singular, or when the step's
         decrement grad @ step is not positive or misses step^T hess step, a
@@ -644,23 +712,34 @@ class _BarrierSolver:
         nb, bd, U = self.n_blocks, self.bd, self.U
         groups = len(curv.sums)
         width = U.shape[1] - 1
-        # [U g] in the solver's buffer, after the fixed columns E_g
-        U[:, groups * bd] = self.gP / curv.power_slack
-        np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
-        U[:, width] = grad
-        # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
-        DU = (curv.q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
-        # (Fortran-ordered, as dgesv takes it without a copy)
-        cap = (DU.T @ U[:, :width]).T
-        # W on the left: S_g on each group's rows, identity on the rest
         S = curv.sums.reshape(groups, bd, bd)
-        cap[:groups * bd] = (S @ cap[:groups * bd].reshape(groups, bd, width + 1)).reshape(
-            groups * bd, width + 1)
-        np.einsum("ii->i", cap[:, :width])[...] += 1.0
-        _, _, x, info = sla.lapack.dgesv(cap[:, :width], cap[:, width], overwrite_a=True)
-        if info != 0:
-            return None
-        step = DU[:, width] - DU[:, :width] @ x
+        if cap is None:
+            # [U g] in the solver's buffer, after the fixed columns E_g
+            U[:, groups * bd] = self.gP / curv.power_slack
+            np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
+            U[:, width] = grad
+            # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
+            DUg = (curv.q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
+            # (Fortran-ordered, as dgesv takes it without a copy)
+            cap_g = (DUg.T @ U[:, :width]).T
+            # W on the left: S_g on each group's rows, identity on the rest
+            cap_g[:groups * bd] = (S @ cap_g[:groups * bd].reshape(groups, bd, width + 1)
+                                   ).reshape(groups * bd, width + 1)
+            np.einsum("ii->i", cap_g[:, :width])[...] += 1.0
+            lu, piv, x, info = sla.lapack.dgesv(cap_g[:, :width], cap_g[:, width],
+                                                overwrite_a=True)
+            if info != 0:
+                return None
+            DU, Dg = DUg[:, :width], DUg[:, width]
+            cap = lu, piv, DU
+        else:
+            lu, piv, DU = cap
+            Dg = (curv.q_cores @ grad.reshape(nb, bd, 1)).reshape(self.dim)
+            rhs = U[:, :width].T @ Dg
+            rhs[:groups * bd] = (S @ rhs[:groups * bd].reshape(groups, bd, 1)).ravel()
+            x = sla.lapack.dgetrs(lu, piv, rhs)[0]
+        self.factor = _Factor(curv, None, cap)
+        step = Dg - DU @ x
         # step^T hess step = step^T D step + v^T W v, v = U^T step
         v = U[:, :width].T @ step
         blocks, v_g = step.reshape(nb, bd), v[:groups * bd].reshape(groups, bd)
@@ -709,11 +788,25 @@ class _BarrierSolver:
         of order |offset_k|), far above its rounding, so ``_terms`` would
         reject every skipped size: the accepted size, and every bit after
         it, is the same as with no bound.
+
+        Where z is the point of the solver's last ``grad_hess`` call
+        (``last``), the first step reuses that call's work, with no
+        ``_terms`` or ``grad_hess`` call: the objective is linear, so the
+        Hessian does not depend on t and the gradient is the barrier's plus
+        t c; and ``newton_step`` solves with the factorization that call's
+        step left (``factor``).  ``work.reused`` counts these steps.
         """
-        steps_before, certified = self.work.grad_hess, None
-        ev = self._terms(z)  # then carried over from the line search that accepts z
+        steps_before, certified = self.work.steps, None
+        last = self.last
+        reuse = last is not None and np.array_equal(z, last.z)
+        # then carried over from the line search that accepts z
+        ev = last.ev if reuse else self._terms(z)
         for i in range(max_newton):
-            grad, curv = self.grad_hess(z, t, ev)
+            if i == 0 and reuse:
+                grad, curv = last.grad + t * self.c, last.curv
+                self.work.reused += 1
+            else:
+                grad, curv = self.grad_hess(z, t, ev)
             try:
                 step = self.newton_step(grad, curv)
             except np.linalg.LinAlgError:
@@ -745,7 +838,7 @@ class _BarrierSolver:
                     break
             else:
                 break
-        self.work.centers.append((t, max_newton, self.work.grad_hess - steps_before, certified))
+        self.work.centers.append((t, max_newton, self.work.steps - steps_before, certified))
         return z, certified
 
     def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
@@ -772,6 +865,12 @@ class _BarrierSolver:
 
         Every center certified one rung below the final weight becomes
         ``rung``, which the solver keeps for the row's next warm solve.
+
+        Each weight below the final one is centered to a decrement of at
+        most 2 INTERMEDIATE_TOL = 1/4, the final one to 2e-9, whose call
+        gives the certificate.  A call that starts where the last one
+        stopped, as at every weight change and a rung-below start that falls
+        back to z0, reuses the Newton system it stopped on (see ``center``).
         """
         if not gap_tol > 0:
             raise ValueError("duality gap tolerance must be > 0")
@@ -783,9 +882,9 @@ class _BarrierSolver:
                 raise SolverError("barrier path needs more than MAX_STAGES weights")
             ladder.append(ladder[-1] * BARRIER_MU)
         last = len(ladder) - 1
-        tols = [1e-6] * last + [1e-9]
+        tols = [INTERMEDIATE_TOL] * last + [1e-9]
         first, z, decrement = 0, z0, None
-        steps_before = self.work.grad_hess
+        steps_before = self.work.steps
         if warm:
             rung = z0 if self.rung is None or self._terms(self.rung) is None else self.rung
             starts = ((2, z0, {"max_first": WARM_FINAL_DECREMENT,
@@ -802,7 +901,8 @@ class _BarrierSolver:
                 z, decrement = self.center(z, ladder[i], tol=tols[i])
             if i == last - 1 and decrement is not None:
                 self.rung = z
-        self.work.solves.append((warm, self.work.grad_hess - steps_before))
+        self.work.solves.append((warm, self.work.steps - steps_before))
+        self.work.uncertified += decrement is None
         return z, ladder[last], decrement
 
 

@@ -350,8 +350,8 @@ def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch)
     kept, dropped = [], [0]
     eliminated_step = _BarrierSolver._eliminated_step
 
-    def checked(self, grad, curv):
-        step = eliminated_step(self, grad, curv)
+    def checked(self, grad, curv, cap=None):
+        step = eliminated_step(self, grad, curv, cap)
         if step is None:
             dropped[0] += 1
             return None
@@ -365,6 +365,43 @@ def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch)
     for decrement, dense in kept:
         assert decrement > 0
         assert decrement == pytest.approx(dense, rel=1e-4, abs=0)
+
+
+def test_loosely_centered_eliminated_steps_keep_the_exact_decrement(monkeypatch):
+    """The weights below a solve's final one stop at a decrement of 1/4, where
+    the eliminated steps meet harder systems than near a tight center.  On
+    make_scene(K=3, seed=3, N_t=4, L=2, R_th=1.0), b = [1, 1, 1] (Newton
+    dimension 64), every eliminated step kept at those weights has a
+    decrement grad @ step within 1e-6, relative, of a 40-digit solve of the
+    assembled Newton matrix (measured on all 88: at most 8.7e-7).  The step
+    solved here at 40 digits is the one farthest from the float64 dense
+    Cholesky decrement, which is that worst one."""
+    mpmath = pytest.importorskip("mpmath")
+    cfg, _, channels, consts = make_scene(K=3, seed=3, N_t=4, L=2, R_th=1.0)
+    kept, tols = [], []
+    center, eliminated_step = _BarrierSolver.center, _BarrierSolver._eliminated_step
+
+    def recording(self, z, t, tol=1e-9, **kwargs):
+        tols.append(tol)
+        return center(self, z, t, tol, **kwargs)
+
+    def checked(self, grad, curv, cap=None):
+        step = eliminated_step(self, grad, curv, cap)
+        if step is not None and tols[-1] == bf.INTERMEDIATE_TOL:
+            hess = self.hessian(curv).copy()
+            dense = sla.cho_solve(sla.cho_factor(hess + self.ridge), grad)
+            kept.append((abs(grad @ step / (grad @ dense) - 1.0), grad, hess, grad @ step))
+        return step
+
+    monkeypatch.setattr(_BarrierSolver, "center", recording)
+    monkeypatch.setattr(_BarrierSolver, "_eliminated_step", checked)
+    bf.sca_optimize(np.array([1, 1, 1]), cfg, channels, consts)
+    assert len(kept) > 50
+    _, grad, hess, decrement = max(kept, key=lambda entry: entry[0])
+    with mpmath.workdps(40):
+        x = mpmath.lu_solve(mpmath.matrix(hess.tolist()), mpmath.matrix(grad.tolist()))
+        exact = mpmath.fsum(mpmath.mpf(float(g)) * x[i] for i, g in enumerate(grad))
+        assert abs((mpmath.mpf(float(decrement)) - exact) / exact) <= 1e-6
 
 
 def newton_paths(solver):
@@ -386,9 +423,11 @@ def test_newton_paths_are_counted(monkeypatch):
     assert solver.eliminate and newton_paths(solver) == (1, 0, 0)
     expected = dense_solver.newton_step(grad, curv)
     assert not dense_solver.eliminate and newton_paths(dense_solver) == (0, 1, 0)
-    # a singular capacitance system: dgesv reports info > 0
+    # a singular capacitance system: dgesv reports info > 0 (on a new
+    # curvature, as newton_step reuses the last call's factorization)
     singular = (bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
     monkeypatch.setattr(*singular)
+    grad, curv = solver.grad_hess(z, 10.0)
     assert_same_bits(solver.newton_step(grad, curv), expected)
     assert newton_paths(solver) == (1, 1, 0)
     monkeypatch.undo()
@@ -397,11 +436,50 @@ def test_newton_paths_are_counted(monkeypatch):
     poisoned[3] = np.nan
     assert np.isnan(solver.newton_step(poisoned, curv)).any()
     assert newton_paths(solver) == (1, 2, 0)
-    # a failed elimination and a failed Cholesky: center takes the regularized LU step
+    # a failed elimination and a failed Cholesky: center takes the regularized
+    # LU step (re-anchored, the solver keeps no system for center to reuse at z)
+    solver.reanchor(surrogate)
     monkeypatch.setattr(*singular)
     monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
     solver.center(z, 10.0, max_newton=1)
-    assert newton_paths(solver) == (1, 2, 1)
+    assert newton_paths(solver) == (1, 2, 1) and solver.work.reused == 0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_reused_step_equals_a_fresh_one(monkeypatch, n):
+    """center starts the next weight at the point of the last grad_hess call
+    on that call's system: its barrier gradient plus t c, its curvature and
+    the factorization newton_step left there, the dense Cholesky at N_t = 2
+    and the capacitance LU at N_t = 4.  The step equals a fresh grad_hess
+    and newton_step at the new weight within 1e-10, relative (measured: 0,
+    the same bits, and 1.5e-15)."""
+    solver, z, surrogate = solver_at(n, False)
+    assert solver.eliminate == (n == 4)
+    z, decrement = solver.center(z, 10.0, tol=0.125)
+    assert decrement is not None
+    # the call stopped on the system of its last grad_hess call, at z
+    assert_same_bits(solver.last.z, z)
+    assert (solver.factor.cap is not None) == solver.eliminate
+    steps = []
+    newton_step = _BarrierSolver.newton_step
+
+    def recording(self, grad, curv):
+        steps.append(newton_step(self, grad, curv))
+        return steps[-1]
+
+    monkeypatch.setattr(_BarrierSolver, "newton_step", recording)
+    before = dataclasses.replace(solver.work)
+    solver.center(z, 300.0, max_newton=1)
+    step, = steps
+    assert solver.work.reused == before.reused + 1
+    assert solver.work.grad_hess == before.grad_hess
+    assert newton_paths(solver)[:2] == (before.eliminated + solver.eliminate,
+                                        before.dense + (not solver.eliminate))
+    fresh = anchored_solver(solver.weight, surrogate, solver.P_T)
+    grad, curv = fresh.grad_hess(z, 300.0)
+    expected = fresh.newton_step(grad, curv)
+    assert fresh.work.eliminated == solver.eliminate
+    assert rel_err(step, expected) <= 1e-10
 
 
 def certificate_scene():
@@ -428,8 +506,10 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     monkeypatch.setattr(_BarrierSolver, "center", recording)
     _, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor, 1e-6 * P_T)
     solver, t, (z, decrement) = calls[-1]
-    # a full solve stops on the decrement test; one Newton step leaves it unmet
+    # a full solve stops on the decrement test; one Newton step leaves it
+    # unmet, and the solver's record counts the solve as uncertified
     assert (decrement is None) == (max_newton == 1)
+    assert solver.work.uncertified == (max_newton == 1) and len(solver.work.solves) == 1
     # the same solve of hess + 1e-12 I as center's: at the one-step point its
     # condition number is about 2e15, where an LU solve differs by 6e-4
     grad, curv = solver.grad_hess(z, t)
@@ -711,20 +791,23 @@ def built_solvers(monkeypatch):
 
 
 def newton_work(solvers):
-    """The solvers' Newton steps (grad_hess calls) and their centering calls,
-    each (t, max_newton, Newton steps, decrement), from their records."""
-    return (sum(solver.work.grad_hess for solver in solvers),
+    """The solvers' Newton steps (``SolverWork.steps``) and their centering
+    calls, each (t, max_newton, Newton steps, decrement), from their records."""
+    return (sum(solver.work.steps for solver in solvers),
             [call for solver in solvers for call in solver.work.centers])
 
 
 def test_record_equals_a_wrapper_count(monkeypatch):
     """The records of an SCA row's solvers, phase 1's included, against the
-    tree's only counting wrappers of grad_hess, _terms and center: the same
-    calls of each, and the same (t, max_newton, Newton steps, decrement) per
-    centering call."""
+    tree's only counting wrappers of grad_hess, newton_step, _terms and
+    center: the same calls of grad_hess and _terms, as many reused steps as
+    newton_step calls without a grad_hess call, and the same (t,
+    max_newton, Newton steps, decrement) per centering call, a Newton step
+    being a newton_step call there."""
     cfg, _, channels, consts = make_scene(K=4, seed=3, R_th=0.9999)
     solvers = built_solvers(monkeypatch)
-    steps = count_calls(monkeypatch, _BarrierSolver, "grad_hess")
+    grad_hess = count_calls(monkeypatch, _BarrierSolver, "grad_hess")
+    steps = count_calls(monkeypatch, _BarrierSolver, "newton_step")
     terms = count_calls(monkeypatch, _BarrierSolver, "_terms")
     calls, center = [], _BarrierSolver.center
 
@@ -737,7 +820,9 @@ def test_record_equals_a_wrapper_count(monkeypatch):
     monkeypatch.setattr(_BarrierSolver, "center", recording)
     bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
     assert [solver.epigraph for solver in solvers] == [True, False] and len(calls) > 10
-    assert (len(steps), calls) == newton_work(solvers)
+    assert calls == newton_work(solvers)[1]
+    assert len(grad_hess) == sum(solver.work.grad_hess for solver in solvers)
+    assert 0 < len(steps) - len(grad_hess) == sum(solver.work.reused for solver in solvers)
     assert len(terms) == sum(solver.work.terms for solver in solvers)
 
 
@@ -919,15 +1004,31 @@ def test_nt4_selection_rows_within_pinned_bound():
 
 def test_tradeoff_rows_newton_work(monkeypatch):
     """The pinned rows center every barrier stage within its Newton budget, at
-    most 260 Newton steps (grad_hess calls) per row (243.2 when written; 300.5
-    from the boundary starts); a null-step stall spent 200 steps in one
-    centering call."""
+    most 260 Newton steps per row (243.2 when written; 300.5 from the
+    boundary starts); a null-step stall spent 200 steps in one centering
+    call.  Every centering call that certifies stops on its weight's test:
+    a decrement of at most 1/4 below a solve's final weight, and of at most
+    2e-9 at it."""
     solvers = built_solvers(monkeypatch)
+    finals, solve = [], _BarrierSolver.solve
+
+    def recording(self, *args, **kwargs):
+        before = len(self.work.centers)
+        out = solve(self, *args, **kwargs)
+        finals.extend((entry, entry[0] == out[1]) for entry in self.work.centers[before:])
+        return out
+
+    monkeypatch.setattr(_BarrierSolver, "solve", recording)
     rows = seed7_rows("sec6a", "tradeoff", 2)
     steps, calls = newton_work(solvers)
     assert len(rows) == len(PINNED_TRADEOFF) and not any(r.get("error") for r in rows)
     assert all(used < budget for _, budget, used, _ in calls)
     assert steps <= 260 * len(rows)
+    assert [entry for entry, _ in finals] == calls
+    certified = [(decrement, final) for (*_, decrement), final in finals
+                 if decrement is not None]
+    assert {final for _, final in certified} == {False, True}
+    assert all(decrement <= (2e-9 if final else 0.25) for decrement, final in certified)
 
 
 def test_nt4_selection_rows_newton_work(monkeypatch):

@@ -38,10 +38,10 @@ def test_compare_flags_undefined_deltas_and_row_mismatches():
 
 # sha256 prefixes of the default CSV bytes of the four SCA runs at jobs=1
 SCA_GOLDEN = {
-    "tradeoff": "42dccf9033b35c2e",
-    "selection_compare": "e03f11baf1501243",
-    "pulses": "9998d5a17704ed82",
-    "selection_nt4": "d55b9e999c76d3ff",
+    "tradeoff": "ebe250514bc0cdc4",
+    "selection_compare": "2efda1eeba0194f0",
+    "pulses": "db5334c390a6dddd",
+    "selection_nt4": "12d0783fade132ec",
 }
 
 
