@@ -9,14 +9,15 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
   per row: one per SCA run, and one per phase-1 search
 - ``center/row``: centering calls (``_BarrierSolver.center``) per row
 - ``steps/row`` and ``steps``: Newton steps (``SolverWork.steps``: the
-  ``grad_hess`` calls, the few KKT certificates computed outside ``center``
-  included, plus the steps on a reused system) per row and in total
-- ``reused``: Newton steps ``center`` took on the system of the last
-  ``grad_hess`` call, at the point where it starts (stage changes, and warm
-  starts that fall back to the anchor), without a ``grad_hess`` call
+  gradient and curvature evaluations, the few KKT certificates computed
+  outside ``center`` included, plus the steps on a reused evaluation) per
+  row and in total
+- ``reused``: Newton steps ``center`` took on an evaluation ``solve``
+  handed it, at the point where it starts (stage changes, and warm starts
+  that fall back to the anchor), without evaluating
 - ``terms/row`` and ``terms/step``: barrier evaluations
   (``_BarrierSolver._terms`` calls: every line-search trial point, one per
-  centering call that reuses no system and solve start) per row and per
+  centering call that reuses no evaluation and solve start) per row and per
   Newton step
 - ``at_max_newton``: centering calls under the default Newton budget that
   used all of it; ``at_cap``: calls under a smaller cap that used all of it
@@ -25,7 +26,7 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
   summed over the set's solvers: block elimination, the dense Cholesky (at
   N_t >= 4 outside phase 1, a fallback from elimination), and the
   regularized LU after a failed Cholesky; every Newton step solves one
-  system on one path, a reused step's included
+  system on one path, a step on a reused evaluation included
 - ``uncertified``: solves (surrogate solves and phase-1 rounds) whose final
   weight stopped short of its decrement test
 - ``cold/row``: Newton steps of cold surrogate solves (without ``warm``, the

@@ -11,10 +11,10 @@ built (phase-1 solvers stay dense).  The path a solver takes by its own
 rule is marked with ``*``.
 
 Per N_t and path it prints, from the row solver's record (``trace.work``),
-the Newton steps (``SolverWork.steps``, reused systems included) and the
-systems each path solved (eliminated, dense, regularized LU); then the row's wall time per Newton
-step in microseconds and the row's wall time in milliseconds, each the best
-of ``--reps`` runs.  Run it with one BLAS thread, as the benchmark does:
+the Newton steps (``SolverWork.steps``, steps on reused evaluations
+included) and the systems each path solved (eliminated, dense, regularized
+LU); then the row's wall time per Newton step in microseconds and the
+row's wall time in milliseconds, each the best of ``--reps`` runs.  Run it with one BLAS thread, as the benchmark does:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/newton_ladder.py [--nt 2 4 6]
 """

@@ -69,10 +69,12 @@ class BeamformerSet:
 
 @dataclass
 class SolverWork:
-    """What one barrier solver did (``_BarrierSolver.work``): its ``grad_hess``
-    and ``_terms`` calls; the Newton steps ``center`` took on a reused system
-    (``reused``: the last ``grad_hess`` call's, see ``center``), so that
-    ``steps``, the Newton steps, is ``grad_hess + reused``; the Newton systems
+    """What one barrier solver did (``_BarrierSolver.work``): its evaluations
+    of gradient and curvature (``grad_hess``: ``evaluate`` calls, those of
+    ``grad_hess`` included) and its ``_terms`` calls; the Newton steps
+    ``center`` took on an evaluation handed to it (``reused``, see
+    ``center``), so that ``steps``, the Newton steps, is ``grad_hess +
+    reused``; the Newton systems
     solved on each path (elimination, dense Cholesky, ``center``'s
     regularized LU), a reused step's included; one (t, max_newton, Newton
     steps, decrement) entry per ``center`` call; one (warm, Newton steps)
@@ -277,8 +279,8 @@ WARM_FINAL_NEWTON = 25
 # computing x*(t) exactly is not necessary), so its centering call stops at a
 # decrement lambda^2 <= 2 tol = 1/4, lambda <= 1/2; the final weight keeps tol
 # 1e-9 and its certificate.  At tol 1e-6 the three newton_census.py sets took
-# 1,946 / 876 / 14,947 Newton steps, at 1/8 (with the reused systems of
-# center) 1,789 / 770 / 13,171.
+# 1,946 / 876 / 14,947 Newton steps, at 1/8 1,789 / 770 / 13,171, 88 / 54 /
+# 992 of them on an evaluation center was handed (see solve).
 INTERMEDIATE_TOL = 0.125
 # At a decrement this small Newton converges quadratically: the full step
 # gains half the decrement to many digits.  The barrier change the Armijo test
@@ -300,13 +302,22 @@ PURE_NEWTON_DECREMENT = 1e-6
 # certificate.  With the test the kept steps' decrements lay within 1e-6 of
 # the dense ones on those rows, and 57 of 1,011 systems went dense.
 ELIMINATION_RTOL = 1e-6
+# A step that fails that test is refined once and kept when the refined step
+# agrees to this tighter bound.  On newton_census.py's selection_nt4 set the
+# refinement keeps all 12 steps that went dense without it (770 systems, the
+# same Newton steps).  At 1e-6 or 1e-7 a refined step of an N_t = 4 SCA row
+# at P_T = 1 was kept with a decrement 1.7e-4 off the dense solve's, against
+# at most 2.5e-5 for the unrefined steps kept there; at 1e-8 none was.
+ELIMINATION_REFINED_RTOL = 1e-8
 # The Newton path is fixed by the solver's shape (see _BarrierSolver.newton_step),
 # read when a solver is built: block elimination from this N_t on, outside
 # epigraph mode.  One SCA row at K = 10 (scripts/newton_ladder.py, one BLAS
 # thread, 2 shared vCPUs), row wall time per Newton step in microseconds,
-# dense / eliminated: N_t = 2 (dim 44) 197 / 218, N_t = 3 (dim 99) 316 / 294,
-# N_t = 4 (dim 176) 521 / 363, N_t = 6 (dim 396) 2770 / 1654.  At N_t = 3 two
-# more runs read 377 / 469 and 359 / 291: the runs disagree, so the cut-over stays.
+# dense / eliminated: N_t = 2 (dim 44) 241 / 240, N_t = 3 (dim 99) 436 / 326,
+# N_t = 4 (dim 176) 656 / 393, N_t = 6 (dim 396) 2583 / 1515.  At N_t = 3 two
+# more runs read 330 / 243 and 308 / 266, none of its eliminated steps falling
+# back; the runs agree there, but no benchmark workload or golden run solves
+# at N_t = 3 to check a move on, so the cut-over stays.
 ELIMINATE_FROM_NT = 4
 
 
@@ -328,24 +339,13 @@ class _Curvature(NamedTuple):
 
 
 class _Evaluation(NamedTuple):
-    """What a ``grad_hess`` call computed at z that does not depend on the
-    weight t: the objective is linear, so the gradient at t is ``grad + t c``
-    and the curvature is the same at every t."""
+    """The barrier's gradient and curvature at a point (``evaluate``), which
+    do not depend on the weight t: the objective is linear, so the gradient
+    at t is ``grad + t c`` and the curvature is the same at every t."""
 
-    z: np.ndarray
-    ev: tuple           # _terms(z)
+    ev: tuple           # _terms at the point
     grad: np.ndarray    # the barrier's gradient, without t c
     curv: _Curvature
-
-
-class _Factor(NamedTuple):
-    """The factorization the last ``newton_step`` left of the system of ``curv``:
-    the dense Cholesky factor (in the solver's workspace), or the elimination's
-    (capacitance LU, its pivots, D^-1 U)."""
-
-    curv: _Curvature
-    chol: np.ndarray | None
-    cap: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 class _BarrierSolver:
@@ -369,7 +369,8 @@ class _BarrierSolver:
     outside epigraph mode, a block elimination (``_eliminated_step``, Boyd
     & Vandenberghe, Convex Optimization, App. C.4) leaves one LU solve of
     width groups n^2 + 1 + m, 43 at N_t = 4 and K = 10, and falls back to
-    the dense path when its step fails a consistency test.  The solver
+    the dense path when its step fails a consistency test, and fails it
+    again after one round of iterative refinement.  The solver
     counts its own work in ``work`` (``SolverWork``).
 
     ``center`` evaluates ``_terms`` at most once per point, and not at all
@@ -391,11 +392,10 @@ class _BarrierSolver:
 
     ``solve`` centers each weight below the final one loosely, to a
     decrement of at most 1/4 (INTERMEDIATE_TOL), and the final one to
-    2e-9.  The solver keeps the weight-free part of its last ``grad_hess``
-    call (``last``: the point, its terms, the barrier gradient and the
-    curvature) and the factorization of the last Newton step (``factor``),
-    so a centering call that starts on that point, as at each weight change,
-    takes its first step without evaluating or factoring anything again.
+    2e-9.  ``center`` returns the weight-free evaluation (``_Evaluation``)
+    it stopped on, and ``solve`` hands it to the next call that starts on
+    that point, as at each weight change, which takes its first step
+    without a ``_terms`` or ``evaluate`` call.
 
     Every constraint is affine in z, so ``_terms`` evaluates a point with
     one matrix product per kind of block and one Cholesky call: it tests
@@ -495,10 +495,6 @@ class _BarrierSolver:
         # the last center a solve certified one rung below its final weight
         # (see solve); reanchor leaves it
         self.rung: np.ndarray | None = None
-        # the last grad_hess call's evaluation, which reanchor drops, and the
-        # last newton_step's factorization (see center)
-        self.last: _Evaluation | None = None
-        self.factor: _Factor | None = None
         # the solver's (dim, dim) arrays, allocated as one block: the power
         # barrier's curvature, the Newton ridge, and center's workspace (the
         # Hessian, a product term, the regularized Hessian to factor).  At
@@ -526,7 +522,6 @@ class _BarrierSolver:
         self.gcon_fixed = -self.lin
         if self.epigraph:
             self.gcon_fixed[:, -1] = -1.0
-        self.last = None
 
     # -- state helpers ----------------------------------------------------
     def pack(self, Q: np.ndarray, s: float = 0.0) -> np.ndarray:
@@ -599,9 +594,14 @@ class _BarrierSolver:
         """(gradient, negated Hessian in parts) at z; ``ev`` is ``_terms(z)`` if known.
 
         ``hessian`` assembles the parts into the dense matrix and
-        ``newton_step`` solves with them.  The gradient is the barrier's
-        plus t c, added last; the solver keeps the rest as ``last``.
+        ``newton_step`` solves with them.
         """
+        at = self.evaluate(z, ev)
+        return at.grad + t * self.c, at.curv
+
+    def evaluate(self, z: np.ndarray, ev=None) -> _Evaluation:
+        """The barrier's gradient and curvature at z, without the objective's
+        t c (see ``grad_hess``); ``ev`` is ``_terms(z)`` if known."""
         self.work.grad_hess += 1
         if ev is None:
             ev = self._terms(z)
@@ -633,10 +633,8 @@ class _BarrierSolver:
         grad += inv_h @ gcon
         # log-det curvature: each group's sum of its rows' cores
         sums = (self.group_rows * inv_h) @ cores[nb:nb + m].reshape(m, bd * bd)
-        curv = _Curvature(power_slack, inv_h, gcon, cores[:nb], sums,
-                          cores[nb + m:] if self.eliminate else None)
-        self.last = _Evaluation(z, ev, grad, curv)
-        return grad + t * self.c, curv
+        return _Evaluation(ev, grad, _Curvature(power_slack, inv_h, gcon, cores[:nb], sums,
+                                                cores[nb + m:] if self.eliminate else None))
 
     def hessian(self, curv: _Curvature) -> np.ndarray:
         """The dense negated Hessian, written into ``workspace[0]`` with
@@ -659,38 +657,26 @@ class _BarrierSolver:
         eliminates, else (or when elimination fails) by a Cholesky factor of
         hess + 1e-12 I in ``workspace[2]``; ``work`` counts the path taken.
 
-        A call on the curvature of the last call solves with the
-        factorization that call left (``factor``): its Cholesky factor, or
-        its capacitance LU, whose step still takes the elimination's test.
-
         Raises LinAlgError when that matrix is not numerically positive
         definite, or has a non-finite entry: the factor's diagonal shows
         one, so the inputs are not scanned.  A non-finite ``grad`` shows in
         the step.
         """
-        kept, self.factor = self.factor, None
-        if kept is not None and kept.curv is not curv:
-            kept = None
-        if self.eliminate and (kept is None or kept.cap is not None):
-            step = self._eliminated_step(grad, curv, None if kept is None else kept.cap)
+        if self.eliminate:
+            step = self._eliminated_step(grad, curv)
             if step is not None:
                 self.work.eliminated += 1
                 return step
-        if kept is not None and kept.chol is not None:
-            chol = kept.chol
-        else:
-            # hess is symmetric, so the Fortran-ordered transpose of the
-            # C-ordered workspace is the same matrix, factored in place
-            reg = np.add(self.hessian(curv), self.ridge, out=self.workspace[2]).T
-            chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
-            if info != 0 or not np.isfinite(chol.diagonal()).all():
-                raise np.linalg.LinAlgError("Newton system is not positive definite")
-        self.factor = _Factor(curv, chol, None)
+        # hess is symmetric, so the Fortran-ordered transpose of the
+        # C-ordered workspace is the same matrix, factored in place
+        reg = np.add(self.hessian(curv), self.ridge, out=self.workspace[2]).T
+        chol, info = sla.lapack.dpotrf(reg, lower=True, clean=False, overwrite_a=True)
+        if info != 0 or not np.isfinite(chol.diagonal()).all():
+            raise np.linalg.LinAlgError("Newton system is not positive definite")
         self.work.dense += 1
         return sla.lapack.dpotrs(chol, grad, lower=True)[0]
 
-    def _eliminated_step(self, grad: np.ndarray, curv: _Curvature, cap: tuple | None = None
-                         ) -> np.ndarray | None:
+    def _eliminated_step(self, grad: np.ndarray, curv: _Curvature) -> np.ndarray | None:
         """hess^-1 grad with hess = D + U W U^T (Woodbury, never inverting W):
 
             D^-1 g - D^-1 U (I + W U^T D^-1 U)^-1 W U^T D^-1 g
@@ -700,54 +686,61 @@ class _BarrierSolver:
         curvature of an eliminating solver carries it.  U = [E_g, gP/p,
         gcon^T diag(1/h)] with E_g the 0/1 involvement of group g's blocks
         kron I_(n^2), and W = diag(S_g, 1, I): S_g, a sum of cores of rank at
-        most N_r^2 each, can be singular.  ``cap`` is a factorization of
-        curv's capacitance matrix a call with this U left in ``factor``:
-        (LU, pivots, D^-1 U); without it the call factors its own.
+        most N_r^2 each, can be singular.
 
-        None when the capacitance matrix is singular, or when the step's
-        decrement grad @ step is not positive or misses step^T hess step, a
-        sum of PSD quadratic forms, by more than ELIMINATION_RTOL relative
-        (a non-finite step fails that test too).
+        The step is kept when its decrement grad @ step is positive and
+        agrees with step^T hess step, a sum of PSD quadratic forms, to
+        ELIMINATION_RTOL relative.  A step that fails takes one round of
+        iterative refinement (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 12.1): the residual grad - hess step, solved with
+        the same factors, is added to it, and the refined step is kept when
+        it agrees to ELIMINATION_REFINED_RTOL.  None when it does not, or
+        when the capacitance matrix is singular (a non-finite step fails
+        both tests).
         """
         nb, bd, U = self.n_blocks, self.bd, self.U
         groups = len(curv.sums)
         width = U.shape[1] - 1
+        # [U g] in the solver's buffer, after the fixed columns E_g
+        U[:, groups * bd] = self.gP / curv.power_slack
+        np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
+        U[:, width] = grad
+        # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
+        DU = (curv.q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
+        # (Fortran-ordered, as dgesv takes it without a copy)
+        cap = (DU.T @ U[:, :width]).T
+        # W on the left: S_g on each group's rows, identity on the rest
         S = curv.sums.reshape(groups, bd, bd)
-        if cap is None:
-            # [U g] in the solver's buffer, after the fixed columns E_g
-            U[:, groups * bd] = self.gP / curv.power_slack
-            np.multiply(curv.gcon.T, curv.inv_h, out=U[:, groups * bd + 1:width])
-            U[:, width] = grad
-            # D^-1 [U g], and the capacitance system [U^T D^-1 U | U^T D^-1 g]
-            DUg = (curv.q_cores @ U.reshape(nb, bd, width + 1)).reshape(self.dim, width + 1)
-            # (Fortran-ordered, as dgesv takes it without a copy)
-            cap_g = (DUg.T @ U[:, :width]).T
-            # W on the left: S_g on each group's rows, identity on the rest
-            cap_g[:groups * bd] = (S @ cap_g[:groups * bd].reshape(groups, bd, width + 1)
-                                   ).reshape(groups * bd, width + 1)
-            np.einsum("ii->i", cap_g[:, :width])[...] += 1.0
-            lu, piv, x, info = sla.lapack.dgesv(cap_g[:, :width], cap_g[:, width],
-                                                overwrite_a=True)
-            if info != 0:
-                return None
-            DU, Dg = DUg[:, :width], DUg[:, width]
-            cap = lu, piv, DU
-        else:
-            lu, piv, DU = cap
-            Dg = (curv.q_cores @ grad.reshape(nb, bd, 1)).reshape(self.dim)
-            rhs = U[:, :width].T @ Dg
-            rhs[:groups * bd] = (S @ rhs[:groups * bd].reshape(groups, bd, 1)).ravel()
-            x = sla.lapack.dgetrs(lu, piv, rhs)[0]
-        self.factor = _Factor(curv, None, cap)
-        step = Dg - DU @ x
-        # step^T hess step = step^T D step + v^T W v, v = U^T step
-        v = U[:, :width].T @ step
-        blocks, v_g = step.reshape(nb, bd), v[:groups * bd].reshape(groups, bd)
-        quad = (np.einsum("ia,iab,ib->", blocks, curv.cores, blocks)
-                + np.einsum("ga,gab,gb->", v_g, S, v_g) + v[groups * bd:] @ v[groups * bd:])
-        decrement = grad @ step
-        if decrement > 0 and abs(quad - decrement) <= ELIMINATION_RTOL * decrement:
-            return step
+        cap[:groups * bd] = (S @ cap[:groups * bd].reshape(groups, bd, width + 1)).reshape(
+            groups * bd, width + 1)
+        np.einsum("ii->i", cap[:, :width])[...] += 1.0
+        lu, piv, x, info = sla.lapack.dgesv(cap[:, :width], cap[:, width], overwrite_a=True)
+        if info != 0:
+            return None
+        step = DU[:, width] - DU[:, :width] @ x
+
+        def weigh(v):
+            """W v: S_g on each group's entries, the identity on the rest."""
+            w = v.copy()
+            w[:groups * bd] = (S @ v[:groups * bd].reshape(groups, bd, 1)).ravel()
+            return w
+
+        for refined in (False, True):
+            if refined:
+                # the residual grad - hess step, hess step = D step + U W v,
+                # solved with the same factors and added to the step
+                res = grad - D_step - U[:, :width] @ W_v
+                D_res = (curv.q_cores @ res.reshape(nb, bd, 1)).reshape(self.dim)
+                step = step + D_res - DU[:, :width] @ sla.lapack.dgetrs(
+                    lu, piv, weigh(U[:, :width].T @ D_res))[0]
+            # step^T hess step = step^T D step + v^T W v, v = U^T step
+            D_step = (curv.cores @ step.reshape(nb, bd, 1)).reshape(self.dim)
+            v = U[:, :width].T @ step
+            W_v = weigh(v)
+            decrement = grad @ step
+            rtol = ELIMINATION_REFINED_RTOL if refined else ELIMINATION_RTOL
+            if decrement > 0 and abs(step @ D_step + v @ W_v - decrement) <= rtol * decrement:
+                return step
         return None
 
     def _trial_sizes(self, ev, gcon: np.ndarray, step: np.ndarray):
@@ -764,12 +757,15 @@ class _BarrierSolver:
             size *= 0.5
 
     def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
-               max_first: float = math.inf) -> tuple[np.ndarray, float | None]:
-        """Damped Newton steps at weight t; returns (z, decrement).
+               max_first: float = math.inf, start: _Evaluation | None = None
+               ) -> tuple[np.ndarray, float | None, _Evaluation | None]:
+        """Damped Newton steps at weight t; returns (z, decrement, evaluation).
 
         The decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
         ``max_newton`` did, or when the first decrement exceeded ``max_first``.
+        The evaluation is the last ``evaluate`` call's, at the returned z, or
+        None when ``max_newton`` ended the call after a step.
 
         The line search tries the sizes 1, 1/2, 1/4, ... above 1e-14 along the
         step dz and keeps the first one ``_terms`` accepts that passes the
@@ -789,24 +785,21 @@ class _BarrierSolver:
         reject every skipped size: the accepted size, and every bit after
         it, is the same as with no bound.
 
-        Where z is the point of the solver's last ``grad_hess`` call
-        (``last``), the first step reuses that call's work, with no
-        ``_terms`` or ``grad_hess`` call: the objective is linear, so the
-        Hessian does not depend on t and the gradient is the barrier's plus
-        t c; and ``newton_step`` solves with the factorization that call's
-        step left (``factor``).  ``work.reused`` counts these steps.
+        ``start`` is an evaluation an earlier call returned with z, at any
+        weight: the objective is linear, so the curvature does not depend on
+        t and the gradient is the barrier's plus t c.  The first step then
+        takes it, with no ``_terms`` or ``evaluate`` call; ``work.reused``
+        counts these steps.
         """
-        steps_before, certified = self.work.steps, None
-        last = self.last
-        reuse = last is not None and np.array_equal(z, last.z)
+        steps_before, certified, at = self.work.steps, None, start
         # then carried over from the line search that accepts z
-        ev = last.ev if reuse else self._terms(z)
+        ev = self._terms(z) if start is None else start.ev
         for i in range(max_newton):
-            if i == 0 and reuse:
-                grad, curv = last.grad + t * self.c, last.curv
+            if i == 0 and start is not None:
                 self.work.reused += 1
             else:
-                grad, curv = self.grad_hess(z, t, ev)
+                at = self.evaluate(z, ev)
+            grad, curv = at.grad + t * self.c, at.curv
             try:
                 step = self.newton_step(grad, curv)
             except np.linalg.LinAlgError:
@@ -838,8 +831,11 @@ class _BarrierSolver:
                     break
             else:
                 break
+        else:
+            # every step moved z, the last one past the last evaluation
+            at = None
         self.work.centers.append((t, max_newton, self.work.steps - steps_before, certified))
-        return z, certified
+        return z, certified, at
 
     def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
               ) -> tuple[np.ndarray, float, float | None]:
@@ -868,9 +864,10 @@ class _BarrierSolver:
 
         Each weight below the final one is centered to a decrement of at
         most 2 INTERMEDIATE_TOL = 1/4, the final one to 2e-9, whose call
-        gives the certificate.  A call that starts where the last one
-        stopped, as at every weight change and a rung-below start that falls
-        back to z0, reuses the Newton system it stopped on (see ``center``).
+        gives the certificate.  A call that starts where an earlier one
+        stopped, as at every weight change, takes that call's evaluation
+        (``center``'s ``start``); so does a start at z0 after a start that
+        took no step from it.
         """
         if not gap_tol > 0:
             raise ValueError("duality gap tolerance must be > 0")
@@ -883,7 +880,8 @@ class _BarrierSolver:
             ladder.append(ladder[-1] * BARRIER_MU)
         last = len(ladder) - 1
         tols = [INTERMEDIATE_TOL] * last + [1e-9]
-        first, z, decrement = 0, z0, None
+        # at: an evaluation center returned at z (at z0 until a start certifies)
+        first, z, decrement, at = 0, z0, None, None
         steps_before = self.work.steps
         if warm:
             rung = z0 if self.rung is None or self._terms(self.rung) is None else self.rung
@@ -891,14 +889,17 @@ class _BarrierSolver:
                                "max_newton": WARM_FINAL_NEWTON}),
                       (1, rung, {"max_first": WARM_DECREMENT}))
             for i, z_from, guard in starts:
-                z_start, decrement = self.center(z_from, ladder[i], tol=tols[i], **guard)
+                z_start, decrement, end = self.center(
+                    z_from, ladder[i], tol=tols[i], start=at if z_from is z0 else None, **guard)
                 if decrement is not None:
-                    first, z = i, z_start
+                    first, z, at = i, z_start, end
                     break
+                if z_start is z0:
+                    at = end
         # a decrement that is not None says z is already centered at ladder[first]
         for i in range(first, last + 1):
             if i > first or decrement is None:
-                z, decrement = self.center(z, ladder[i], tol=tols[i])
+                z, decrement, at = self.center(z, ladder[i], tol=tols[i], start=at)
             if i == last - 1 and decrement is not None:
                 self.rung = z
         self.work.solves.append((warm, self.work.steps - steps_before))

@@ -323,7 +323,7 @@ def test_eliminated_step_equals_the_dense_solve(monkeypatch, n, b, groups):
     negated Hessian on random solver states, with both involvement groups
     and with one, at the cold weight max(1, 1/P_T) and at the final weight
     nu/gap, gap 1e-6 P_T: the step within 1e-11 and its decrement
-    grad @ step within 1e-12, relative (measured: 9.1e-14 and 3.5e-14).
+    grad @ step within 1e-12, relative (measured: 5.7e-14 and 2.2e-14).
     At N_t = 3 the cut-over is moved down so the solver eliminates."""
     monkeypatch.setattr(bf, "ELIMINATE_FROM_NT", 3)
     rng = np.random.default_rng(n)
@@ -343,15 +343,16 @@ def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch)
     components, and the decrement test sends such steps to the dense path.
     Along an N_t = 4 SCA row at P_T = 1 (many of its steps fall back) every
     eliminated step that is kept has a positive decrement within 1e-4,
-    relative, of the dense Cholesky solve's (measured: 2.5e-5; where they
-    differed most, a 40-digit solve of the same matrix put the eliminated
-    decrement 6.4e-6 off and the dense one 3.2e-5)."""
+    relative, of the dense Cholesky solve's, refined steps included
+    (measured: 4.1e-6; 2.5e-5 before the refinement, where a 40-digit solve
+    of the same matrix put the eliminated decrement 6.4e-6 off and the
+    dense one 3.2e-5)."""
     cfg, _, channels, consts = make_scene(K=3, seed=2, N_t=4, L=2, R_th=1.0)
     kept, dropped = [], [0]
     eliminated_step = _BarrierSolver._eliminated_step
 
-    def checked(self, grad, curv, cap=None):
-        step = eliminated_step(self, grad, curv, cap)
+    def checked(self, grad, curv):
+        step = eliminated_step(self, grad, curv)
         if step is None:
             dropped[0] += 1
             return None
@@ -367,15 +368,41 @@ def test_eliminated_steps_along_an_sca_row_keep_the_dense_decrement(monkeypatch)
         assert decrement == pytest.approx(dense, rel=1e-4, abs=0)
 
 
-def test_loosely_centered_eliminated_steps_keep_the_exact_decrement(monkeypatch):
-    """The weights below a solve's final one stop at a decrement of 1/4, where
-    the eliminated steps meet harder systems than near a tight center.  On
+def test_refined_eliminated_step_equals_the_dense_solve(monkeypatch):
+    """A step that fails the elimination's test is refined once, with the
+    same factors, and kept when it passes ELIMINATION_REFINED_RTOL.  With
+    the first bound at 0 every step takes that path: on a random N_t = 4
+    state the refined step equals the dense solve within 1e-11, relative
+    (measured: 6.7e-15).
+    With both bounds at 0 the elimination gives up."""
+    rng = np.random.default_rng(4)
+    solver, _, _, z = random_solver(rng, 4, 2, False)
+    grad, curv = solver.grad_hess(z, 10.0)
+    dense = np.linalg.solve(solver.hessian(curv), grad)
+    monkeypatch.setattr(bf, "ELIMINATION_RTOL", 0.0)
+    refinements = count_calls(monkeypatch, bf.sla.lapack, "dgetrs")
+    step = solver._eliminated_step(grad, curv)
+    assert len(refinements) == 1 and rel_err(step, dense) <= 1e-11
+    monkeypatch.setattr(bf, "ELIMINATION_REFINED_RTOL", 0.0)
+    assert solver._eliminated_step(grad, curv) is None and len(refinements) == 2
+
+
+def test_eliminated_steps_at_loose_weights_against_a_40_digit_solve(monkeypatch):
+    """The weights below a solve's final one stop at a decrement of 1/4.  On
     make_scene(K=3, seed=3, N_t=4, L=2, R_th=1.0), b = [1, 1, 1] (Newton
-    dimension 64), every eliminated step kept at those weights has a
-    decrement grad @ step within 1e-6, relative, of a 40-digit solve of the
-    assembled Newton matrix (measured on all 88: at most 8.7e-7).  The step
-    solved here at 40 digits is the one farthest from the float64 dense
-    Cholesky decrement, which is that worst one."""
+    dimension 64), an eliminated step kept at those weights has a decrement
+    grad @ step within 1e-6, relative, of a 40-digit solve of the assembled
+    Newton matrix wherever that matrix's condition number is below 1e12
+    (measured on all 102 such of 105, 13 refined steps among them: at most
+    7.3e-7).  The other three, the first three steps of one centering call
+    at condition numbers 2.9e14 to 3.9e14, passed the unrefined test and
+    miss by up to 5.4e-5, where the float64 dense Cholesky decrement misses
+    by at most 4.9e-7: at such conditioning the test does not see an error
+    of that size.  The tolerance does not make them: at the former
+    intermediate tolerance 1e-6, without refinement, a kept step of this
+    scene misses by 2.7e-5, at condition number 3.3e14.  The steps solved
+    here at 40 digits are, of each kind, the kept one farthest from the
+    dense decrement (measured: 1.4e-7 and 5.4e-5)."""
     mpmath = pytest.importorskip("mpmath")
     cfg, _, channels, consts = make_scene(K=3, seed=3, N_t=4, L=2, R_th=1.0)
     kept, tols = [], []
@@ -385,23 +412,29 @@ def test_loosely_centered_eliminated_steps_keep_the_exact_decrement(monkeypatch)
         tols.append(tol)
         return center(self, z, t, tol, **kwargs)
 
-    def checked(self, grad, curv, cap=None):
-        step = eliminated_step(self, grad, curv, cap)
+    def checked(self, grad, curv):
+        step = eliminated_step(self, grad, curv)
         if step is not None and tols[-1] == bf.INTERMEDIATE_TOL:
             hess = self.hessian(curv).copy()
             dense = sla.cho_solve(sla.cho_factor(hess + self.ridge), grad)
-            kept.append((abs(grad @ step / (grad @ dense) - 1.0), grad, hess, grad @ step))
+            kept.append((abs(grad @ step / (grad @ dense) - 1.0), np.linalg.cond(hess),
+                         grad, hess, grad @ step))
         return step
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
     monkeypatch.setattr(_BarrierSolver, "_eliminated_step", checked)
     bf.sca_optimize(np.array([1, 1, 1]), cfg, channels, consts)
     assert len(kept) > 50
-    _, grad, hess, decrement = max(kept, key=lambda entry: entry[0])
-    with mpmath.workdps(40):
-        x = mpmath.lu_solve(mpmath.matrix(hess.tolist()), mpmath.matrix(grad.tolist()))
-        exact = mpmath.fsum(mpmath.mpf(float(g)) * x[i] for i, g in enumerate(grad))
-        assert abs((mpmath.mpf(float(decrement)) - exact) / exact) <= 1e-6
+
+    def miss(_, __, grad, hess, decrement):
+        with mpmath.workdps(40):
+            x = mpmath.lu_solve(mpmath.matrix(hess.tolist()), mpmath.matrix(grad.tolist()))
+            exact = mpmath.fsum(mpmath.mpf(float(g)) * x[i] for i, g in enumerate(grad))
+            return abs((mpmath.mpf(float(decrement)) - exact) / exact)
+
+    assert miss(*max((entry for entry in kept if entry[1] < 1e12), key=lambda e: e[0])) <= 1e-6
+    ill = max(kept, key=lambda entry: entry[0])
+    assert ill[1] > 1e13 and miss(*ill) <= 1e-4
 
 
 def newton_paths(solver):
@@ -413,7 +446,8 @@ def test_newton_paths_are_counted(monkeypatch):
     """The solver's record counts the eliminated, dense and regularized-LU
     systems.  A failed dgesv and a non-finite step each fall back to the
     dense path (bit for bit the dense solver's step), and a failed dgesv
-    with a failed Cholesky to center's regularized LU."""
+    with a failed Cholesky to center's regularized LU.  Each call on the
+    same curvature tries the elimination again."""
     rng = np.random.default_rng(4)
     solver, surrogate, _, z = random_solver(rng, 4, 2, False)
     monkeypatch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
@@ -423,43 +457,43 @@ def test_newton_paths_are_counted(monkeypatch):
     assert solver.eliminate and newton_paths(solver) == (1, 0, 0)
     expected = dense_solver.newton_step(grad, curv)
     assert not dense_solver.eliminate and newton_paths(dense_solver) == (0, 1, 0)
-    # a singular capacitance system: dgesv reports info > 0 (on a new
-    # curvature, as newton_step reuses the last call's factorization)
+    # a singular capacitance system: dgesv reports info > 0
     singular = (bf.sla.lapack, "dgesv", lambda a, b, **_: (a, None, b, 1))
     monkeypatch.setattr(*singular)
-    grad, curv = solver.grad_hess(z, 10.0)
     assert_same_bits(solver.newton_step(grad, curv), expected)
     assert newton_paths(solver) == (1, 1, 0)
     monkeypatch.undo()
-    # a non-finite step: the dense path's step is non-finite too
+    # a non-finite step: the elimination's decrement test rejects it, and
+    # the dense path's step is non-finite too
+    tried, eliminated_step = [], _BarrierSolver._eliminated_step
+
+    def recording(self, grad, curv):
+        tried.append(eliminated_step(self, grad, curv))
+        return tried[-1]
+
+    monkeypatch.setattr(_BarrierSolver, "_eliminated_step", recording)
     poisoned = grad.copy()
     poisoned[3] = np.nan
     assert np.isnan(solver.newton_step(poisoned, curv)).any()
-    assert newton_paths(solver) == (1, 2, 0)
-    # a failed elimination and a failed Cholesky: center takes the regularized
-    # LU step (re-anchored, the solver keeps no system for center to reuse at z)
-    solver.reanchor(surrogate)
+    assert tried == [None] and newton_paths(solver) == (1, 2, 0)
+    # a failed elimination and a failed Cholesky: center takes the regularized LU step
     monkeypatch.setattr(*singular)
     monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
     solver.center(z, 10.0, max_newton=1)
-    assert newton_paths(solver) == (1, 2, 1) and solver.work.reused == 0
+    assert len(tried) == 2 and newton_paths(solver) == (1, 2, 1) and solver.work.reused == 0
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_reused_step_equals_a_fresh_one(monkeypatch, n):
-    """center starts the next weight at the point of the last grad_hess call
-    on that call's system: its barrier gradient plus t c, its curvature and
-    the factorization newton_step left there, the dense Cholesky at N_t = 2
-    and the capacitance LU at N_t = 4.  The step equals a fresh grad_hess
-    and newton_step at the new weight within 1e-10, relative (measured: 0,
-    the same bits, and 1.5e-15)."""
+    """A centering call handed the evaluation the last one stopped on takes
+    its first step from it: its barrier gradient plus t c and its
+    curvature, on the dense path at N_t = 2 and the eliminated one at
+    N_t = 4.  The step equals a fresh grad_hess and newton_step at the new
+    weight within 1e-10, relative (measured: 0, the same bits, on both)."""
     solver, z, surrogate = solver_at(n, False)
     assert solver.eliminate == (n == 4)
-    z, decrement = solver.center(z, 10.0, tol=0.125)
-    assert decrement is not None
-    # the call stopped on the system of its last grad_hess call, at z
-    assert_same_bits(solver.last.z, z)
-    assert (solver.factor.cap is not None) == solver.eliminate
+    z, decrement, end = solver.center(z, 10.0, tol=0.125)
+    assert decrement is not None and end is not None
     steps = []
     newton_step = _BarrierSolver.newton_step
 
@@ -469,7 +503,7 @@ def test_reused_step_equals_a_fresh_one(monkeypatch, n):
 
     monkeypatch.setattr(_BarrierSolver, "newton_step", recording)
     before = dataclasses.replace(solver.work)
-    solver.center(z, 300.0, max_newton=1)
+    solver.center(z, 300.0, max_newton=1, start=end)
     step, = steps
     assert solver.work.reused == before.reused + 1
     assert solver.work.grad_hess == before.grad_hess
@@ -505,7 +539,7 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
 
     monkeypatch.setattr(_BarrierSolver, "center", recording)
     _, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor, 1e-6 * P_T)
-    solver, t, (z, decrement) = calls[-1]
+    solver, t, (z, decrement, _) = calls[-1]
     # a full solve stops on the decrement test; one Newton step leaves it
     # unmet, and the solver's record counts the solve as uncertified
     assert (decrement is None) == (max_newton == 1)
@@ -527,7 +561,7 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
         return -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
 
     monkeypatch.setattr(_BarrierSolver, "hessian", singular)
-    monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None))
+    monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None, None))
     grams, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
                                      1e-6 * P_T)
     assert info["kkt_residual"] == np.inf
@@ -578,7 +612,7 @@ def test_non_finite_newton_system_keeps_the_start(monkeypatch, entry, value):
         return hess
 
     monkeypatch.setattr(_BarrierSolver, "hessian", poisoned)
-    end, decrement = solver.center(z.copy(), 10.0)
+    end, decrement, _ = solver.center(z.copy(), 10.0)
     assert decrement is None
     np.testing.assert_array_equal(end, z)
 
@@ -590,7 +624,7 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
     Newton then certifies within a few steps."""
     solver, z, _ = solver_at(2, False)
     t = 1e4
-    z, decrement = solver.center(z, t)
+    z, decrement, _ = solver.center(z, t)
     assert decrement is not None
     # move off the center to a decrement of about 1e-7
     hess = solver.hessian(solver.grad_hess(z, t)[1])
@@ -602,12 +636,12 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
         return value(self, z, t, ev) if ref is None else -1.0
 
     monkeypatch.setattr(_BarrierSolver, "_value", losing)
-    end, decrement = solver.center(start, t)
+    end, decrement, _ = solver.center(start, t)
     assert decrement is not None and decrement <= 2e-9
     assert 1 < solver.work.centers[-1][2] <= 4  # Newton steps
     # above the bound the test still decides: every step is rejected
     monkeypatch.setattr(bf, "PURE_NEWTON_DECREMENT", 1e-8)
-    end, decrement = solver.center(start, t)
+    end, decrement, _ = solver.center(start, t)
     assert decrement is None
     np.testing.assert_array_equal(end, start)
 
@@ -799,14 +833,14 @@ def newton_work(solvers):
 
 def test_record_equals_a_wrapper_count(monkeypatch):
     """The records of an SCA row's solvers, phase 1's included, against the
-    tree's only counting wrappers of grad_hess, newton_step, _terms and
-    center: the same calls of grad_hess and _terms, as many reused steps as
-    newton_step calls without a grad_hess call, and the same (t,
+    tree's only counting wrappers of evaluate, newton_step, _terms and
+    center: the same calls of evaluate and _terms, as many reused steps as
+    newton_step calls without an evaluate call, and the same (t,
     max_newton, Newton steps, decrement) per centering call, a Newton step
     being a newton_step call there."""
     cfg, _, channels, consts = make_scene(K=4, seed=3, R_th=0.9999)
     solvers = built_solvers(monkeypatch)
-    grad_hess = count_calls(monkeypatch, _BarrierSolver, "grad_hess")
+    evaluations = count_calls(monkeypatch, _BarrierSolver, "evaluate")
     steps = count_calls(monkeypatch, _BarrierSolver, "newton_step")
     terms = count_calls(monkeypatch, _BarrierSolver, "_terms")
     calls, center = [], _BarrierSolver.center
@@ -821,8 +855,8 @@ def test_record_equals_a_wrapper_count(monkeypatch):
     bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
     assert [solver.epigraph for solver in solvers] == [True, False] and len(calls) > 10
     assert calls == newton_work(solvers)[1]
-    assert len(grad_hess) == sum(solver.work.grad_hess for solver in solvers)
-    assert 0 < len(steps) - len(grad_hess) == sum(solver.work.reused for solver in solvers)
+    assert len(evaluations) == sum(solver.work.grad_hess for solver in solvers)
+    assert 0 < len(steps) - len(evaluations) == sum(solver.work.reused for solver in solvers)
     assert len(terms) == sum(solver.work.terms for solver in solvers)
 
 

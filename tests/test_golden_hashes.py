@@ -41,7 +41,7 @@ SCA_GOLDEN = {
     "tradeoff": "ebe250514bc0cdc4",
     "selection_compare": "2efda1eeba0194f0",
     "pulses": "db5334c390a6dddd",
-    "selection_nt4": "12d0783fade132ec",
+    "selection_nt4": "c65a0a395cf3e82d",
 }
 
 
