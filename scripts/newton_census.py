@@ -8,17 +8,13 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
 - ``solvers/row``: barrier solvers built (``_BarrierSolver.__init__`` calls)
   per row: one per SCA run, and one per phase-1 search
 - ``center/row``: centering calls (``_BarrierSolver.center``) per row
-- ``steps/row`` and ``steps``: Newton steps (``SolverWork.steps``: the
-  gradient and curvature evaluations, the few KKT certificates computed
-  outside ``center`` included, plus the steps on a reused evaluation) per
-  row and in total
-- ``reused``: Newton steps ``center`` took on an evaluation ``solve``
-  handed it, at the point where it starts (stage changes, and warm starts
-  that fall back to the anchor), without evaluating
+- ``steps/row`` and ``steps``: Newton steps (``SolverWork.steps``, counted
+  by ``center``: one per Newton system it solves) per row and in total
 - ``terms/row`` and ``terms/step``: barrier evaluations
-  (``_BarrierSolver._terms`` calls: every line-search trial point, one per
-  centering call that reuses no evaluation and solve start) per row and per
-  Newton step
+  (``_BarrierSolver._terms`` calls: every line-search trial point, and the
+  starts a surrogate solve tests, each point once: the anchor, its ray
+  point on a cold solve, and the rung when a warm solve's first start
+  fails) per row and per Newton step
 - ``at_max_newton``: centering calls under the default Newton budget that
   used all of it; ``at_cap``: calls under a smaller cap that used all of it
 - ``longest``: the most Newton steps one call under the default budget took
@@ -26,7 +22,8 @@ The counts are deterministic: they repeat exactly on any host.  Per set:
   summed over the set's solvers: block elimination, the dense Cholesky (at
   N_t >= 4 outside phase 1, a fallback from elimination), and the
   regularized LU after a failed Cholesky; every Newton step solves one
-  system on one path, a step on a reused evaluation included
+  system on one path, and so does the KKT certificate of an uncertified
+  solve
 - ``uncertified``: solves (surrogate solves and phase-1 rounds) whose final
   weight stopped short of its decrement test
 - ``cold/row``: Newton steps of cold surrogate solves (without ``warm``, the
@@ -68,7 +65,7 @@ from conftest import make_scene  # noqa: E402
 # (column, width, format)
 COLUMNS = (("rows", 4, "d"), ("errors", 6, "d"), ("sca/row", 8, ".2f"),
            ("solvers/row", 12, ".2f"), ("center/row", 11, ".2f"), ("steps/row", 10, ".1f"),
-           ("steps", 6, "d"), ("reused", 6, "d"), ("at_max_newton", 14, "d"),
+           ("steps", 6, "d"), ("at_max_newton", 14, "d"),
            ("at_cap", 7, "d"), ("longest", 8, "d"), ("terms/row", 10, ".1f"),
            ("terms/step", 11, ".2f"), ("eliminated", 10, "d"), ("dense", 6, "d"),
            ("lu", 3, "d"), ("uncertified", 11, "d"), ("cold/row", 8, ".1f"),
@@ -92,7 +89,7 @@ def totals(solvers: list, rows: int, errors: int) -> dict:
     """The census columns of a row set from its solvers' records."""
     works = [solver.work for solver in solvers]
     sums = {name: sum(getattr(work, name) for work in works)
-            for name in ("steps", "reused", "terms", "eliminated", "dense", "lu", "uncertified")}
+            for name in ("steps", "terms", "eliminated", "dense", "lu", "uncertified")}
     centers = [entry for work in works for entry in work.centers]
     # the final-weight start of a warm solve is its one call under a smaller cap
     capped = [entry for entry in centers if entry[1] == bf.WARM_FINAL_NEWTON]

@@ -11,8 +11,8 @@ built (phase-1 solvers stay dense).  The path a solver takes by its own
 rule is marked with ``*``.
 
 Per N_t and path it prints, from the row solver's record (``trace.work``),
-the Newton steps (``SolverWork.steps``, steps on reused evaluations
-included) and the systems each path solved (eliminated, dense, regularized
+the Newton steps (``SolverWork.steps``, one per system ``center``
+solves) and the systems each path solved (eliminated, dense, regularized
 LU); then the row's wall time per Newton step in microseconds and the
 row's wall time in milliseconds, each the best of ``--reps`` runs.  Run it with one BLAS thread, as the benchmark does:
 

@@ -70,19 +70,17 @@ class BeamformerSet:
 @dataclass
 class SolverWork:
     """What one barrier solver did (``_BarrierSolver.work``): its evaluations
-    of gradient and curvature (``grad_hess``: ``evaluate`` calls, those of
-    ``grad_hess`` included) and its ``_terms`` calls; the Newton steps
-    ``center`` took on an evaluation handed to it (``reused``, see
-    ``center``), so that ``steps``, the Newton steps, is ``grad_hess +
-    reused``; the Newton systems
-    solved on each path (elimination, dense Cholesky, ``center``'s
-    regularized LU), a reused step's included; one (t, max_newton, Newton
-    steps, decrement) entry per ``center`` call; one (warm, Newton steps)
-    entry per ``solve`` that returns; and ``uncertified``, the solves whose
-    final weight stopped short of its decrement test."""
+    of gradient and curvature (``evaluate`` calls) and its ``_terms`` calls;
+    its Newton steps, one per Newton system ``center`` solves; the Newton
+    systems solved on each path (elimination, dense Cholesky, ``center``'s
+    regularized LU), a certificate's outside ``center`` included; one (t,
+    max_newton, Newton steps, decrement) entry per ``center`` call; one
+    (warm, Newton steps) entry per ``solve`` that returns; and
+    ``uncertified``, the solves whose final weight stopped short of its
+    decrement test."""
 
-    grad_hess: int = 0
-    reused: int = 0
+    evaluations: int = 0
+    steps: int = 0
     terms: int = 0
     eliminated: int = 0
     dense: int = 0
@@ -90,10 +88,6 @@ class SolverWork:
     centers: list[tuple[float, int, int, float | None]] = field(default_factory=list)
     solves: list[tuple[bool, int]] = field(default_factory=list)
     uncertified: int = 0
-
-    @property
-    def steps(self) -> int:
-        return self.grad_hess + self.reused
 
 
 @dataclass
@@ -279,8 +273,7 @@ WARM_FINAL_NEWTON = 25
 # computing x*(t) exactly is not necessary), so its centering call stops at a
 # decrement lambda^2 <= 2 tol = 1/4, lambda <= 1/2; the final weight keeps tol
 # 1e-9 and its certificate.  At tol 1e-6 the three newton_census.py sets took
-# 1,946 / 876 / 14,947 Newton steps, at 1/8 1,789 / 770 / 13,171, 88 / 54 /
-# 992 of them on an evaluation center was handed (see solve).
+# 1,946 / 876 / 14,947 Newton steps, at 1/8 1,789 / 770 / 13,171.
 INTERMEDIATE_TOL = 0.125
 # At a decrement this small Newton converges quadratically: the full step
 # gains half the decrement to many digits.  The barrier change the Armijo test
@@ -360,9 +353,9 @@ class _BarrierSolver:
     feasibility search); otherwise the weight is divided by its spectral
     norm ``scale`` so the duality-gap target nu/t is meaningful.
 
-    ``grad_hess(z, t)`` returns the gradient of the barrier value
-    (``barrier``) and its *negated* Hessian, which is positive definite, in
-    parts (``_Curvature``); the Newton step (``newton_step``) solves
+    ``evaluate(z)`` returns the gradient of the barrier value (``barrier``)
+    less the objective's t c, and its *negated* Hessian, which is positive
+    definite, in parts (``_Curvature``); the Newton step (``newton_step``) solves
     ``hess @ step = grad`` on one of two paths fixed by the solver's shape
     (``eliminate``).  The dense path assembles ``hess`` (``hessian``) and
     factors it with one Cholesky call.  From N_t = ELIMINATE_FROM_NT (4),
@@ -375,7 +368,7 @@ class _BarrierSolver:
 
     ``center`` evaluates ``_terms`` at most once per point, and not at all
     at a line-search size the slacks' tangents put outside the domain:
-    the terms of the point the line search accepts go on to ``grad_hess``.
+    the terms of the point the line search accepts go on to ``evaluate``.
     Its Armijo test compares the gain 0.25 * size * decrement with the change
     of the barrier value, summed from the ratios of the two points' terms
     (``_value`` with ``ref``): the values themselves are of order t, and at
@@ -384,18 +377,19 @@ class _BarrierSolver:
     most PURE_NEWTON_DECREMENT a strictly feasible full step skips the test.
     ``center`` also returns the Newton decrement it stopped on;
     ``inner_convex_solve`` reports it as the KKT certificate, computing the
-    decrement at the returned point itself where the final stage stopped
-    short of its test (inf if that Newton system is not positive definite).
+    decrement at the returned point from the evaluation ``solve`` returns
+    where the final stage stopped short of its test (inf if that Newton
+    system is not positive definite).
     The dense path assembles, regularizes and factors the Newton system in
     place in ``workspace``, one block the solver allocates once, so a
     Newton step allocates no (dim, dim) array.
 
     ``solve`` centers each weight below the final one loosely, to a
     decrement of at most 1/4 (INTERMEDIATE_TOL), and the final one to
-    2e-9.  ``center`` returns the weight-free evaluation (``_Evaluation``)
-    it stopped on, and ``solve`` hands it to the next call that starts on
-    that point, as at each weight change, which takes its first step
-    without a ``_terms`` or ``evaluate`` call.
+    2e-9.  Each point of a path is evaluated once, and its weight-free
+    evaluation (``_Evaluation``) travels with it: ``solve`` takes the
+    ``_terms`` of its start from its caller, and ``center`` takes the
+    evaluation of its start and returns the one of the point it stops on.
 
     Every constraint is affine in z, so ``_terms`` evaluates a point with
     one matrix product per kind of block and one Cholesky call: it tests
@@ -403,7 +397,7 @@ class _BarrierSolver:
     and the receiver covariances S_k(z) = sigma^2 I + z.Phi_S, each padded
     with an identity to r x r, r the larger of N_t and N_r.  That factor
     tests both PSD domains, gives the log-dets from its diagonal, and is
-    the triangular system ``grad_hess`` solves against.
+    the triangular system ``evaluate`` solves against.
 
     The rate constraints are one ``RateSurrogate`` read as it is (without
     rate constraints ``sca_optimize`` needs no solver).  Its rows involve
@@ -449,7 +443,7 @@ class _BarrierSolver:
         # barrier's gradient direction (-vec(I) on every block, so the power
         # slack is P_T + gP.z) and curvature, the padded stack _terms fills
         # (sigma^2 I on the receiver blocks), and the right-hand sides of
-        # grad_hess's solve against its factor, I and the H_k padded with zero
+        # evaluate's solve against its factor, I and the H_k padded with zero
         # rows: A_i = L_i^-1 with Q_i^-1 = A_i^H A_i and A_k = L_k^-1 H_k with
         # M_k = A_k^H A_k.
         self.gP = np.zeros(self.dim)
@@ -590,19 +584,12 @@ class _BarrierSolver:
         ev = self._terms(z)
         return None if ev is None else self._value(z, t, ev)
 
-    def grad_hess(self, z: np.ndarray, t: float, ev=None) -> tuple[np.ndarray, _Curvature]:
-        """(gradient, negated Hessian in parts) at z; ``ev`` is ``_terms(z)`` if known.
-
-        ``hessian`` assembles the parts into the dense matrix and
-        ``newton_step`` solves with them.
-        """
-        at = self.evaluate(z, ev)
-        return at.grad + t * self.c, at.curv
-
     def evaluate(self, z: np.ndarray, ev=None) -> _Evaluation:
         """The barrier's gradient and curvature at z, without the objective's
-        t c (see ``grad_hess``); ``ev`` is ``_terms(z)`` if known."""
-        self.work.grad_hess += 1
+        t c; ``ev`` is ``_terms(z)`` if known.  At weight t the gradient is
+        ``grad + t c``; ``hessian`` assembles the curvature into the dense
+        matrix and ``newton_step`` solves with it."""
+        self.work.evaluations += 1
         if ev is None:
             ev = self._terms(z)
         if ev is None:
@@ -756,16 +743,19 @@ class _BarrierSolver:
                 yield size
             size *= 0.5
 
-    def center(self, z: np.ndarray, t: float, tol: float = 1e-9, max_newton: int = 200,
-               max_first: float = math.inf, start: _Evaluation | None = None
-               ) -> tuple[np.ndarray, float | None, _Evaluation | None]:
-        """Damped Newton steps at weight t; returns (z, decrement, evaluation).
+    def center(self, z: np.ndarray, at: _Evaluation, t: float, tol: float = 1e-9,
+               max_newton: int = 200, max_first: float = math.inf
+               ) -> tuple[np.ndarray, float | None, _Evaluation]:
+        """Damped Newton steps at weight t from z, whose evaluation is ``at``;
+        returns (z, decrement, evaluation at z).
 
-        The decrement is the one measured at the returned z when the stop test
+        ``at`` may come from a call at any weight: the objective is linear,
+        so the curvature does not depend on t and the gradient is the
+        barrier's plus t c.  The call evaluates each point it moves to once,
+        so the evaluation it returns goes on to a call from its end.  The
+        decrement is the one measured at the returned z when the stop test
         ``decrement <= 2 tol`` ended the call, and None when a fallback or
         ``max_newton`` did, or when the first decrement exceeded ``max_first``.
-        The evaluation is the last ``evaluate`` call's, at the returned z, or
-        None when ``max_newton`` ended the call after a step.
 
         The line search tries the sizes 1, 1/2, 1/4, ... above 1e-14 along the
         step dz and keeps the first one ``_terms`` accepts that passes the
@@ -784,21 +774,10 @@ class _BarrierSolver:
         of order |offset_k|), far above its rounding, so ``_terms`` would
         reject every skipped size: the accepted size, and every bit after
         it, is the same as with no bound.
-
-        ``start`` is an evaluation an earlier call returned with z, at any
-        weight: the objective is linear, so the curvature does not depend on
-        t and the gradient is the barrier's plus t c.  The first step then
-        takes it, with no ``_terms`` or ``evaluate`` call; ``work.reused``
-        counts these steps.
         """
-        steps_before, certified, at = self.work.steps, None, start
-        # then carried over from the line search that accepts z
-        ev = self._terms(z) if start is None else start.ev
+        steps_before, certified = self.work.steps, None
         for i in range(max_newton):
-            if i == 0 and start is not None:
-                self.work.reused += 1
-            else:
-                at = self.evaluate(z, ev)
+            self.work.steps += 1
             grad, curv = at.grad + t * self.c, at.curv
             try:
                 step = self.newton_step(grad, curv)
@@ -821,27 +800,25 @@ class _BarrierSolver:
                 break
             if i == 0 and decrement > max_first:
                 break
-            for size in self._trial_sizes(ev, curv.gcon, step):
+            for size in self._trial_sizes(at.ev, curv.gcon, step):
                 cand = z + size * step
                 cand_ev = self._terms(cand)
                 if cand_ev is not None and (
                         (size == 1.0 and decrement <= PURE_NEWTON_DECREMENT)
-                        or self._value(cand, t, cand_ev, (z, ev)) >= 0.25 * size * decrement):
-                    z, ev = cand, cand_ev
+                        or self._value(cand, t, cand_ev, (z, at.ev)) >= 0.25 * size * decrement):
+                    z, at = cand, self.evaluate(cand, cand_ev)
                     break
             else:
                 break
-        else:
-            # every step moved z, the last one past the last evaluation
-            at = None
         self.work.centers.append((t, max_newton, self.work.steps - steps_before, certified))
         return z, certified, at
 
-    def solve(self, z0: np.ndarray, gap_tol: float, t0: float = 1.0, warm: bool = False
-              ) -> tuple[np.ndarray, float, float | None]:
+    def solve(self, z0: np.ndarray, ev0, gap_tol: float, t0: float = 1.0, warm: bool = False
+              ) -> tuple[np.ndarray, float, float | None, _Evaluation]:
         """Path following (Boyd & Vandenberghe, Convex Optimization, sec. 11.3)
-        to duality gap nu/t <= gap_tol; returns z, t and decrement of the
-        final centering call (see ``center``).
+        to duality gap nu/t <= gap_tol from z0, whose ``_terms`` are ev0 (None
+        raises InfeasibleStartError); returns z, t, and the decrement and
+        evaluation of the final centering call (see ``center``).
 
         The weights are listed before any centering call, each BARRIER_MU
         times the last.  A cold path starts at t0 and ends on the first
@@ -864,14 +841,13 @@ class _BarrierSolver:
 
         Each weight below the final one is centered to a decrement of at
         most 2 INTERMEDIATE_TOL = 1/4, the final one to 2e-9, whose call
-        gives the certificate.  A call that starts where an earlier one
-        stopped, as at every weight change, takes that call's evaluation
-        (``center``'s ``start``); so does a start at z0 after a start that
-        took no step from it.
+        gives the certificate.  z0 is evaluated once, after the weights are
+        listed, and every start at z0 takes that evaluation; the rung is
+        tested only when the first start fails.
         """
         if not gap_tol > 0:
             raise ValueError("duality gap tolerance must be > 0")
-        if self._terms(z0) is None:
+        if ev0 is None:
             raise InfeasibleStartError("starting point is not strictly feasible")
         ladder = [self.nu / gap_tol / BARRIER_MU ** 2 if warm else t0]
         while (len(ladder) < 3) if warm else (self.nu / ladder[-1] > gap_tol):
@@ -880,31 +856,31 @@ class _BarrierSolver:
             ladder.append(ladder[-1] * BARRIER_MU)
         last = len(ladder) - 1
         tols = [INTERMEDIATE_TOL] * last + [1e-9]
-        # at: an evaluation center returned at z (at z0 until a start certifies)
-        first, z, decrement, at = 0, z0, None, None
+        at0 = self.evaluate(z0, ev0)
         steps_before = self.work.steps
-        if warm:
-            rung = z0 if self.rung is None or self._terms(self.rung) is None else self.rung
-            starts = ((2, z0, {"max_first": WARM_FINAL_DECREMENT,
-                               "max_newton": WARM_FINAL_NEWTON}),
-                      (1, rung, {"max_first": WARM_DECREMENT}))
-            for i, z_from, guard in starts:
-                z_start, decrement, end = self.center(
-                    z_from, ladder[i], tol=tols[i], start=at if z_from is z0 else None, **guard)
-                if decrement is not None:
-                    first, z, at = i, z_start, end
-                    break
-                if z_start is z0:
-                    at = end
         # a decrement that is not None says z is already centered at ladder[first]
+        first, z, decrement, at = 0, z0, None, at0
+        if warm:
+            first = 2
+            z, decrement, at = self.center(z0, at0, ladder[2], tols[2],
+                                           max_newton=WARM_FINAL_NEWTON,
+                                           max_first=WARM_FINAL_DECREMENT)
+            if decrement is None:
+                first = 1
+                ev = None if self.rung is None else self._terms(self.rung)
+                z, at = (z0, at0) if ev is None else (self.rung, self.evaluate(self.rung, ev))
+                z, decrement, at = self.center(z, at, ladder[1], tols[1],
+                                               max_first=WARM_DECREMENT)
+            if decrement is None:
+                first, z, at = 0, z0, at0
         for i in range(first, last + 1):
             if i > first or decrement is None:
-                z, decrement, at = self.center(z, ladder[i], tol=tols[i], start=at)
+                z, decrement, at = self.center(z, at, ladder[i], tols[i])
             if i == last - 1 and decrement is not None:
                 self.rung = z
         self.work.solves.append((warm, self.work.steps - steps_before))
         self.work.uncertified += decrement is None
-        return z, ladder[last], decrement
+        return z, ladder[last], decrement, at
 
 
 def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: float,
@@ -924,22 +900,25 @@ def inner_convex_solve(solver: _BarrierSolver, Q_start: np.ndarray, gap_tol: flo
     not positive definite) and the duality-gap bound of the final weight.
     """
     z0 = solver.pack(Q_start)
+    ev0 = solver._terms(z0)
     # Q_start may sit next to the power budget (uniform_gram leaves 1e-9 P_T),
     # where centering the first weight takes many steps; an infeasible
     # Q_start is not moved, so solve rejects it, and a feasible one has a
     # positive trace
-    if not warm and solver._terms(z0) is not None:
+    if not warm and ev0 is not None:
         n_q = solver.n_blocks * solver.n
         theta = n_q * solver.P_T / ((n_q + 1) * -float(solver.gP @ z0))
-        if solver._terms(theta * z0) is not None:
-            z0 = theta * z0
-    z, t_used, decrement = solver.solve(z0, gap_tol=gap_tol, t0=max(1.0, 1.0 / solver.P_T),
-                                        warm=warm)
+        z_ray = theta * z0
+        ev_ray = solver._terms(z_ray)
+        if ev_ray is not None:
+            z0, ev0 = z_ray, ev_ray
+    z, t_used, decrement, at = solver.solve(z0, ev0, gap_tol, t0=max(1.0, 1.0 / solver.P_T),
+                                            warm=warm)
     if decrement is None:
         # centering stopped short of its test: certify the point it returned
-        grad, curv = solver.grad_hess(z, t_used)
+        grad = at.grad + t_used * solver.c
         try:
-            decrement = float(grad @ solver.newton_step(grad, curv))
+            decrement = float(grad @ solver.newton_step(grad, at.curv))
         except np.linalg.LinAlgError:
             # a singular Newton system at a stalled point: no certificate
             decrement = math.inf
@@ -1004,7 +983,7 @@ def feasibility_init(b, cfg: ScenarioConfig, channels: ChannelSet) -> np.ndarray
         solver.reanchor(sca_linearize(b, Q, channels.H_comm, cfg.sigma2, cfg.R_th))
         # the surrogates are tight at the anchor: their minimum is this slack
         z0 = solver.pack(Q, s=slack - 1.0)
-        Q = solver.unpack(solver.solve(z0, gap_tol=1e-6 * max(1.0, cfg.R_th))[0])
+        Q = solver.unpack(solver.solve(z0, solver._terms(z0), 1e-6 * max(1.0, cfg.R_th))[0])
         last = slack
         slack = float(metrics.rate(b, Q, channels.H_comm, cfg.sigma2).min()) - cfg.R_th
         if slack > margin:

@@ -30,6 +30,13 @@ def solver_at(n, epigraph):
     return solver, solver.pack(Q, s=s), surrogate
 
 
+def grad_hess(solver, z, t, ev=None):
+    """The barrier's gradient at weight t and its curvature at z: ``evaluate``
+    plus the objective's t c."""
+    at = solver.evaluate(z, ev)
+    return at.grad + t * solver.c, at.curv
+
+
 def rel_err(approx, exact):
     return np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
 
@@ -40,7 +47,7 @@ def test_grad_hess_matches_central_differences(n, epigraph):
     solver, z, _ = solver_at(n, epigraph)
     t = 10.0
     assert len(solver.group_rows) == 2
-    grad, curv = solver.grad_hess(z, t)
+    grad, curv = grad_hess(solver, z, t)
     hess = solver.hessian(curv)
     # the Hessian lives in the solver's workspace, which the calls below overwrite
     assert np.shares_memory(hess, solver.workspace)
@@ -52,10 +59,10 @@ def test_grad_hess_matches_central_differences(n, epigraph):
         e = np.zeros(solver.dim)
         e[i] = step
         fd_grad[i] = (solver.barrier(z + e, t) - solver.barrier(z - e, t)) / (2 * step)
-        fd_hess[:, i] = (solver.grad_hess(z + e, t)[0]
-                         - solver.grad_hess(z - e, t)[0]) / (2 * step)
+        fd_hess[:, i] = (grad_hess(solver, z + e, t)[0]
+                         - grad_hess(solver, z - e, t)[0]) / (2 * step)
     assert rel_err(fd_grad, grad) <= 1e-6
-    # the solver maximizes: grad_hess returns the negated Hessian
+    # the solver maximizes: its curvature is the negated Hessian
     assert rel_err(fd_hess, -hess) <= 1e-6
 
 
@@ -132,18 +139,18 @@ def test_kernels_match_einsum_definitions(monkeypatch, n):
     np.testing.assert_allclose(solver.unpack(z),
                                unpack_ref(z.reshape(solver.n_blocks, n * n), basis),
                                rtol=1e-12, atol=1e-12)
-    # grad_hess's one stacked _vec_many/_psd_cores call on [Q^-1; M], and on
+    # evaluate's one stacked _vec_many/_psd_cores call on [Q^-1; M], and on
     # [Q^-1; M; Q] where the solver eliminates, and its group sums against
     # every row's terms added one by one, with N_r = 2 above, equal to and
     # below n
     for epigraph in (False, True):
         solver, z, surrogate = solver_at(n, epigraph)
-        grad, curv = solver.grad_hess(z, 10.0)
+        grad, curv = grad_hess(solver, z, 10.0)
         hess = solver.hessian(curv)
         grad_ref, hess_ref = grad_hess_ref(solver, surrogate, z, 10.0)
         assert rel_err(grad, grad_ref) <= 1e-10
         assert rel_err(hess, hess_ref) <= 1e-10
-        assert solver.eliminate == (n >= 4 and not epigraph)
+        assert solver.eliminate == (n >= bf.ELIMINATE_FROM_NT and not epigraph)
         if not solver.eliminate:
             assert curv.q_cores is None
             continue
@@ -155,7 +162,7 @@ def test_kernels_match_einsum_definitions(monkeypatch, n):
         with monkeypatch.context() as patch:  # a cut-over past every N_t
             patch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
             dense = solver_at(n, epigraph)[0]
-        dense_grad, dense_curv = dense.grad_hess(z, 10.0)
+        dense_grad, dense_curv = grad_hess(dense, z, 10.0)
         assert dense_curv.q_cores is None
         assert_same_bits(dense_grad, grad)
         assert_same_bits(dense.hessian(dense_curv), hess)
@@ -288,7 +295,7 @@ def test_line_search_skips_only_sizes_outside_the_domain(n, epigraph, final, off
     ev = solver._terms(z)
     assume(ev is not None)
     t = solver.nu / (1e-6 * solver.P_T) if final else max(1.0, 1.0 / solver.P_T)
-    grad, curv = solver.grad_hess(z, t, ev)
+    grad, curv = grad_hess(solver, z, t, ev)
     step = 2.0 ** reach * solver.newton_step(grad, curv)
     for size, kept in line_search_sizes(solver, z, step, ev, curv.gcon):
         assert kept or solver._terms(z + size * step) is None
@@ -304,7 +311,7 @@ def test_line_search_skips_sizes_past_either_tangent(epigraph):
     rng = np.random.default_rng(6)
     solver, _, _, z = random_solver(rng, 4, 2, epigraph)
     ev = solver._terms(z)
-    gcon = solver.grad_hess(z, 1.0, ev)[1].gcon
+    gcon = grad_hess(solver, z, 1.0, ev)[1].gcon
     assert [kept for _, kept in line_search_sizes(solver, z, 4.0 * z, ev, gcon)[:3]] == [
         False, False, True]
     down = -gcon[0] + (solver.gP @ gcon[0]) / (solver.gP @ solver.gP) * solver.gP
@@ -331,7 +338,7 @@ def test_eliminated_step_equals_the_dense_solve(monkeypatch, n, b, groups):
         solver, _, _, z = random_solver(rng, n, 2, False, b=b)
         assert solver.eliminate and len(solver.group_rows) == groups
         for t in (max(1.0, 1.0 / solver.P_T), solver.nu / (1e-6 * solver.P_T)):
-            grad, curv = solver.grad_hess(z, t)
+            grad, curv = grad_hess(solver, z, t)
             dense = np.linalg.solve(solver.hessian(curv), grad)
             step = solver._eliminated_step(grad, curv)
             assert rel_err(step, dense) <= 1e-11
@@ -377,7 +384,7 @@ def test_refined_eliminated_step_equals_the_dense_solve(monkeypatch):
     With both bounds at 0 the elimination gives up."""
     rng = np.random.default_rng(4)
     solver, _, _, z = random_solver(rng, 4, 2, False)
-    grad, curv = solver.grad_hess(z, 10.0)
+    grad, curv = grad_hess(solver, z, 10.0)
     dense = np.linalg.solve(solver.hessian(curv), grad)
     monkeypatch.setattr(bf, "ELIMINATION_RTOL", 0.0)
     refinements = count_calls(monkeypatch, bf.sla.lapack, "dgetrs")
@@ -408,9 +415,9 @@ def test_eliminated_steps_at_loose_weights_against_a_40_digit_solve(monkeypatch)
     kept, tols = [], []
     center, eliminated_step = _BarrierSolver.center, _BarrierSolver._eliminated_step
 
-    def recording(self, z, t, tol=1e-9, **kwargs):
+    def recording(self, z, at, t, tol=1e-9, **kwargs):
         tols.append(tol)
-        return center(self, z, t, tol, **kwargs)
+        return center(self, z, at, t, tol, **kwargs)
 
     def checked(self, grad, curv):
         step = eliminated_step(self, grad, curv)
@@ -452,7 +459,7 @@ def test_newton_paths_are_counted(monkeypatch):
     solver, surrogate, _, z = random_solver(rng, 4, 2, False)
     monkeypatch.setattr(bf, "ELIMINATE_FROM_NT", math.inf)
     dense_solver = anchored_solver(solver.weight, surrogate, solver.P_T)
-    grad, curv = solver.grad_hess(z, 10.0)
+    grad, curv = grad_hess(solver, z, 10.0)
     solver.newton_step(grad, curv)
     assert solver.eliminate and newton_paths(solver) == (1, 0, 0)
     expected = dense_solver.newton_step(grad, curv)
@@ -479,8 +486,8 @@ def test_newton_paths_are_counted(monkeypatch):
     # a failed elimination and a failed Cholesky: center takes the regularized LU step
     monkeypatch.setattr(*singular)
     monkeypatch.setattr(bf.sla.lapack, "dpotrf", lambda a, **_: (a, 1))
-    solver.center(z, 10.0, max_newton=1)
-    assert len(tried) == 2 and newton_paths(solver) == (1, 2, 1) and solver.work.reused == 0
+    solver.center(z, solver.evaluate(z), 10.0, max_newton=1)
+    assert len(tried) == 2 and newton_paths(solver) == (1, 2, 1) and solver.work.steps == 1
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -488,29 +495,30 @@ def test_reused_step_equals_a_fresh_one(monkeypatch, n):
     """A centering call handed the evaluation the last one stopped on takes
     its first step from it: its barrier gradient plus t c and its
     curvature, on the dense path at N_t = 2 and the eliminated one at
-    N_t = 4.  The step equals a fresh grad_hess and newton_step at the new
-    weight within 1e-10, relative (measured: 0, the same bits, on both)."""
+    N_t = 4.  The step, taken with no evaluate or _terms call, equals a
+    fresh evaluate and newton_step at the new weight within 1e-10, relative
+    (measured: 0, the same bits, on both)."""
     solver, z, surrogate = solver_at(n, False)
     assert solver.eliminate == (n == 4)
-    z, decrement, end = solver.center(z, 10.0, tol=0.125)
+    z, decrement, end = solver.center(z, solver.evaluate(z), 10.0, tol=0.125)
     assert decrement is not None and end is not None
     steps = []
     newton_step = _BarrierSolver.newton_step
 
     def recording(self, grad, curv):
-        steps.append(newton_step(self, grad, curv))
-        return steps[-1]
+        steps.append((newton_step(self, grad, curv), self.work.evaluations, self.work.terms))
+        return steps[-1][0]
 
     monkeypatch.setattr(_BarrierSolver, "newton_step", recording)
     before = dataclasses.replace(solver.work)
-    solver.center(z, 300.0, max_newton=1, start=end)
-    step, = steps
-    assert solver.work.reused == before.reused + 1
-    assert solver.work.grad_hess == before.grad_hess
+    solver.center(z, end, 300.0, max_newton=1)
+    (step, evaluations, terms), = steps
+    assert solver.work.steps == before.steps + 1
+    assert (evaluations, terms) == (before.evaluations, before.terms)
     assert newton_paths(solver)[:2] == (before.eliminated + solver.eliminate,
                                         before.dense + (not solver.eliminate))
     fresh = anchored_solver(solver.weight, surrogate, solver.P_T)
-    grad, curv = fresh.grad_hess(z, 300.0)
+    grad, curv = grad_hess(fresh, z, 300.0)
     expected = fresh.newton_step(grad, curv)
     assert fresh.work.eliminated == solver.eliminate
     assert rel_err(step, expected) <= 1e-10
@@ -532,8 +540,8 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     calls = []
     center = _BarrierSolver.center
 
-    def recording(self, z, t, tol=1e-9, **_):
-        out = center(self, z, t, tol, max_newton=max_newton)
+    def recording(self, z, at, t, tol=1e-9, **_):
+        out = center(self, z, at, t, tol, max_newton=max_newton)
         calls.append((self, t, out))
         return out
 
@@ -546,7 +554,7 @@ def test_certificate_is_the_decrement_at_the_returned_point(monkeypatch, max_new
     assert solver.work.uncertified == (max_newton == 1) and len(solver.work.solves) == 1
     # the same solve of hess + 1e-12 I as center's: at the one-step point its
     # condition number is about 2e15, where an LU solve differs by 6e-4
-    grad, curv = solver.grad_hess(z, t)
+    grad, curv = grad_hess(solver, z, t)
     fresh = abs(grad @ solver.newton_step(grad, curv))
     assert info["kkt_residual"] == pytest.approx(fresh, rel=1e-6, abs=0)
 
@@ -561,7 +569,7 @@ def test_certificate_of_a_singular_newton_system(monkeypatch):
         return -1e-12 * np.eye(self.dim)  # + 1e-12 I is exactly zero
 
     monkeypatch.setattr(_BarrierSolver, "hessian", singular)
-    monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, t, *a, **k: (z, None, None))
+    monkeypatch.setattr(_BarrierSolver, "center", lambda self, z, at, *a, **k: (z, None, at))
     grams, info = inner_convex_solve(anchored_solver(weight, surrogate, P_T), anchor,
                                      1e-6 * P_T)
     assert info["kkt_residual"] == np.inf
@@ -612,7 +620,7 @@ def test_non_finite_newton_system_keeps_the_start(monkeypatch, entry, value):
         return hess
 
     monkeypatch.setattr(_BarrierSolver, "hessian", poisoned)
-    end, decrement, _ = solver.center(z.copy(), 10.0)
+    end, decrement, _ = solver.center(z.copy(), solver.evaluate(z), 10.0)
     assert decrement is None
     np.testing.assert_array_equal(end, z)
 
@@ -624,10 +632,10 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
     Newton then certifies within a few steps."""
     solver, z, _ = solver_at(2, False)
     t = 1e4
-    z, decrement, _ = solver.center(z, t)
+    z, decrement, _ = solver.center(z, solver.evaluate(z), t)
     assert decrement is not None
     # move off the center to a decrement of about 1e-7
-    hess = solver.hessian(solver.grad_hess(z, t)[1])
+    hess = solver.hessian(solver.evaluate(z).curv)
     v = np.random.default_rng(0).standard_normal(solver.dim)
     start = z + np.sqrt(1e-7 / (v @ hess @ v)) * v
     value = _BarrierSolver._value
@@ -636,12 +644,12 @@ def test_small_decrement_takes_the_full_step_whatever_the_value_reads(monkeypatc
         return value(self, z, t, ev) if ref is None else -1.0
 
     monkeypatch.setattr(_BarrierSolver, "_value", losing)
-    end, decrement, _ = solver.center(start, t)
+    end, decrement, _ = solver.center(start, solver.evaluate(start), t)
     assert decrement is not None and decrement <= 2e-9
     assert 1 < solver.work.centers[-1][2] <= 4  # Newton steps
     # above the bound the test still decides: every step is rejected
     monkeypatch.setattr(bf, "PURE_NEWTON_DECREMENT", 1e-8)
-    end, decrement, _ = solver.center(start, t)
+    end, decrement, _ = solver.center(start, solver.evaluate(start), t)
     assert decrement is None
     np.testing.assert_array_equal(end, start)
 
@@ -663,7 +671,8 @@ def cold_solve(weight, surrogate, P_T, anchor, gap, t0=None):
     solver = anchored_solver(weight, surrogate, P_T)
     if t0 is None:
         t0 = solver.nu / gap / 30.0 ** 2
-    z, t, _ = solver.solve(solver.pack(anchor), gap_tol=gap, t0=t0)
+    z0 = solver.pack(anchor)
+    z, t, _, _ = solver.solve(z0, solver._terms(z0), gap, t0=t0)
     Q = solver.unpack(z)
     return 0.5 * (Q + np.conj(np.transpose(Q, (0, 2, 1)))), solver.nu / t * solver.scale, t0
 
@@ -834,10 +843,9 @@ def newton_work(solvers):
 def test_record_equals_a_wrapper_count(monkeypatch):
     """The records of an SCA row's solvers, phase 1's included, against the
     tree's only counting wrappers of evaluate, newton_step, _terms and
-    center: the same calls of evaluate and _terms, as many reused steps as
-    newton_step calls without an evaluate call, and the same (t,
-    max_newton, Newton steps, decrement) per centering call, a Newton step
-    being a newton_step call there."""
+    center: the same calls of evaluate, newton_step and _terms, and the
+    same (t, max_newton, Newton steps, decrement) per centering call, a
+    Newton step being a newton_step call there."""
     cfg, _, channels, consts = make_scene(K=4, seed=3, R_th=0.9999)
     solvers = built_solvers(monkeypatch)
     evaluations = count_calls(monkeypatch, _BarrierSolver, "evaluate")
@@ -845,9 +853,9 @@ def test_record_equals_a_wrapper_count(monkeypatch):
     terms = count_calls(monkeypatch, _BarrierSolver, "_terms")
     calls, center = [], _BarrierSolver.center
 
-    def recording(self, z, t, tol=1e-9, max_newton=200, **kwargs):
+    def recording(self, z, at, t, tol=1e-9, max_newton=200, **kwargs):
         before = len(steps)
-        out = center(self, z, t, tol, max_newton, **kwargs)
+        out = center(self, z, at, t, tol, max_newton, **kwargs)
         calls.append((t, max_newton, len(steps) - before, out[1]))
         return out
 
@@ -855,8 +863,8 @@ def test_record_equals_a_wrapper_count(monkeypatch):
     bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts)
     assert [solver.epigraph for solver in solvers] == [True, False] and len(calls) > 10
     assert calls == newton_work(solvers)[1]
-    assert len(evaluations) == sum(solver.work.grad_hess for solver in solvers)
-    assert 0 < len(steps) - len(evaluations) == sum(solver.work.reused for solver in solvers)
+    assert len(evaluations) == sum(solver.work.evaluations for solver in solvers)
+    assert len(steps) == newton_work(solvers)[0]
     assert len(terms) == sum(solver.work.terms for solver in solvers)
 
 
@@ -1077,3 +1085,54 @@ def test_nt4_selection_rows_newton_work(monkeypatch):
     assert all(used < budget for _, budget, used, _ in calls)
     assert steps <= 240 * len(rows)
     assert sum(solver.work.dense for solver in solvers if solver.eliminate) <= 10
+
+
+def repeated_points(monkeypatch, run):
+    """Run ``run`` and return, per surrogate solve (one ``inner_convex_solve``
+    call) and per phase-1 round (one ``solve`` outside it), the number of
+    ``_terms`` calls at a point that call had evaluated before, bit for bit."""
+    scopes, scope, terms = [], [None], _BarrierSolver._terms
+
+    def recording(self, z):
+        if scope[0] is not None:
+            scope[0].append(z.tobytes())
+        return terms(self, z)
+
+    def scoped(fn):
+        def wrapped(*args, **kwargs):
+            if scope[0] is not None:  # solve within inner_convex_solve
+                return fn(*args, **kwargs)
+            scope[0] = []
+            scopes.append(scope[0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope[0] = None
+        return wrapped
+
+    monkeypatch.setattr(_BarrierSolver, "_terms", recording)
+    monkeypatch.setattr(_BarrierSolver, "solve", scoped(_BarrierSolver.solve))
+    monkeypatch.setattr(bf, "inner_convex_solve", scoped(bf.inner_convex_solve))
+    run()
+    return [len(points) - len(set(points)) for points in scopes]
+
+
+def test_each_barrier_point_is_evaluated_once(monkeypatch):
+    """A surrogate solve and a phase-1 round evaluate each point of their
+    path once: the start's terms go from inner_convex_solve to solve, and
+    its evaluation to every start at it, the fallbacks to the rung below and
+    to the whole path included.  On the pinned tradeoff rows, and on a
+    make_scene row whose phase 1 runs and whose warm solves fall back to the
+    rung below (3 centering calls) and to the whole path (5)."""
+    solvers = built_solvers(monkeypatch)
+    cfg, _, channels, consts = make_scene(K=3, seed=0, R_th=1.0)
+    repeats = repeated_points(monkeypatch, lambda: (
+        seed7_rows("sec6a", "tradeoff", 2),
+        bf.sca_optimize(np.array([1, 0, 0]), cfg, channels, consts)))
+    phase_one, row = solvers[-2:]
+    assert phase_one.epigraph and phase_one.work.solves and not row.epigraph
+    # a warm solve's calls run from its final-weight start to the next one's
+    budgets = [budget for _, budget, _, _ in row.work.centers]
+    starts = [i for i, budget in enumerate(budgets) if budget == bf.WARM_FINAL_NEWTON]
+    assert {3, 5} <= {end - start for start, end in zip(starts, starts[1:] + [len(budgets)])}
+    assert len(repeats) > 8 * 20 and sum(repeats) == 0

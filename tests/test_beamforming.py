@@ -144,7 +144,7 @@ class TestInnerSolve:
         solver = anchored_solver(weight, surrogate, cfg.P_T)
         with pytest.raises(bf.SolverError, match="MAX_STAGES"):
             inner_convex_solve(solver, anchor, 1e-200)
-        assert not solver.work.centers and not solver.work.grad_hess
+        assert not solver.work.centers and not solver.work.evaluations
 
     def test_kkt_certificate(self):
         cfg, layout, channels, consts = make_scene(K=3, seed=7)
