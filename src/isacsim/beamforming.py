@@ -1081,22 +1081,21 @@ def _one_blas_thread():
 
 @_one_blas_thread()
 def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConstants,
-                 init: np.ndarray | None = None, tol: float = 1e-6, inner_gap: float | None = None,
-                 objective_weight: np.ndarray | None = None) -> tuple[BeamformerSet, ScaTrace]:
+                 tol: float = 1e-6, objective_weight: np.ndarray | None = None
+                 ) -> tuple[BeamformerSet, ScaTrace]:
     """Optimize the beamformers for a fixed selection b.
 
-    Iterates linearize -> inner solve -> re-anchor until the relative
-    objective gain drops below ``tol``, for at most 50 iterations (reason
-    "max-iters"), with one barrier solver re-anchored to each surrogate.
-    Without rate constraints (R_th <= 0) the optimum is closed-form: all
-    power on the weight's top eigenvector v, the probe Gram P_T v v^H, and
-    no other stream.  The trace records each accepted iterate with its
-    equivalent linear objective; its ``iterations`` add the CRB and the
-    maximum exact-constraint violation (which stays at 0 by construction
-    of the inner approximation).  ``init`` is a strictly feasible Gram
-    stack to start from in place of ``feasibility_init``'s.  With L < N_t a
-    rate that eigen-truncation breaks and ``_rescale_for_rates`` cannot
-    restore raises SolverError.
+    Starts from ``feasibility_init`` and iterates linearize -> inner solve ->
+    re-anchor until the relative objective gain drops below ``tol``, for at
+    most 50 iterations (reason "max-iters"), with one barrier solver
+    re-anchored to each surrogate and centered to the duality gap
+    ``tol * P_T``.  Without rate constraints (R_th <= 0) the optimum is
+    closed-form: all power on the weight's top eigenvector v, the probe Gram
+    P_T v v^H, and no other stream.  The trace records each accepted iterate
+    with its equivalent linear objective; its ``iterations`` add the CRB and
+    the maximum exact-constraint violation (which stays at 0 by construction
+    of the inner approximation).  With L < N_t a rate that eigen-truncation
+    breaks and ``_rescale_for_rates`` cannot restore raises SolverError.
 
     ``objective_weight`` overrides the sensing weight built from b; the
     mono-static proxy uses it to optimize for a virtual receiver while the
@@ -1126,9 +1125,9 @@ def sca_optimize(b, cfg: ScenarioConfig, channels: ChannelSet, consts: FimConsta
                    float(np.trace(Q.sum(axis=0)).real) - cfg.P_T)
 
     trace = ScaTrace(violation, reason="max-iters")
-    Q = init if init is not None else feasibility_init(b, cfg, channels)
+    Q = feasibility_init(b, cfg, channels)
     obj_prev = float(np.trace(weight @ Q.sum(axis=0)).real)
-    gap = inner_gap if inner_gap is not None else 1e-6 * cfg.P_T
+    gap = tol * cfg.P_T
     # after the first solve the anchor is the previous surrogate's center at
     # the final barrier weight: a warm start (see _BarrierSolver.solve)
     solver = _BarrierSolver(weight, b, channels.H_comm, cfg.sigma2, cfg.P_T)

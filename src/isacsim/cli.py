@@ -49,8 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, cfg, layout, base) -> int:
-    sweep = (tuple(args.sweep.split(",")) if args.sweep
-             else harness.default_sweep(args.experiment, cfg))
+    if args.sweep is None:
+        sweep = harness.default_sweep(args.experiment, cfg)
+    else:  # an empty --sweep holds no values, which ExperimentSpec rejects
+        sweep = tuple(args.sweep.split(",")) if args.sweep else ()
     try:
         spec = harness.ExperimentSpec(
             name=args.experiment, sweep=sweep,

@@ -72,18 +72,13 @@ class DelayDopplerEstimate:
 class DelayDopplerGrid:
     """Search grid: integer delays and a symmetric Doppler raster.
 
-    Defaults: 129 Doppler points over |f_tilde| <= 0.05; the default delay
-    window of a scenario is [0, M/4] (``for_config``).  Both are knobs.
+    Defaults: 129 Doppler points over |f_tilde| <= 0.05, delays from 0.
     """
 
     tau_max: int
     f_max: float = 0.05
     n_f: int = 129
     tau_min: int = 0
-
-    @classmethod
-    def for_config(cls, cfg, **overrides) -> "DelayDopplerGrid":
-        return cls(tau_max=overrides.pop("tau_max", cfg.M // 4), **overrides)
 
     def taus(self) -> np.ndarray:
         return np.arange(self.tau_min, self.tau_max + 1)

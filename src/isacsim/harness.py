@@ -89,22 +89,20 @@ def _key_kinds() -> dict:
 
     ScenarioConfig's fields are of the types their annotations read ("int",
     "float", "str" or "tuple[float, ...]"); the other keys are the watt
-    fields' dBm alternates, ``lambda``, the points ``p_b`` and ``p_0`` and
-    the K receiver positions ``p``.
+    fields' dBm alternates, the derived ``lambda`` and ``delta_t``, the
+    points ``p_b`` and ``p_0`` and the K receiver positions ``p``.
     """
     kinds = {f.name: f.type for f in fields(ScenarioConfig)}
     kinds.update(dict.fromkeys(_DBM_KEYS, "dBm"))
-    kinds.update({"lambda": "float", "p_b": "point", "p_0": "point", "p": "points"})
+    kinds.update({"lambda": "float", "delta_t": "float", "p_b": "point", "p_0": "point",
+                  "p": "points"})
     return kinds
 
 
 @functools.cache
 def _defaults() -> dict:
-    """The sec6a preset: the value of every key a file omits, but ``delta_t``,
-    which follows the file's B."""
-    raw = _load_json("sec6a")
-    del raw["delta_t"]
-    return raw
+    """The sec6a preset: the value of every key a file omits."""
+    return _load_json("sec6a")
 
 
 def _holds_bool_or_str(value) -> bool:
@@ -159,12 +157,13 @@ def _parse_raw(raw: dict):
     K = _coerce("K", values["K"], 0)
     values = {_DBM_KEYS.get(key, key): _coerce(key, value, K)
               for key, value in values.items()}
-    if "delta_t" not in values:  # B <= 0 is ScenarioConfig's to reject
-        values["delta_t"] = 1.0 / (2.0 * values["B"]) if values["B"] else 0.0
-    p_b, p_0, lam, p = (values.pop(key, None) for key in ("p_b", "p_0", "lambda", "p"))
+    p_b, p_0, lam, dt, p = (values.pop(key, None)
+                            for key in ("p_b", "p_0", "lambda", "delta_t", "p"))
     cfg = ScenarioConfig(**values)
     if lam is not None and abs(lam - cfg.wavelength) > 1e-6 * cfg.wavelength:
         raise ConfigError("lambda", f"must equal c/f0 = {cfg.wavelength!r}; got {lam!r}")
+    if dt is not None and abs(dt - cfg.delta_t) > 1e-9 * cfg.delta_t:
+        raise ConfigError("delta_t", f"must equal 1/(2B) = {cfg.delta_t!r}; got {dt!r}")
     layout = None if p is None else Layout(p_b=p_b, p_0=p_0, p=p)
     return cfg, layout, (p_b, p_0)
 
@@ -172,12 +171,13 @@ def _parse_raw(raw: dict):
 def load_config(path) -> tuple[ScenarioConfig, Layout | None, tuple]:
     """Load and validate a flat JSON configuration: (cfg, layout, (p_b, p_0)).
 
-    Omitted keys take the ``sec6a`` preset's values, and ``delta_t`` follows
-    B as 1/(2B); watt-valued fields accept ``*_dbm`` alternates.  Every
-    malformed value raises ConfigError naming its key.  ``layout`` is None
-    when receiver positions ``p`` are omitted: experiments then draw the
-    placements per trial (``draw_layout``) around the TR position p_b and
-    target position p_0.
+    Omitted keys take the ``sec6a`` preset's values; watt-valued fields
+    accept ``*_dbm`` alternates.  ``lambda`` and ``delta_t`` follow f0 and B
+    (c/f0 and 1/(2B)); a file may give them, and a value that disagrees is
+    malformed.  Every malformed value raises ConfigError naming its key.
+    ``layout`` is None when receiver positions ``p`` are omitted: experiments
+    then draw the placements per trial (``draw_layout``) around the TR
+    position p_b and target position p_0.
     """
     return _parse_raw(_load_json(path))
 
@@ -201,7 +201,7 @@ def draw_layout(cfg: ScenarioConfig, base, seed: int, trial: int) -> Layout:
     """The seed's random placement for a trial: uniform annulus, 1..100 m around p_b."""
     p_b, p_0 = base
     gen = rngmod.substream(seed, rngmod.DOMAIN_LAYOUT, trial)
-    return annulus_layout(cfg, p_b, p_0, gen, r_min=1.0, r_max=100.0)
+    return annulus_layout(cfg, p_b, p_0, gen)
 
 
 def preset_names() -> list[str]:
@@ -257,14 +257,14 @@ def top_eta_group(channels: ChannelSet, size: int) -> np.ndarray:
 
 
 def _sca(b, cfg, channels, consts, **kw):
-    """Experiment-throughput SCA: slightly loose tolerances, same guarantees.
+    """Experiment-throughput SCA: a slightly loose tolerance, same guarantees.
 
-    The per-op defaults (relative gain 1e-6, duality gap 1e-6*P_T) stand for
-    direct API use; sweeps trade the last two significant digits of the CRB
-    for a ~2x speedup, which trial averaging cannot see.
+    The per-op default ``tol`` 1e-6 (relative gain 1e-6, duality gap
+    1e-6*P_T) stands for direct API use; sweeps run at 1e-4 (gap 1e-4*P_T)
+    and trade the last two significant digits of the CRB for a ~2x speedup,
+    which trial averaging cannot see.
     """
-    return beamforming.sca_optimize(b, cfg, channels, consts, tol=1e-4,
-                                    inner_gap=1e-4 * cfg.P_T, **kw)
+    return beamforming.sca_optimize(b, cfg, channels, consts, tol=1e-4, **kw)
 
 
 def _scene(cfg: ScenarioConfig, layout: Layout, seed: int, trial: int):

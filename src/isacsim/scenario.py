@@ -43,9 +43,9 @@ class ScenarioConfig:
     """All physical and algorithmic constants of one scenario.
 
     Powers are in watts, frequencies in Hz, distances in meters.  The sample
-    duration is tied to the bandwidth by ``delta_t = 1/(2B)``; the closed-form
-    Fisher-information constants are only meaningful under that tie, so it is
-    enforced here rather than left to callers.
+    duration ``delta_t`` is not stored: the closed-form Fisher-information
+    constants are only meaningful under the tie ``delta_t = 1/(2B)``, so it
+    is derived from B.
     """
 
     K: int
@@ -55,7 +55,6 @@ class ScenarioConfig:
     P_T: float
     B: float
     f0: float
-    delta_t: float
     M: int
     epsilon: float
     rho: float
@@ -89,14 +88,6 @@ class ScenarioConfig:
             raise ConfigError("B", "bandwidth must be > 0 Hz")
         if self.f0 <= 0:
             raise ConfigError("f0", "carrier frequency must be > 0 Hz")
-        if self.delta_t <= 0:
-            raise ConfigError("delta_t", "sample duration must be > 0 s")
-        if abs(self.delta_t * 2.0 * self.B - 1.0) > 1e-9:
-            raise ConfigError(
-                "delta_t",
-                f"sample duration must satisfy delta_t = 1/(2B); got delta_t={self.delta_t!r} "
-                f"with 1/(2B)={1.0 / (2.0 * self.B)!r}",
-            )
         if self.M < 1:
             raise ConfigError("M", "need at least one sample per block")
         if not (0.0 <= self.rho <= 1.0):
@@ -123,6 +114,11 @@ class ScenarioConfig:
     def wavelength(self) -> float:
         """Carrier wavelength c/f0 in meters (the config key ``lambda``)."""
         return SPEED_OF_LIGHT / self.f0
+
+    @property
+    def delta_t(self) -> float:
+        """Sample duration 1/(2B) in seconds (the config key ``delta_t``)."""
+        return 1.0 / (2.0 * self.B)
 
     @property
     def spacing(self) -> float:
@@ -281,10 +277,9 @@ def cooperation_price(layout: Layout, group, rho: float) -> dict[int, float]:
     return prices
 
 
-def annulus_layout(cfg: ScenarioConfig, p_b, p_0, rng: np.random.Generator,
-                   r_min: float = 1.0, r_max: float = 100.0) -> Layout:
-    """Random scene with K receivers uniform in an annulus around the TR."""
-    radii = rng.uniform(r_min, r_max, size=cfg.K)
+def annulus_layout(cfg: ScenarioConfig, p_b, p_0, rng: np.random.Generator) -> Layout:
+    """Random scene with K receivers uniform in a 1..100 m annulus around the TR."""
+    radii = rng.uniform(1.0, 100.0, size=cfg.K)
     angles = rng.uniform(-np.pi, np.pi, size=cfg.K)
     p = np.asarray(p_b, dtype=float)[None, :] + np.stack(
         [radii * np.cos(angles), radii * np.sin(angles)], axis=1)

@@ -175,12 +175,12 @@ def exhaustive_select(cfg: ScenarioConfig, layout: Layout, channels: ChannelSet,
     return _screen_candidates(candidates, W_bar, cfg, layout, channels, consts)
 
 
-def kmeans_candidates(points: np.ndarray, seed: int, n_iter: int = 50) -> list[frozenset]:
+def kmeans_candidates(points: np.ndarray, seed: int) -> list[frozenset]:
     """Candidate groups from Lloyd's clustering, one list entry per cluster.
 
     Baseline for the selection-comparison experiment: for every cluster count
-    j = 1..K, run Lloyd's iterations from a seeded start and emit each
-    nonempty cluster as a candidate group.  Deduplicated, deterministic.
+    j = 1..K, run up to 50 Lloyd's iterations from a seeded start and emit
+    each nonempty cluster as a candidate group.  Deduplicated, deterministic.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     K = pts.shape[0]
@@ -190,7 +190,7 @@ def kmeans_candidates(points: np.ndarray, seed: int, n_iter: int = 50) -> list[f
     for j in range(1, K + 1):
         centers = pts[rng.choice(K, size=j, replace=False)].copy()
         assign = np.zeros(K, dtype=int)
-        for _ in range(n_iter):
+        for _ in range(50):
             d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=-1)
             new_assign = d.argmin(axis=1)
             if np.array_equal(new_assign, assign):

@@ -13,7 +13,7 @@ from isacsim import harness
 from isacsim.beamforming import _BarrierSolver, _one_blas_thread, _openblas_thread_controls
 from isacsim.channel import build_channels
 from isacsim.metrics import fim_constants
-from isacsim.scenario import Layout, ScenarioConfig
+from isacsim.scenario import Layout, ScenarioConfig, annulus_layout
 
 # the CLI tests run the package in subprocesses: put the tree this process
 # imported first on their path, so they run the same code, installed or not
@@ -25,7 +25,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def make_cfg(**overrides) -> ScenarioConfig:
     """Reference scenario with consistent per-receiver arrays after overrides."""
     base = dict(K=10, N_t=2, N_r=2, L=2, P_T=1.0, B=1e8, f0=3e9,
-                delta_t=5e-9, M=1024, epsilon=2.7, rho=0.5,
+                M=1024, epsilon=2.7, rho=0.5,
                 sigma2=1e-9, sigma_c2=1e-9, sigma_z2=1e-9,
                 v=20.0, R_th=0.25, Omega_th=200.0, pulse="cosine", seed=1234)
     base.update(overrides)
@@ -40,12 +40,7 @@ def make_cfg(**overrides) -> ScenarioConfig:
 
 
 def make_layout(K: int, seed: int = 0, p_b=(0.0, 0.0), p_0=(20.0, 40.0)) -> Layout:
-    rng = np.random.default_rng(seed)
-    radii = rng.uniform(1.0, 100.0, size=K)
-    angles = rng.uniform(-np.pi, np.pi, size=K)
-    p = np.asarray(p_b)[None, :] + np.stack(
-        [radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    return Layout(p_b=np.asarray(p_b, float), p_0=np.asarray(p_0, float), p=p)
+    return annulus_layout(make_cfg(K=K), p_b, p_0, np.random.default_rng(seed))
 
 
 def make_scene(K: int = 4, seed: int = 0, **overrides):

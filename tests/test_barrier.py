@@ -868,18 +868,30 @@ def test_record_equals_a_wrapper_count(monkeypatch):
     assert len(terms) == sum(solver.work.terms for solver in solvers)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-5])
+def test_surrogate_gap_follows_tol(monkeypatch, tol):
+    """Every surrogate solve of an SCA row is centered to the gap tol * P_T."""
+    cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.25, P_T=2.0)
+    gaps = count_calls(monkeypatch, bf, "inner_convex_solve",
+                       lambda solver, Q_start, gap_tol, warm=False: gap_tol)
+    kw = {} if tol is None else {"tol": tol}
+    bf.sca_optimize(np.array([1, 1, 0, 0]), cfg, channels, consts, **kw)
+    assert len(gaps) >= 2
+    assert gaps == [(1e-6 if tol is None else tol) * cfg.P_T] * len(gaps)
+
+
 def test_sca_row_builds_one_solver_and_computes_rates_when_read(monkeypatch):
     cfg, _, channels, consts = make_scene(K=4, seed=20, R_th=0.25)
     b = np.array([1, 1, 0, 0])
-    init = feasibility_init(b, cfg, channels)
     rate = metrics.rate
     solvers = built_solvers(monkeypatch)
     rate_calls = count_calls(monkeypatch, metrics, "rate")
-    W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5, init=init)
-    assert [solver.epigraph for solver in solvers] == [False] and not rate_calls
+    W, trace = bf.sca_optimize(b, cfg, channels, consts, tol=1e-5)
+    # phase 1 accepts the uniform start after one rate evaluation, with no solver
+    assert [solver.epigraph for solver in solvers] == [False] and len(rate_calls) == 1
     assert trace.work is solvers[0].work and len(trace.work.solves) >= 3
     iterations = trace.iterations
-    assert len(rate_calls) == len(trace.iterates) and trace.iterations is iterations
+    assert len(rate_calls) == 1 + len(trace.iterates) and trace.iterations is iterations
     weight = bf.build_objective_weight(b, consts, channels, cfg)
 
     def describe(Q):

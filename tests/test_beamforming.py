@@ -272,7 +272,7 @@ class TestScaOptimize:
         b = np.array([1, 0, 1, 0])
         init = feasibility_init(b, cfg, channels)
         crb0 = metrics.crb_from_gram(b, init.sum(axis=0), consts, channels, cfg).crb
-        W, trace = sca_optimize(b, cfg, channels, consts, init=init)
+        W, trace = sca_optimize(b, cfg, channels, consts)
         crb1 = metrics.crb(b, W, consts, channels, cfg).crb
         assert crb1 <= crb0
         assert trace.iterations[-1][1] == pytest.approx(crb1, rel=1e-6)

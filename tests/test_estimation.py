@@ -75,14 +75,13 @@ class TestSynthesize:
 class TestGrid:
     def test_defaults_from_config(self):
         cfg = make_cfg(M=1024)
-        grid = DelayDopplerGrid.for_config(cfg)
+        grid = DelayDopplerGrid(tau_max=cfg.M // 4)
         assert grid.tau_min == 0 and grid.tau_max == 256
         assert grid.f_max == 0.05 and grid.n_f == 129
         assert 0.0 in grid.freqs()
 
     def test_overrides(self):
-        cfg = make_cfg(M=1024)
-        grid = DelayDopplerGrid.for_config(cfg, tau_max=32, n_f=65)
+        grid = DelayDopplerGrid(tau_max=32, n_f=65)
         assert grid.tau_max == 32 and grid.n_f == 65
 
 

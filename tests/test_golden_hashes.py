@@ -57,3 +57,21 @@ def test_sca_runs_keep_their_golden_csv_bytes():
     hashes = {run: gh.csv_hash(gh.run_rows(run, cfg, layout, base, jobs=1))
               for run in SCA_GOLDEN}
     assert hashes == SCA_GOLDEN
+
+
+# the same for the four runs whose rows read delta_t through the pulse
+# integrals, the pulse gain and the matched filter
+SENSING_GOLDEN = {
+    "antennas_tx": "904e4a34ff476e92",
+    "antennas_rx": "fa79994abb9fc00d",
+    "mf_vs_crb": "bf1c2e95ee55078d",
+    "roundtrip": "b769b2e77d621368",
+}
+
+
+def test_sensing_runs_keep_their_golden_csv_bytes():
+    """The default CSV bytes of the sensing runs are unchanged (see above)."""
+    cfg, layout, base = gh.harness.load_config("sec6a")
+    hashes = {run: gh.csv_hash(gh.run_rows(run, cfg, layout, base, jobs=1))
+              for run in SENSING_GOLDEN}
+    assert hashes == SENSING_GOLDEN

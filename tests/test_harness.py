@@ -111,6 +111,17 @@ class TestParseConfig:
     def test_delta_t_follows_bandwidth(self, tmp_path):
         cfg, _, _ = load_config(write_cfg(tmp_path, {"B": 2e8}))
         assert cfg.delta_t == 1.0 / (2.0 * 2e8)
+        # a file may still give delta_t, when it agrees with B
+        cfg, _, _ = load_config(write_cfg(tmp_path, {"B": 2e8, "delta_t": 2.5e-9}))
+        assert cfg.delta_t == 2.5e-9
+
+    @pytest.mark.parametrize("path", sorted(
+        [*(Path(harness.__file__).parent / "presets").glob("*.json"),
+         *(Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json")]),
+        ids=lambda path: path.name)
+    def test_shipped_configs_load_with_delta_t_from_bandwidth(self, path):
+        cfg, _, _ = load_config(path)
+        assert cfg.delta_t == 1.0 / (2.0 * cfg.B)
 
     def test_accepted_keys(self):
         assert set(harness._key_kinds()) == {
@@ -389,6 +400,13 @@ class TestCli:
         assert proc.returncode == 1
         assert "sweep" in proc.stderr and experiment in proc.stderr
         assert named in proc.stderr
+
+    def test_empty_sweep_exits_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--config", "sec6a", "--experiment", "tradeoff",
+                     "--trials", "1", "--sweep", "", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "sweep" in capsys.readouterr().err
 
     def test_stdout_matches_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"

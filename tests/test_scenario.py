@@ -184,9 +184,10 @@ class TestCooperationPrice:
 
 
 class TestConfig:
-    def test_delta_t_tied_to_bandwidth(self):
-        with pytest.raises(ConfigError, match="delta_t"):
-            make_cfg(delta_t=1e-8)
+    def test_delta_t_follows_bandwidth(self):
+        cfg = make_cfg()
+        assert cfg.delta_t == 5e-9
+        assert replace(cfg, B=2e8).delta_t == 2.5e-9
 
     def test_speed_limit(self):
         with pytest.raises(ConfigError, match="'v'"):
